@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/core"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/metrics"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/trace"
@@ -58,6 +59,18 @@ func goldenConfigs() []core.Config {
 	tc2 := mk("TC2x", core.FetchTraceCache, core.RenameSequential, 0, 0)
 	tc2.TraceCache = 64 << 10
 	cfgs = append(cfgs, tc2)
+	// Non-default fragment selection: the longest fragments the ID can
+	// name and short ones, on the baseline and on parallel rename. Every
+	// entry above runs the paper's (16, 8), so these are what pin the
+	// heuristics-dependent paths (fragment construction, the true-path
+	// split, the predictor's fragment IDs).
+	for _, h := range []frag.Heuristics{{MaxLen: 32, BranchCutoff: 16}, {MaxLen: 8, BranchCutoff: 4}} {
+		suffix := fmt.Sprintf("-h%dx%d", h.MaxLen, h.BranchCutoff)
+		w := mk("W16"+suffix, core.FetchSequential, core.RenameSequential, 0, 0)
+		pr := mk("PR-2x8w"+suffix, core.FetchParallel, core.RenameParallel, 2, 8)
+		w.FragHeuristics, pr.FragHeuristics = h, h
+		cfgs = append(cfgs, w, pr)
+	}
 	return cfgs
 }
 
