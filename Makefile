@@ -1,7 +1,8 @@
 # Tiered checks for the parallel front-end reproduction.
 #
 #   make test          tier 1: build + full test suite (what CI gates on;
-#                      includes the golden determinism suite)
+#                      includes the golden determinism suite) + the
+#                      perfbench module's own tests
 #   make test-alloc    tier 1.5: allocation guards (zero-alloc cycle loop,
 #                      bounded /metrics scrape) run verbosely on their own
 #   make test-robust   tier 1.5: fault-tolerance suite under -race (panic
@@ -35,6 +36,9 @@
 #                      BENCH_LOCAL=N records through the distributed path
 #   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5];
 #                      OLD=store resolves the baseline from the artifact store
+#   make perfbench     the repository benchmark on one workload:
+#                      W=fig8-ci|long-cells|sampled-warm [PERF_SECONDS=30]
+#                      [PERF_TRACE=0|1]
 #   make all           tiers 1-3 in order
 
 GO      ?= go
@@ -49,13 +53,16 @@ BENCH_MEASURE ?= 60000
 BENCH_LOCAL   ?= 0
 GIT_SHA       := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all test test-alloc test-robust test-sample test-obs test-store test-fabric vet race fuzz bench bench-stat bench-json bench-compare fmt
+.PHONY: all test test-alloc test-robust test-sample test-obs test-store test-fabric vet race fuzz bench bench-stat bench-json bench-compare perfbench fmt
 
 all: test test-alloc race fuzz
 
+# perfbench is a module of its own (it imports the repository through a
+# replace), so the root ./... does not reach its tests.
 test: vet test-robust test-sample test-obs test-store test-fabric
 	$(GO) build ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) test .
 
 # Static hygiene gate: go vet plus a gofmt cleanliness check that fails (and
 # names the offending files) if any file needs reformatting.
@@ -176,6 +183,16 @@ TTOL ?= 25
 bench-compare:
 	$(GO) build -o bin/pfe-bench ./cmd/pfe-bench
 	./bin/pfe-bench -tol $(TOL) -ttol $(TTOL) -compare $(OLD) $(NEW)
+
+# perfbench runs the repository benchmark (BENCHMARK.json, perfbench/README.md)
+# on one workload and prints its metrics; the last line is the JSON result.
+# To measure a perf change, alternate runs of the parent and the change (see
+# perfbench/README.md for the workloads and their spreads).
+W            ?= long-cells
+PERF_SECONDS ?= 30
+PERF_TRACE   ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed 0 --seconds $(PERF_SECONDS) --trace $(PERF_TRACE)
 
 fmt:
 	gofmt -l -w .

@@ -3,6 +3,7 @@ package pfe
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWorkloadValidate(t *testing.T) {
@@ -80,6 +81,37 @@ func TestMachineOptions(t *testing.T) {
 	m = Preset(PR2x8w).WithFragmentHeuristics(32, 16)
 	if m.frontEnd.FragHeuristics.MaxLen != 32 {
 		t.Errorf("heuristics: %+v", m.frontEnd.FragHeuristics)
+	}
+}
+
+// TestTinyPredictorTablesComplete: predictor sizes up to 4 entries give a
+// 1-entry secondary table (and, below 2, a 1-entry primary), indexed by a
+// zero-bit history fold; the simulation must still finish. The zero-width
+// fold once looped forever, so each run has its own deadline and a
+// regression fails here instead of stalling the whole test binary.
+func TestTinyPredictorTablesComplete(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	for _, n := range []int{1, 4} {
+		done := make(chan error, 1)
+		var r *Result
+		go func() {
+			var err error
+			r, err = Run("gzip", Preset(W16).WithPredictorEntries(n), Quick())
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%d-entry predictor: %v", n, err)
+			}
+			if r.IPC <= 0 {
+				t.Errorf("%d-entry predictor: IPC %v", n, r.IPC)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%d-entry predictor: simulation did not finish within a minute", n)
+		}
 	}
 }
 

@@ -71,12 +71,16 @@ func (o *Op) ResetExec() {
 	o.done = 0
 }
 
-// Backend is the out-of-order execution engine.
+// Backend is the out-of-order execution engine. Its per-instruction
+// bookkeeping allocates nothing in steady state: the in-flight ops live in
+// a seq-ordered FIFO (order) plus an open-addressed seq index (window)
+// sized once at construction, which answers the scheduler's one question
+// about a producer — is that seq still in flight?
 type Backend struct {
 	cfg Config
 	d   *mem.Cache // L1 data cache (loads/stores go through it)
 
-	window map[uint64]*Op // in-flight ops by seq
+	window seqIndex // in-flight ops by seq
 
 	// order is the seq-ordered FIFO of in-flight ops. Commit advances head
 	// instead of re-slicing the front (which loses front capacity and
@@ -121,7 +125,7 @@ func New(cfg Config, dcache *mem.Cache) *Backend {
 	return &Backend{
 		cfg:           cfg,
 		d:             dcache,
-		window:        make(map[uint64]*Op, cfg.WindowSize),
+		window:        newSeqIndex(cfg.WindowSize),
 		commitBarrier: ^uint64(0),
 	}
 }
@@ -153,7 +157,7 @@ func (b *Backend) Insert(op *Op) {
 			N:     1,
 		})
 	}
-	b.window[op.Seq] = op
+	b.window.put(op.Seq, op)
 	// Common case: append (mostly ordered input); otherwise insert into
 	// position to maintain seq order.
 	n := len(b.order)
@@ -173,7 +177,7 @@ func (b *Backend) Insert(op *Op) {
 // ready reports whether all of op's producers have completed by cycle now.
 func (b *Backend) ready(op *Op, now uint64) bool {
 	for i := 0; i < op.NProd; i++ {
-		if p, ok := b.window[op.Producers[i]]; ok {
+		if p := b.window.get(op.Producers[i]); p != nil {
 			if !p.issued || p.done > now {
 				return false
 			}
@@ -241,7 +245,7 @@ func (b *Backend) Cycle(now uint64) (int, *Resolution) {
 		}
 		b.order[b.head] = nil
 		b.head++
-		delete(b.window, head.Seq)
+		b.window.del(head.Seq)
 		committed++
 		b.committed++
 		if b.Sink != nil {
@@ -315,7 +319,7 @@ func (b *Backend) SquashFrom(seq uint64) int {
 	}
 	squashed := n - cut
 	for i := cut; i < n; i++ {
-		delete(b.window, b.order[i].Seq)
+		b.window.del(b.order[i].Seq)
 		b.order[i] = nil
 	}
 	b.order = b.order[:cut]

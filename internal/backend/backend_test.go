@@ -57,7 +57,7 @@ func TestFUContention(t *testing.T) {
 	b.Cycle(0) // 4 issue
 	issued := 0
 	for _, seq := range []uint64{0, 1, 2, 3, 4} {
-		if op, ok := b.window[seq]; ok && op.Issued() {
+		if op := b.window.get(seq); op != nil && op.Issued() {
 			issued++
 		}
 	}

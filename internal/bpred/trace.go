@@ -123,15 +123,18 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// fold XOR-folds v down to bits wide.
+// fold XOR-folds v down to bits wide: the XOR of v's bits-wide chunks.
+// The shift cascade XORs 2, 4, ..., 64 chunks onto the low bits in six
+// branch-free steps (shifts of 64 or more yield 0), enough for any width
+// from 1 up; width 0 folds to 0.
 func fold(v uint64, bits uint) uint64 {
-	mask := uint64(1)<<bits - 1
-	r := uint64(0)
-	for v != 0 {
-		r ^= v & mask
-		v >>= bits
-	}
-	return r
+	v ^= v >> bits
+	v ^= v >> (2 * bits)
+	v ^= v >> (4 * bits)
+	v ^= v >> (8 * bits)
+	v ^= v >> (16 * bits)
+	v ^= v >> (32 * bits)
+	return v & (1<<bits - 1)
 }
 
 // primaryIndex hashes the full DOLC history: Current bits from the newest

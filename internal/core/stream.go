@@ -32,7 +32,7 @@ type Stream struct {
 	prog *program.Program
 	mach emu.Oracle
 	pred *bpred.TracePredictor
-	heur frag.Heuristics
+	heur frag.Heuristics // normalized, so splitTrue's stop test is Split's
 
 	// Oracle lookahead ring.
 	oracle     []emu.DynInst
@@ -131,7 +131,7 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 		prog:     p,
 		mach:     oracle,
 		pred:     pred,
-		heur:     h,
+		heur:     h.Normalize(),
 		nextSeq:  1,
 		onTrue:   true,
 		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
@@ -342,16 +342,24 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	return ff, nil
 }
 
-// splitTrue computes the true fragment boundary and ID at oracle seq.
+// splitTrue computes the true fragment boundary and ID at oracle seq. It
+// hands Split only the oracle entries up to and including the first one the
+// heuristics stop at (or up to the end of the lookahead): Split never reads
+// past that point, and no fragment is longer than frag.AbsMaxLen. The stop
+// test must use the normalized heuristics, as Split does.
 func (s *Stream) splitTrue(seq uint64) (int, frag.ID) {
-	var buf [2 * 32]frag.Dyn
+	var buf [frag.AbsMaxLen]frag.Dyn
 	n := 0
-	for ; n < len(buf); n++ {
+	for n < len(buf) {
 		d, ok := s.oracleAt(seq + uint64(n))
 		if !ok {
 			break
 		}
 		buf[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
+		n++
+		if s.heur.Stops(d.Inst, n) {
+			break
+		}
 	}
 	return s.heur.Split(buf[:n])
 }

@@ -48,8 +48,9 @@ func DefaultHeuristics() Heuristics {
 	return Heuristics{MaxLen: MaxLen, BranchCutoff: BranchCutoff}
 }
 
-// normalize clamps a (possibly zero) Heuristics to valid values.
-func (h Heuristics) normalize() Heuristics {
+// Normalize clamps a (possibly zero) Heuristics to valid values: the zero
+// value becomes the paper's (16, 8), and MaxLen is capped at AbsMaxLen.
+func (h Heuristics) Normalize() Heuristics {
 	if h.MaxLen <= 0 {
 		h.MaxLen = MaxLen
 	}
@@ -173,7 +174,7 @@ func FromCode(code CodeReader, id ID) *Fragment {
 // FromCode is the heuristics-parameterized variant of the package-level
 // FromCode.
 func (h Heuristics) FromCode(code CodeReader, id ID) *Fragment {
-	h = h.normalize()
+	h = h.Normalize()
 	f := &Fragment{ID: ID{StartPC: id.StartPC}}
 	pc := id.StartPC
 	br := 0
@@ -247,7 +248,7 @@ func Split(stream []Dyn) (n int, id ID) {
 
 // Split is the heuristics-parameterized variant of the package-level Split.
 func (h Heuristics) Split(stream []Dyn) (n int, id ID) {
-	h = h.normalize()
+	h = h.Normalize()
 	if len(stream) == 0 {
 		return 0, ID{}
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 func TestHeuristicsNormalize(t *testing.T) {
-	h := Heuristics{}.normalize()
+	h := Heuristics{}.Normalize()
 	if h != DefaultHeuristics() {
 		t.Errorf("zero value normalized to %+v", h)
 	}
-	h = Heuristics{MaxLen: 100, BranchCutoff: 50}.normalize()
+	h = Heuristics{MaxLen: 100, BranchCutoff: 50}.Normalize()
 	if h.MaxLen != 32 {
 		t.Errorf("MaxLen not capped: %d", h.MaxLen)
 	}
