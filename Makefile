@@ -37,8 +37,7 @@
 #   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5];
 #                      OLD=store resolves the baseline from the artifact store
 #   make perfbench     the repository benchmark on one workload:
-#                      W=fig8-ci|long-cells|sampled-warm [PERF_SECONDS=30]
-#                      [PERF_TRACE=0|1]
+#                      W=fig8-ci|long-cells|sampled-warm [PERF_TRACE=0|1]
 #   make all           tiers 1-3 in order
 
 GO      ?= go
@@ -188,11 +187,10 @@ bench-compare:
 # on one workload and prints its metrics; the last line is the JSON result.
 # To measure a perf change, alternate runs of the parent and the change (see
 # perfbench/README.md for the workloads and their spreads).
-W            ?= long-cells
-PERF_SECONDS ?= 30
-PERF_TRACE   ?= 0
+W          ?= long-cells
+PERF_TRACE ?= 0
 perfbench:
-	python3 perfbench/run.py --workload $(W) --seed 0 --seconds $(PERF_SECONDS) --trace $(PERF_TRACE)
+	python3 perfbench/run.py --workload $(W) --seed 0 --seconds 30 --trace $(PERF_TRACE)
 
 fmt:
 	gofmt -l -w .

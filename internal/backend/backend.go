@@ -144,10 +144,14 @@ func (b *Backend) SetCommitBarrier(seq uint64) { b.commitBarrier = seq }
 func (b *Backend) FreeSlots() int { return b.cfg.WindowSize - (len(b.order) - b.head) }
 
 // Insert places a renamed op into the window. Caller must respect
-// FreeSlots. Ops must be inserted in non-decreasing Seq order per fragment,
-// but fragments renamed in parallel may interleave; the window keeps seq
-// order internally so commit stays program-ordered.
+// FreeSlots: inserting into a full window panics. Ops must be inserted in
+// non-decreasing Seq order per fragment, but fragments renamed in parallel
+// may interleave; the window keeps seq order internally so commit stays
+// program-ordered.
 func (b *Backend) Insert(op *Op) {
+	if b.FreeSlots() <= 0 {
+		panic("backend: Insert into a full window (caller ignored FreeSlots)")
+	}
 	if b.Sink != nil {
 		b.Sink.Emit(trace.Event{
 			Cycle: b.now,

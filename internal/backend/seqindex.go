@@ -4,9 +4,9 @@ package backend
 // question of it is whether a producer seq is still in the window. It is an
 // open-addressed table — multiplicative hash, linear probing, backward-shift
 // deletion (no tombstones, so probe runs never lengthen with churn) — sized
-// once to at least twice the window, which keeps the load factor at or
-// below one half for any caller that respects FreeSlots. Overfilling the
-// window is a caller bug and panics before the table can fill.
+// once to at least twice the window. Backend.Insert refuses to overfill the
+// window, so the load factor stays at or below one half and a probe always
+// meets an empty slot.
 //
 // Membership is exactly a map's: an op is present iff it was inserted and
 // has not been deleted since, and re-inserting a present seq replaces its
@@ -16,7 +16,6 @@ type seqIndex struct {
 	slots []seqSlot
 	mask  uint64
 	shift uint // 64 - log2(len(slots)): the hash keeps the product's top bits
-	n     int  // occupied slots
 }
 
 // seqSlot is one table entry; op == nil marks it empty. The seq is kept
@@ -56,14 +55,10 @@ func (x *seqIndex) get(seq uint64) *Op {
 
 // put inserts op under seq, replacing any op already there.
 func (x *seqIndex) put(seq uint64, op *Op) {
-	if 4*(x.n+1) > 3*len(x.slots) {
-		panic("backend: window overfilled (Insert ignored FreeSlots)")
-	}
 	for i := x.home(seq); ; i = (i + 1) & x.mask {
 		s := &x.slots[i]
 		if s.op == nil {
 			*s = seqSlot{seq: seq, op: op}
-			x.n++
 			return
 		}
 		if s.seq == seq {
@@ -96,5 +91,4 @@ func (x *seqIndex) del(seq uint64) {
 		}
 	}
 	x.slots[i] = seqSlot{}
-	x.n--
 }

@@ -16,9 +16,20 @@ func checkIndex(t *testing.T, step int, x *seqIndex, ref map[uint64]*Op, lo, hi 
 			t.Fatalf("step %d: seq %d: index has %p, reference %p", step, seq, got, want)
 		}
 	}
-	if x.n != len(ref) {
-		t.Fatalf("step %d: index holds %d ops, reference %d", step, x.n, len(ref))
+	if n := x.occupied(); n != len(ref) {
+		t.Fatalf("step %d: index holds %d ops, reference %d", step, n, len(ref))
 	}
+}
+
+// occupied counts the index's live entries.
+func (x *seqIndex) occupied() int {
+	n := 0
+	for _, s := range x.slots {
+		if s.op != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSeqIndexMatchesMap drives a back-end the way the front-ends do —
@@ -115,10 +126,9 @@ func TestSeqIndexMatchesMap(t *testing.T) {
 }
 
 // TestSeqIndexDenseChurn exercises the table directly, against a map: a
-// 16-slot table held at up to 11 live seqs (just under the overfill limit,
-// far above the half load a respected window allows), so probe runs are
-// long and wrap past the table's end, with replacement of present seqs and
-// deletion of absent ones.
+// 16-slot table held at up to 11 live seqs (far above the half load
+// Backend.Insert allows), so probe runs are long and wrap past the table's
+// end, with replacement of present seqs and deletion of absent ones.
 func TestSeqIndexDenseChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := newSeqIndex(8) // 16 slots
@@ -150,20 +160,23 @@ func TestSeqIndexDenseChurn(t *testing.T) {
 	}
 }
 
-// TestSeqIndexOverfillPanics: inserting past FreeSlots is a caller bug the
-// index reports before its table can fill (a full table would probe
-// forever).
+// TestSeqIndexOverfillPanics: inserting past FreeSlots is a caller bug
+// Insert reports before the op reaches the window, so the index never holds
+// more than WindowSize ops (a full table would probe forever).
 func TestSeqIndexOverfillPanics(t *testing.T) {
-	x := newSeqIndex(8)
+	cfg := DefaultConfig()
+	cfg.WindowSize = 8
+	b := New(cfg, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("overfilled index did not panic")
+			t.Fatal("overfilled window did not panic")
 		}
-		if x.n != 12 {
-			t.Errorf("panicked at %d live seqs, want 12 (3/4 of 16 slots)", x.n)
+		if b.InFlight() != 8 || b.window.occupied() != 8 {
+			t.Errorf("panicked with %d ops in flight, %d indexed; want 8 and 8",
+				b.InFlight(), b.window.occupied())
 		}
 	}()
-	for seq := uint64(0); seq < 16; seq++ {
-		x.put(seq, &Op{Seq: seq})
+	for seq := uint64(0); seq < 9; seq++ {
+		b.Insert(&Op{Seq: seq, Inst: isa.Inst{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3}})
 	}
 }
