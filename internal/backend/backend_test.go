@@ -13,10 +13,13 @@ func newTestBackend() *Backend {
 	return New(DefaultConfig(), h.L1D)
 }
 
-func alu(seq uint64, producers ...uint64) *Op {
+func alu(seq uint64, producers ...*Op) *Op {
 	op := &Op{Seq: seq, Inst: isa.Inst{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3}}
-	copy(op.Producers[:], producers)
-	op.NProd = len(producers)
+	for _, p := range producers {
+		op.Producers[op.NProd] = p.Seq
+		op.ProdOps[op.NProd] = p
+		op.NProd++
+	}
 	return op
 }
 
@@ -51,13 +54,16 @@ func TestIndependentOpsIssueTogether(t *testing.T) {
 func TestFUContention(t *testing.T) {
 	b := newTestBackend()
 	// 5 independent multiplies, but only 4 multipliers.
+	var ops []*Op
 	for i := 0; i < 5; i++ {
-		b.Insert(&Op{Seq: uint64(i), Inst: isa.Inst{Op: isa.OpMul, Rd: 1, Rs1: 2, Rs2: 3}})
+		op := &Op{Seq: uint64(i), Inst: isa.Inst{Op: isa.OpMul, Rd: 1, Rs1: 2, Rs2: 3}}
+		ops = append(ops, op)
+		b.Insert(op)
 	}
 	b.Cycle(0) // 4 issue
 	issued := 0
-	for _, seq := range []uint64{0, 1, 2, 3, 4} {
-		if op := b.window.get(seq); op != nil && op.Issued() {
+	for _, op := range ops {
+		if op.Issued() {
 			issued++
 		}
 	}
@@ -70,12 +76,12 @@ func TestDependenceChainSerializes(t *testing.T) {
 	b := newTestBackend()
 	// Chain of 5 dependent single-cycle ALU ops: completion at cycles
 	// 1,2,3,4,5 -> all committed by cycle 5.
-	for i := uint64(0); i < 5; i++ {
-		if i == 0 {
-			b.Insert(alu(i))
-		} else {
-			b.Insert(alu(i, i-1))
-		}
+	prev := alu(0)
+	b.Insert(prev)
+	for i := uint64(1); i < 5; i++ {
+		op := alu(i, prev)
+		b.Insert(op)
+		prev = op
 	}
 	end := run(t, b, 100)
 	if end != 5 {
@@ -206,16 +212,14 @@ func TestWindowCapacity(t *testing.T) {
 		t.Fatalf("free slots %d", b.FreeSlots())
 	}
 	// Fill with a dependence chain so nothing commits quickly.
+	var prev *Op
 	for i := uint64(0); i < 256; i++ {
-		var op *Op
-		if i == 0 {
-			op = &Op{Seq: i, Inst: isa.Inst{Op: isa.OpMul, Rd: 1, Rs1: 2, Rs2: 3}}
-		} else {
-			op = &Op{Seq: i, Inst: isa.Inst{Op: isa.OpMul, Rd: 1, Rs1: 2, Rs2: 3}}
-			op.Producers[0] = i - 1
-			op.NProd = 1
+		op := &Op{Seq: i, Inst: isa.Inst{Op: isa.OpMul, Rd: 1, Rs1: 2, Rs2: 3}}
+		if prev != nil {
+			op.Producers[0], op.ProdOps[0], op.NProd = prev.Seq, prev, 1
 		}
 		b.Insert(op)
+		prev = op
 	}
 	if b.FreeSlots() != 0 {
 		t.Errorf("free slots %d after filling", b.FreeSlots())

@@ -87,6 +87,9 @@ type TracePredictor struct {
 	primary   []entry
 	secondary []entry
 
+	// primaryBits and secondaryBits are the tables' index widths.
+	primaryBits, secondaryBits uint
+
 	predicts int64
 	updates  int64
 	correct  int64
@@ -108,19 +111,24 @@ func New(cfg Config) *TracePredictor {
 	if cfg.DOLC.Depth > maxDepth {
 		cfg.DOLC.Depth = maxDepth
 	}
+	pb, sb := tableBits(cfg.PrimaryEntries), tableBits(cfg.SecondaryEntries)
 	return &TracePredictor{
-		cfg:       cfg,
-		primary:   make([]entry, ceilPow2(cfg.PrimaryEntries)),
-		secondary: make([]entry, ceilPow2(cfg.SecondaryEntries)),
+		cfg:           cfg,
+		primary:       make([]entry, 1<<pb),
+		secondary:     make([]entry, 1<<sb),
+		primaryBits:   pb,
+		secondaryBits: sb,
 	}
 }
 
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+// tableBits is the index width of an n-entry table rounded up to a power
+// of two.
+func tableBits(n int) uint {
+	b := uint(0)
+	for 1<<b < n {
+		b++
 	}
-	return p
+	return b
 }
 
 // fold XOR-folds v down to bits wide: the XOR of v's bits-wide chunks.
@@ -155,21 +163,13 @@ func (p *TracePredictor) primaryIndex(h *History) int {
 	for i := 2; i < d.Depth; i++ {
 		push(fold(h.recent(i), d.Older), d.Older)
 	}
-	return int(fold(acc, tableBits(len(p.primary))))
+	return int(fold(acc, p.primaryBits))
 }
 
 // secondaryIndex hashes only the most recent ID — the shallow-history table
 // that warms up fast and catches primary cold misses.
 func (p *TracePredictor) secondaryIndex(h *History) int {
-	return int(fold(h.recent(0), tableBits(len(p.secondary))))
-}
-
-func tableBits(n int) uint {
-	b := uint(0)
-	for 1<<b < n {
-		b++
-	}
-	return b
+	return int(fold(h.recent(0), p.secondaryBits))
 }
 
 // Prediction is the predictor's output for one lookup.

@@ -179,8 +179,9 @@ type fakeBackend struct {
 	squashes []uint64
 }
 
-func (f *fakeBackend) FreeSlots() int              { return f.slots - len(f.inserted) }
-func (f *fakeBackend) SetCommitBarrier(seq uint64) {}
+func (f *fakeBackend) FreeSlots() int                     { return f.slots - len(f.inserted) }
+func (f *fakeBackend) SetCommitBarrier(seq uint64)        {}
+func (f *fakeBackend) NoteMispredictPoint(op *backend.Op) {}
 func (f *fakeBackend) OldestSeq() (uint64, bool) {
 	if len(f.inserted) == 0 {
 		return 0, false

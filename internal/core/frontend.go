@@ -26,6 +26,9 @@ type ExecBackend interface {
 	// the window (ok=false when empty). The front-end uses it to decide
 	// when a renamed fragment's op storage can be recycled.
 	OldestSeq() (uint64, bool)
+	// NoteMispredictPoint announces an op flagged as a mispredict point
+	// after it may have entered the window.
+	NoteMispredictPoint(op *backend.Op)
 }
 
 // retiredFrag is a fully renamed fragment whose op storage is waiting for
@@ -141,10 +144,15 @@ func (u *Unit) Cycle(now uint64) {
 	u.cycleRename(now)
 }
 
-// cycleFetch is the fetch half of a cycle.
+// cycleFetch is the fetch half of a cycle. A divergence found at a
+// fragment's first instruction flags an op that may already be in the
+// window; the back-end learns of it here, before it next issues or commits.
 func (u *Unit) cycleFetch(now uint64) {
 	if now >= u.fetchAllowedAt {
 		u.engine.cycle(now, &u.queue)
+		if op := u.stream.TakeLateCulprit(); op != nil {
+			u.be.NoteMispredictPoint(op)
+		}
 	}
 }
 

@@ -34,16 +34,18 @@ type Stream struct {
 	pred *bpred.TracePredictor
 	heur frag.Heuristics // normalized, so splitTrue's stop test is Split's
 
-	// Oracle lookahead ring.
+	// Oracle lookahead: a ring of the next oracleLen true-path
+	// instructions, the one with seq oracleBase at index oracleHead.
 	oracle     []emu.DynInst
-	oracleBase uint64 // Seq of oracle[0]
-	oracleEOF  bool
+	oracleHead int
+	oracleLen  int
+	oracleBase uint64
 
 	// Speculative state.
 	specHist   bpred.History
 	retireHist bpred.History
-	lastWriter [isa.NumRegs]uint64 // speculative seq+1 of last writer (0 = none)
-	nextSeq    uint64              // next speculative op seq (starts at 1)
+	lastWriter writers
+	nextSeq    uint64 // next speculative op seq (starts at 1)
 
 	trueCursor uint64 // oracle seq speculation has correctly consumed
 	onTrue     bool
@@ -51,6 +53,9 @@ type Stream struct {
 	prevLastOp *backend.Op    // its final op (retroactive mispredict points)
 
 	pending *Redirect
+	// late is a culprit flagged after it may have entered the back-end
+	// window; the owning Unit announces it to the back-end (TakeLateCulprit).
+	late *backend.Op
 	// redFree recycles the consumed Redirect: at most one divergence is
 	// outstanding, and its record is only read in the cycle it resolves,
 	// so the next divergence (created no earlier than the next fetch
@@ -78,6 +83,18 @@ type Stream struct {
 	now  uint64
 }
 
+// oracleLookahead is how many true-path instructions the stream keeps
+// ahead of its cursor: the ring's size, a power of two.
+const oracleLookahead = 8 * frag.MaxLen
+
+// writers is the speculative last-writer table behind dependence edges: per
+// register, the seq+1 of the youngest op writing it (0 = none) and the op
+// storage that op was materialized in.
+type writers struct {
+	seq [isa.NumRegs]uint64
+	op  [isa.NumRegs]*backend.Op
+}
+
 // Redirect is the recovery checkpoint for the single outstanding divergence.
 type Redirect struct {
 	CulpritSeq uint64      // spec seq of the op whose execution reveals the misprediction
@@ -85,7 +102,12 @@ type Redirect struct {
 	TrueSeq    uint64      // oracle seq fetch resumes from
 	TruePC     uint64      // address of that instruction
 	retireHist bpred.History
-	lastWriter [isa.NumRegs]uint64
+
+	// lastWriter is the dependence table as of the first wrong-path
+	// instruction, restored on redirect. A divergence at a fragment
+	// boundary (every PC matched but the ID did not) has no wrong-path
+	// instruction in the fragment, and restores an empty table.
+	lastWriter writers
 }
 
 // FetchedFrag is one generated fragment with everything the fetch and
@@ -96,10 +118,6 @@ type FetchedFrag struct {
 	// WrongFrom is the index of the first wrong-path instruction
 	// (len(Ops) when the fragment is fully correct-path).
 	WrongFrom int
-
-	// lastWriterAtWrong snapshots the dependence table as of the first
-	// wrong-path instruction, restored on redirect.
-	lastWriterAtWrong [isa.NumRegs]uint64
 
 	// opsStore is the inline backing for Ops: a recycled FetchedFrag
 	// carries its micro-ops with it, so materialize resets ops in place
@@ -134,6 +152,7 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 		heur:     h.Normalize(),
 		nextSeq:  1,
 		onTrue:   true,
+		oracle:   make([]emu.DynInst, oracleLookahead),
 		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
 	}
 	s.ffPool = pool.NewFreeList(func() *FetchedFrag {
@@ -182,34 +201,32 @@ func (s *Stream) PrevLastSeq() (uint64, bool) {
 // recycling).
 func (s *Stream) PoolStats() pool.Stats { return s.ffPool.Stats() }
 
-// refill extends the oracle lookahead and trims consumed entries.
+// refill drops the lookahead entries below trueCursor and tops the ring up
+// from the oracle.
 func (s *Stream) refill() {
-	// Trim below trueCursor.
 	if drop := int(s.trueCursor - s.oracleBase); drop > 0 {
-		s.oracle = s.oracle[:copy(s.oracle, s.oracle[drop:])]
+		s.oracleHead = (s.oracleHead + drop) & (oracleLookahead - 1)
+		s.oracleLen -= drop
 		s.oracleBase = s.trueCursor
 	}
-	for len(s.oracle) < 8*frag.MaxLen && !s.mach.Halted() {
+	for s.oracleLen < oracleLookahead && !s.mach.Halted() {
 		d, err := s.mach.Step()
 		if err != nil {
-			s.oracleEOF = true
 			return
 		}
-		s.oracle = append(s.oracle, d)
-	}
-	if s.mach.Halted() {
-		s.oracleEOF = true
+		s.oracle[(s.oracleHead+s.oracleLen)&(oracleLookahead-1)] = d
+		s.oracleLen++
 	}
 }
 
 // oracleAt returns the oracle entry for seq (must be >= trueCursor and
 // within lookahead).
 func (s *Stream) oracleAt(seq uint64) (emu.DynInst, bool) {
-	i := int(seq - s.oracleBase)
-	if i < 0 || i >= len(s.oracle) {
+	i := seq - s.oracleBase
+	if i >= uint64(s.oracleLen) {
 		return emu.DynInst{}, false
 	}
-	return s.oracle[i], true
+	return s.oracle[(s.oracleHead+int(i))&(oracleLookahead-1)], true
 }
 
 // Attach wires the optional event sink and pipeline metrics into the
@@ -284,12 +301,11 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	trueLen, trueID := s.splitTrue(s.trueCursor)
 	s.pred.Update(&s.retireHist, trueID)
 
-	ff := s.materialize(f, m)
-	s.fragsGenerated++
-	s.specHist.Push(f.ID.Key())
-
 	if m == f.Len() && f.ID == trueID {
 		// Fully correct fragment (boundary and directions included).
+		ff := s.materialize(f, m, nil)
+		s.fragsGenerated++
+		s.specHist.Push(f.ID.Key())
 		s.fragsCorrect++
 		s.retireHist.Push(trueID.Key())
 		s.trueCursor += uint64(trueLen)
@@ -300,17 +316,22 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	}
 
 	// Divergence. Instructions [0,m) are correct path and will commit;
-	// the divergence resolves when the culprit executes.
-	s.retireHist.Push(trueID.Key())
+	// the divergence resolves when the culprit executes. materialize
+	// checkpoints the last-writer table into the redirect record as of the
+	// first wrong-path instruction.
 	red := s.redFree
 	s.redFree = nil
 	if red == nil {
 		red = new(Redirect)
 	}
-	*red = Redirect{
-		TrueSeq:    s.trueCursor + uint64(m),
-		retireHist: s.retireHist,
-	}
+	*red = Redirect{}
+	prevLast := s.prevLastOp
+	ff := s.materialize(f, m, &red.lastWriter)
+	s.fragsGenerated++
+	s.specHist.Push(f.ID.Key())
+	s.retireHist.Push(trueID.Key())
+	red.TrueSeq = s.trueCursor + uint64(m)
+	red.retireHist = s.retireHist
 	if d, ok := s.oracleAt(red.TrueSeq); ok {
 		red.TruePC = d.PC
 	} else {
@@ -323,7 +344,10 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	if m > 0 {
 		red.Culprit = ff.Ops[m-1]
 	} else {
-		red.Culprit = s.prevLastOp
+		// The fragment's first instruction is already wrong: the culprit
+		// is the previous fragment's last op, which may be in the window.
+		red.Culprit = prevLast
+		s.late = prevLast
 	}
 	if red.Culprit == nil {
 		// Divergence at the very first fragment with no predecessor
@@ -333,10 +357,6 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	}
 	red.CulpritSeq = red.Culprit.Seq
 	red.Culprit.MispredictPoint = true
-	// Checkpoint the last-writer state as of the correct prefix: the
-	// materialize call has already applied all instructions, so rebuild
-	// from the snapshot it took at the divergence index.
-	red.lastWriter = ff.lastWriterAtWrong
 	s.pending = red
 	s.onTrue = false
 	return ff, nil
@@ -385,7 +405,7 @@ func (s *Stream) nextWrongPath() (*FetchedFrag, error) {
 	if f.Len() == 0 {
 		return nil, ErrNoFragment
 	}
-	ff := s.materialize(f, 0) // entirely wrong path
+	ff := s.materialize(f, 0, nil) // entirely wrong path
 	s.fragsGenerated++
 	s.specHist.Push(f.ID.Key())
 	return ff, nil
@@ -417,50 +437,47 @@ func (s *Stream) successorOf(f *frag.Fragment) (uint64, bool) {
 
 // materialize assigns sequence numbers, dependence edges and oracle
 // effective addresses to the fragment's instructions. wrongFrom is the
-// index of the first wrong-path instruction (0 for fully wrong-path
-// fragments; f.Len() would mean fully correct but callers pass m).
-func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
+// index of the first wrong-path instruction: 0 for fully wrong-path
+// fragments, the matched prefix length on the true path (f.Len() when fully
+// correct). If ckpt is non-nil, the last-writer table as of the instruction
+// at wrongFrom is copied into it; it is left untouched when the fragment has
+// no wrong-path instruction.
+func (s *Stream) materialize(f *frag.Fragment, wrongFrom int, ckpt *writers) *FetchedFrag {
 	ff := s.ffPool.Get()
 	ff.Frag = f
 	ff.Ops = ff.opsPtrs[:f.Len()]
-	if s.onTrue {
-		ff.WrongFrom = wrongFrom
-	} else {
-		ff.WrongFrom = 0
-	}
-	if ff.WrongFrom >= f.Len() {
-		// The snapshot below is never taken (no wrong-path instruction in
-		// this fragment), but a divergence detected at the fragment
-		// boundary still reads it: clear any recycled contents so the
-		// checkpoint stays the zero value a fresh FetchedFrag carried.
-		ff.lastWriterAtWrong = [isa.NumRegs]uint64{}
-	}
-	// Correct the common caller idiom: nextTruePath passes the matched
-	// prefix length m which may equal f.Len() (fully correct).
+	ff.WrongFrom = wrongFrom
 	for i, in := range f.Insts {
+		if i == wrongFrom && ckpt != nil {
+			*ckpt = s.lastWriter
+		}
+		// Reset the recycled op in place, field by field: the storage has
+		// left the window, and a composite literal would build a whole
+		// temporary Op and copy it.
 		op := ff.Ops[i]
-		// Full-struct reset: the composite literal zeroes the recycled
-		// op's scheduling state (issued/done), producers and flags.
-		*op = backend.Op{
-			Seq:  s.nextSeq,
-			PC:   f.PCs[i],
-			Inst: in,
-		}
+		op.Seq = s.nextSeq
+		op.PC = f.PCs[i]
+		op.Inst = in
+		op.Producers = [3]uint64{}
+		op.ProdOps = [3]*backend.Op{}
+		op.NProd = 0
+		op.WrongPath = i >= wrongFrom
+		op.EA = 0
+		op.MispredictPoint = false
+		op.ResetExec()
 		s.nextSeq++
-		op.WrongPath = i >= ff.WrongFrom
-		if i == ff.WrongFrom {
-			ff.lastWriterAtWrong = s.lastWriter
-		}
 		// Dependence edges from the speculative last-writer table.
 		var srcs [3]isa.Reg
 		for _, src := range in.Sources(srcs[:0]) {
-			if w := s.lastWriter[src]; w != 0 {
+			if w := s.lastWriter.seq[src]; w != 0 {
 				op.Producers[op.NProd] = w - 1
+				op.ProdOps[op.NProd] = s.lastWriter.op[src]
 				op.NProd++
 			}
 		}
 		if rd, ok := in.Dest(); ok {
-			s.lastWriter[rd] = op.Seq + 1
+			s.lastWriter.seq[rd] = op.Seq + 1
+			s.lastWriter.op[rd] = op
 		}
 		if in.IsMem() && !op.WrongPath {
 			if d, ok := s.oracleAt(s.trueCursor + uint64(i)); ok {
@@ -487,6 +504,15 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
 		})
 	}
 	return ff
+}
+
+// TakeLateCulprit returns, once, a culprit the stream flagged as a
+// mispredict point after it may have entered the back-end window (nil if
+// none). The owning Unit passes it to the back-end's NoteMispredictPoint.
+func (s *Stream) TakeLateCulprit() *backend.Op {
+	op := s.late
+	s.late = nil
+	return op
 }
 
 // ApplyRedirect consumes the pending redirect after the back-end resolved

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/backend"
 	"github.com/parallel-frontend/pfe/internal/bpred"
+	"github.com/parallel-frontend/pfe/internal/emu"
 	"github.com/parallel-frontend/pfe/internal/frag"
+	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
@@ -210,5 +213,84 @@ func TestUnitSwitchOnMiss(t *testing.T) {
 	rig.runCycles(t, 4000)
 	if rig.be.Committed() < 1000 {
 		t.Errorf("switch-on-miss unit committed only %d", rig.be.Committed())
+	}
+}
+
+// TestUnitFlagsCulpritAlreadyInWindow: a divergence at a fragment's first
+// instruction makes the previous fragment's last op the mispredict point,
+// and that op may already be in the window, even issued. The Unit must
+// announce the flag to the back-end, which then resolves the op like any
+// other culprit, and the machine recovers onto the true path. The true path
+// never diverges at offset 0 on its own (a true-path fragment starts at the
+// oracle's PC), so the test plants, under the id the stream is about to
+// predict, a fragment that starts one instruction late.
+func TestUnitFlagsCulpritAlreadyInWindow(t *testing.T) {
+	rig := newUnitRig(t, pfConfig())
+	s := rig.stream
+	oracle := emu.New(s.prog)
+	var mismatch error
+	rig.be.CommitHook = func(op *backend.Op) {
+		d, err := oracle.Step()
+		if mismatch == nil && (err != nil || d.PC != op.PC) {
+			mismatch = fmt.Errorf("commit of seq %d at %#x, oracle %#x (%v)", op.Seq, op.PC, d.PC, err)
+		}
+	}
+	var culprit *backend.Op
+	resolvedAt := uint64(0)
+	for now := uint64(0); now < 20_000 && (resolvedAt == 0 || now < resolvedAt+2000); now++ {
+		prev := s.prevLastOp
+		var id frag.ID
+		var saved *frag.Fragment
+		var had, planted bool
+		oldest, any := rig.be.OldestSeq()
+		if culprit == nil && s.onTrue && s.pending == nil && prev != nil && prev.Issued() && any && oldest <= prev.Seq {
+			d, ok := s.oracleAt(s.trueCursor)
+			if _, code := s.prog.InstAt(d.PC + isa.InstBytes); ok && code {
+				id = frag.ID{StartPC: d.PC}
+				if p := s.pred.Predict(&s.specHist); p.Valid && p.ID.StartPC == d.PC {
+					id = p.ID
+				}
+				saved, had = s.fragMemo[id]
+				s.fragMemo[id] = s.heur.FromCode(s.prog, frag.ID{StartPC: d.PC + isa.InstBytes})
+				planted = true
+			}
+		}
+		rig.unit.Cycle(now)
+		if planted {
+			if had {
+				s.fragMemo[id] = saved
+			} else {
+				delete(s.fragMemo, id)
+			}
+			if pend := s.Pending(); pend != nil && pend.Culprit == prev {
+				culprit = prev
+			}
+		}
+		_, res := rig.be.Cycle(now)
+		if res == nil {
+			continue
+		}
+		if res.Op == culprit && resolvedAt == 0 {
+			resolvedAt = now
+		}
+		if pend := s.Pending(); pend != nil && res.Op.Seq == pend.CulpritSeq {
+			red := s.ApplyRedirect()
+			rig.be.SquashFrom(red.CulpritSeq + 1)
+			rig.be.ClearMispredictPoint(res.Op)
+			rig.unit.Redirect(now, red.CulpritSeq)
+		} else {
+			rig.be.ClearMispredictPoint(res.Op)
+		}
+	}
+	switch {
+	case culprit == nil:
+		t.Fatal("no divergence flagged an issued op in the window")
+	case resolvedAt == 0:
+		t.Fatalf("culprit seq %d never resolved; window head: %s", culprit.Seq, rig.be.DebugHead())
+	case mismatch != nil:
+		t.Fatal(mismatch)
+	}
+	if before := rig.be.Committed(); before < 1000 {
+		t.Errorf("committed only %d", before)
 	}
 }

@@ -14,18 +14,20 @@ import (
 // reallocated per fragment, a closure capturing loop state — shows up here
 // as a nonzero allocs-per-batch long before it shows up in benchstat noise.
 
-// allocCases are the two fetch organizations with the most per-cycle object
-// traffic: the W16 sequential baseline and the paper's parallel front-end
-// with four 4-wide sequencers (banked I-cache, fragment buffers, per-frag
-// state). The trace cache is excluded: trace construction memoizes new
-// traces for as long as it keeps finding them, which is real work, not
-// churn.
+// allocCases are the fetch organizations with the most per-cycle object
+// traffic: the W16 sequential baseline, the paper's parallel front-end with
+// four 4-wide sequencers (banked I-cache, fragment buffers, per-frag state),
+// and parallel rename, whose interleaved inserts and live-out squashes
+// re-insert ops out of order into the back-end's issue queue. The trace
+// cache is excluded: trace construction memoizes new traces for as long as
+// it keeps finding them, which is real work, not churn.
 func allocCases() []core.Config {
 	pf := feConfig("PF-4x4w", core.FetchParallel, core.RenameSequential)
 	pf.Sequencers, pf.SeqWidth = 4, 4
 	return []core.Config{
 		feConfig("W16", core.FetchSequential, core.RenameSequential),
 		pf,
+		feConfig("PR-2x8w", core.FetchParallel, core.RenameParallel),
 	}
 }
 
@@ -49,7 +51,11 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			}
 			// Warm through the warmup->measure transition and every
 			// transient growth phase (pools, memo, FIFO capacities).
-			const warmCycles = 10_000
+			// PR-2x8w still meets new fragments after 10k cycles: about
+			// one fragment-memo fill (frag.Heuristics.FromCode) per
+			// 200-cycle batch, which is construction, not churn. After
+			// 30k cycles it meets none.
+			const warmCycles = 30_000
 			for i := 0; i < warmCycles; i++ {
 				if !s.Step() {
 					t.Fatalf("simulation ended during warmup at cycle %d", i)
