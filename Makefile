@@ -20,20 +20,14 @@
 #                      (codec round-trips, crash/corruption battery, GC
 #                      property test, cross-process warm-run determinism,
 #                      SIGKILL-during-store-write recovery)
-#   make test-fabric   tier 1.5: distributed sweep fabric suite under -race
-#                      (lease/heartbeat/epoch-fencing battery, batched leases,
-#                      blob artifact plane with CRC-verified transfers,
-#                      network chaos transport, journal epoch fencing on
-#                      resume, -local loopback determinism, SIGKILL-a-worker
-#                      recovery with real coordinator/worker processes)
 #   make vet           static hygiene: go vet + gofmt -l (fails on diff);
 #                      runs as part of `make test`
 #   make race          tier 2: vet + race detector over the short suite
 #   make fuzz          tier 3: short-budget fuzz smokes (differential targets)
 #   make bench         front-end comparison benchmarks (no -race)
 #   make bench-stat    benchstat-ready hot-path runs (BENCH_COUNT=10)
-#   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json);
-#                      BENCH_LOCAL=N records through the distributed path
+#   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json),
+#                      every cell simulated (persistent store off)
 #   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5];
 #                      OLD=store resolves the baseline from the artifact store
 #   make perfbench     the repository benchmark on one workload:
@@ -44,21 +38,18 @@ GO      ?= go
 FUZZTIME ?= 10s
 
 # bench-json knobs: which experiment and budgets go into the recorded report.
-# BENCH_LOCAL > 0 records through the distributed path (-local N loopback
-# fleet) — bit-identical rows, plus per-worker lease accounting in the report.
 BENCH_EXP     ?= fig8
 BENCH_WARMUP  ?= 20000
 BENCH_MEASURE ?= 60000
-BENCH_LOCAL   ?= 0
 GIT_SHA       := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all test test-alloc test-robust test-sample test-obs test-store test-fabric vet race fuzz bench bench-stat bench-json bench-compare perfbench fmt
+.PHONY: all test test-alloc test-robust test-sample test-obs test-store vet race fuzz bench bench-stat bench-json bench-compare perfbench fmt
 
 all: test test-alloc race fuzz
 
 # perfbench is a module of its own (it imports the repository through a
 # replace), so the root ./... does not reach its tests.
-test: vet test-robust test-sample test-obs test-store test-fabric
+test: vet test-robust test-sample test-obs test-store
 	$(GO) build ./...
 	$(GO) test ./...
 	cd perfbench && $(GO) test .
@@ -113,24 +104,6 @@ test-store:
 	$(GO) test -race -count=1 ./internal/artifact/ -run 'TestTapeCodec|TestProgramCodec|TestCacheDisk|TestCacheWithoutStore'
 	$(GO) test -race -count=1 ./cmd/pfe-bench/ -run 'TestStore'
 
-# Distributed sweep fabric tier, always under -race: the lease table, the
-# heartbeat/expiry scanner and the chaos transport are concurrent by
-# construction, so the whole battery runs race-enabled — the protocol unit
-# tests (epoch fencing, TTL expiry/requeue, zombie reports, blob endpoint
-# serve/publish/CRC-reject, batched lease grants), the artifact-plane seam
-# (remote fetch/publish tier, blob relay, cross-cache read-through
-# bit-identity), the journal epoch-fencing resume tests, the -local loopback
-# determinism suite, and the real-process integration drills (SIGKILL a
-# leased worker mid-sweep, network chaos over a full sweep including corrupt
-# blob transfers, wire-once-per-worker accounting, usage-error contracts).
-test-fabric:
-	$(GO) test -race -count=1 ./internal/fabric/
-	$(GO) test -race -count=1 ./internal/artifact/ \
-		-run 'TestRemote|TestNilRemote|TestBlobRelay|TestCacheRemote'
-	$(GO) test -race -count=1 ./internal/experiments/ \
-		-run 'Fabric|ParseInject|InProcessInject|EnumerateCells|ResumeFenced|Prefetch'
-	$(GO) test -race -count=1 ./cmd/pfe-bench/ -run 'TestFabric'
-
 # Allocation guards, run on their own so a perf PR can iterate on just
 # them: the steady-state cycle loop must not allocate at all, and a
 # /metrics scrape must stay bounded. Both also run as part of `make test`.
@@ -166,12 +139,13 @@ bench-stat:
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS
-# revision via debug.ReadBuildInfo, `go run` does not.
+# revision via debug.ReadBuildInfo, `go run` does not. The persistent store
+# stays off so every cell is simulated: a report served from an earlier
+# run's store would time disk reads, not simulation.
 bench-json:
 	$(GO) build -o bin/pfe-bench ./cmd/pfe-bench
 	./bin/pfe-bench -exp $(BENCH_EXP) -warmup $(BENCH_WARMUP) -measure $(BENCH_MEASURE) \
-		$(if $(filter-out 0,$(BENCH_LOCAL)),-local $(BENCH_LOCAL)) \
-		-json BENCH_$(GIT_SHA).json
+		-no-artifact-store -json BENCH_$(GIT_SHA).json
 	@echo wrote BENCH_$(GIT_SHA).json
 
 # bench-compare gates NEW against OLD: exits non-zero on an IPC regression

@@ -230,6 +230,43 @@ func TestSampleSlicesUsageError(t *testing.T) {
 	}
 }
 
+// TestFlagValidation pins the CLI's usage-error contract: an unknown
+// -inject mode, and every option of the removed distributed-sweep path,
+// exits 2 with an explanation instead of silently running something else.
+func TestFlagValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	pb := bin(t)
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown inject mode", benchArgs("-inject", "gzip/W16=frobnicate"), "mode must be"},
+		{"kill inject mode", benchArgs("-inject", "gzip/W16=kill"), "mode must be"},
+		{"network chaos rule", benchArgs("-inject", "net/report=drop"), "mode must be"},
+		{"local fleet", benchArgs("-local", "2"), "flag provided but not defined: -local"},
+		{"coordinator", benchArgs("-coordinator", ":0"), "flag provided but not defined: -coordinator"},
+		{"worker", benchArgs("-worker", "http://127.0.0.1:1"), "flag provided but not defined: -worker"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(pb, tc.args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want usage error (2); stderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q does not explain the rejection (want %q)", stderr.String(), tc.want)
+			}
+		})
+	}
+}
+
 // TestSampledSweepReport smokes the sampled sweep end to end: -sample runs
 // the experiment over tape windows, and the report's run spec records the
 // sampling parameters so its rows are never mistaken for exact IPCs.

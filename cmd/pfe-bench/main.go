@@ -54,7 +54,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/artifact"
 	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/experiments"
-	"github.com/parallel-frontend/pfe/internal/fabric"
 	"github.com/parallel-frontend/pfe/internal/journal"
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/obs/span"
@@ -87,7 +86,7 @@ func run() int {
 		dumpDir     = flag.String("dump-dir", "", "directory for watchdog stall diagnostics (default: OS temp dir)")
 		stallCycles = flag.Uint64("stall-cycles", 0, "watchdog threshold: fail a simulation after this many cycles without a commit (0 = simulator default)")
 		flightRec   = flag.Int("flight-recorder", 0, "keep the last N pipeline events per simulation for stall diagnostics (0 = off)")
-		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode (mode panic|error|stall|kill[:n]) and net/endpoint=kind[:n] network chaos rules (testing the harness itself)")
+		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode with mode panic|error|stall (testing the harness itself)")
 
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB (shared program images, oracle tapes, memoized cell results; LRU past the cap; 0 = unbounded)")
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")
@@ -100,16 +99,6 @@ func run() int {
 		sweepTrace = flag.String("sweep-trace", "", "write the sweep's span trace to this file: Chrome trace_event JSON (load in Perfetto/chrome://tracing), or NDJSON when the name ends in .ndjson/.jsonl")
 		events     = flag.Bool("events", false, "serve the live sweep event stream at /events (SSE, deterministic cell order); implies -http localhost:0 when -http is unset")
 	)
-	var fab fabricFlags
-	flag.StringVar(&fab.Worker, "worker", "", "run as a distributed-sweep worker against this coordinator URL (e.g. http://host:7070); the sweep configuration comes from the coordinator")
-	flag.StringVar(&fab.WorkerID, "worker-id", "", "worker identity reported to the coordinator (default host-pid)")
-	flag.StringVar(&fab.Coordinator, "coordinator", "", "serve the sweep as a distributed-sweep coordinator on this address (e.g. :7070), leasing cells to -worker processes instead of simulating in-process")
-	flag.IntVar(&fab.Local, "local", 0, "distributed determinism mode: run the coordinator plus this many in-process workers over a loopback listener")
-	flag.DurationVar(&fab.LeaseTTL, "lease-ttl", 10*time.Second, "fabric lease TTL: a cell whose worker misses heartbeats this long is re-queued (its epoch fences the zombie's late report)")
-	flag.DurationVar(&fab.Heartbeat, "heartbeat", 0, "heartbeat interval fabric workers are told to use (0 = lease-ttl/3)")
-	flag.IntVar(&fab.LeaseBatch, "lease-batch", 2, "leases a fabric worker takes per round trip (1 = one at a time); batches run sequentially, each under its own heartbeat")
-	flag.BoolVar(&fab.Prefetch, "prefetch", true, "overlap network with compute: while a fabric worker simulates one cell it prefetches the next queued cell's artifacts")
-	flag.BoolVar(&fab.NoBlobFetch, "no-blob-fetch", false, "disable the fabric artifact plane: workers rebuild every program image and oracle tape locally instead of fetching by hash (the pre-plane baseline)")
 	var accel accelFlags
 	ds := pfe.DefaultSampleSpec()
 	flag.BoolVar(&accel.Sample, "sample", false, "systematic sampling: simulate detailed windows over the oracle tape, fast-forward the gaps, report IPC estimates with 95% confidence intervals")
@@ -136,10 +125,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 		return 2
 	}
-	if err := fab.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-		return 2
-	}
 
 	opts := experiments.Options{
 		Warmup: *warmup, Measure: *measure, Workers: *workers, SelfProfile: *selfProf,
@@ -150,21 +135,13 @@ func run() int {
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
-	var chaosRules []fabric.Rule
 	if *inject != "" {
-		m, rules, err := experiments.ParseInject(*inject)
+		m, err := experiments.ParseInject(*inject)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 			return 2
 		}
-		if len(m) > 0 {
-			opts.Inject = m
-		}
-		chaosRules = rules
-		if len(chaosRules) > 0 && !fab.active() && fab.Worker == "" {
-			fmt.Fprintln(os.Stderr, "pfe-bench: -inject net/ chaos rules need -local, -coordinator or -worker (they fault fabric transports)")
-			return 2
-		}
+		opts.Inject = m
 	}
 	if !*noArtifacts {
 		opts.Artifacts = artifact.New(*artifactMem << 20)
@@ -187,13 +164,6 @@ func run() int {
 	defer stop()
 	opts.Ctx = ctx
 
-	if fab.Worker != "" {
-		// Worker mode: the sweep shape (budgets, benchmarks, acceleration,
-		// injected faults) comes from the coordinator; local flags supply
-		// the artifact cache/store wired above, chaos rules, and overrides.
-		return runWorker(ctx, fab, opts, chaosRules)
-	}
-
 	if accel.Validate {
 		return runValidateSampling(accel.spec(), opts)
 	}
@@ -202,9 +172,9 @@ func run() int {
 	if *exp == "all" {
 		todo = experiments.All()
 	} else {
-		// Comma-separated ids run as one sweep: a single fabric session and
-		// one artifact plane span all of them, so warm state and tapes
-		// recorded for an early experiment are reused by later ones.
+		// Comma-separated ids run as one sweep over one artifact cache, so
+		// warm state, tapes and results recorded for an early experiment
+		// are reused by later ones.
 		for _, id := range strings.Split(*exp, ",") {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
@@ -302,19 +272,6 @@ func run() int {
 		opts.Journal = w
 	}
 
-	// Distributed fabric: -local N spins a loopback fleet (the bit-identical
-	// determinism mode), -coordinator serves real workers. Either way cells
-	// resolve through the lease table from here on.
-	var fabricSess *fabricSession
-	if fab.active() {
-		var err error
-		fabricSess, err = startFabric(fab, &opts, *maxRetries, *dumpDir, diskStore, reg, tracker, chaosRules)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
-	}
-
 	var report *obs.ReportBuilder
 	if *jsonOut != "" {
 		ids := make([]string, len(todo))
@@ -361,17 +318,6 @@ func run() int {
 		}
 		fmt.Println(res)
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
-	}
-
-	// Drain the fabric before freezing telemetry: workers get their 410,
-	// the loopback fleet joins, and the lease accounting prints.
-	if fabricSess != nil {
-		if err := fabricSess.shutdown(); err != nil {
-			fmt.Fprintf(os.Stderr, "pfe-bench: fabric worker: %v\n", err)
-			if exit == 0 {
-				exit = 1
-			}
-		}
 	}
 
 	// End of sweep: closing the tracer ends every /events stream (subscribers
@@ -451,9 +397,6 @@ func run() int {
 				ar.Disk = diskReport(diskStore.Stats())
 			}
 			report.SetArtifacts(ar)
-		}
-		if fabricSess != nil {
-			report.SetFabric(fabricSess.fabricReport())
 		}
 		// Per-cell timing breakdown from the span trace: where each row's
 		// wall time went (queue-wait, build, sim, overhead).
@@ -562,25 +505,6 @@ func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat
 	c.tracker.ShardingDone(c.id, len(stats), stolen, busy, wall.Seconds())
 	if c.report != nil {
 		c.report.AddScheduler(c.id, len(stats), tasks, stolen, busy)
-	}
-}
-
-// Fabric receives the coordinator's per-worker lease accounting for one
-// completed distributed batch, feeding the progress tracker (/status
-// fabric_workers) and the report's scheduler block.
-func (c *cellObserver) Fabric(wall time.Duration, stats []fabric.WorkerStat) {
-	ts := make([]obs.FabricWorkerStatus, len(stats))
-	rs := make([]obs.FabricWorkerReport, len(stats))
-	for i, s := range stats {
-		ts[i] = obs.FabricWorkerStatus{
-			ID: s.ID, Leases: s.Leases, Completed: s.Completed,
-			Requeued: s.Requeued, Fenced: s.Fenced,
-		}
-		rs[i] = obs.FabricWorkerReport(ts[i])
-	}
-	c.tracker.FabricDone(c.id, ts)
-	if c.report != nil {
-		c.report.AddFabricWorkers(c.id, rs)
 	}
 }
 

@@ -69,11 +69,6 @@ type Cache struct {
 	// store before building, completed builds are written back.
 	store       *store.Store
 	resultCodec ResultCodec
-
-	// Remote tier (optional, see SetRemote): misses that fall through the
-	// disk store fetch from the coordinator's artifact plane before
-	// building, and local builds are published back to it.
-	remote *Remote
 }
 
 // entry is one cached artifact. A pending entry (ready not yet closed) is
@@ -117,9 +112,8 @@ type Info struct {
 	Key string
 	Hit bool
 	// Source is which tier served the lookup: "mem-hit" (in-process cache),
-	// "disk-hit" (persistent store), "remote-hit" (fetched from the
-	// coordinator's artifact plane), or "miss" (built fresh). Empty when
-	// the lookup bypassed the cache entirely (nil *Cache).
+	// "disk-hit" (persistent store), or "miss" (built fresh). Empty when the
+	// lookup bypassed the cache entirely (nil *Cache).
 	Source string
 }
 
@@ -156,25 +150,13 @@ func (c *Cache) ProgramInfo(spec program.Spec) (*program.Program, Info, error) {
 				return p, programBytes(p), nil
 			}
 		}
-		// Third tier: the coordinator's artifact plane. Fetch-by-hash is
-		// cheaper than building, and the fetched blob lands in the local
-		// store so the wire cost is paid once per worker.
-		if p, ok := c.remoteProgram(key); ok {
-			source = "remote-hit"
-			return p, programBytes(p), nil
-		}
 		p, err := program.Build(spec)
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.store != nil || c.remote != nil {
+		if c.store != nil {
 			if data, err := EncodeProgram(p); err == nil {
-				if c.store != nil {
-					c.store.Put(storeKindProgram, key, data)
-				}
-				// Publish so the rest of the fleet fetches instead of
-				// rebuilding (counted/dropped on error, never fatal).
-				c.remote.Publish(storeKindProgram, key, data)
+				c.store.Put(storeKindProgram, key, data)
 			}
 		}
 		return p, programBytes(p), nil
@@ -220,23 +202,13 @@ func (c *Cache) TapeInfo(spec program.Spec, minInsts uint64) (*Tape, Info, error
 				return t, t.Bytes() + t.IndexBytes() + 64, nil
 			}
 		}
-		// Third tier: fetch the block-compressed tape from the coordinator
-		// (recording is the single most expensive artifact build).
-		if t, ok := c.remoteTape(key, p); ok {
-			source = "remote-hit"
-			return t, t.Bytes() + t.IndexBytes() + 64, nil
-		}
 		t, err := Record(p, minInsts)
 		if err != nil {
 			return nil, 0, err
 		}
 		t.sink = &c.tapeFallback
-		if c.store != nil || c.remote != nil {
-			data := EncodeTape(t)
-			if c.store != nil {
-				c.store.Put(storeKindTape, key, data)
-			}
-			c.remote.Publish(storeKindTape, key, data)
+		if c.store != nil {
+			c.store.Put(storeKindTape, key, EncodeTape(t))
 		}
 		return t, t.Bytes() + t.IndexBytes() + 64, nil
 	})
@@ -249,13 +221,13 @@ func (c *Cache) TapeInfo(spec program.Spec, minInsts uint64) (*Tape, Info, error
 	return v.(*Tape), Info{Key: key, Hit: source != "miss", Source: source}, nil
 }
 
-// WarmState returns the warm-state snapshot stored under key — an opaque,
-// already-encoded byte blob owned by the caller's codec (see pfe's warm-state
-// artifacts) — building it with build on first use. Lookups walk the same
-// tier chain as every other artifact: in-process memory, the local disk
-// store, the coordinator's blob plane, then build (serialized across local
-// processes by the store's build lock, with the finished snapshot persisted
-// and published so the rest of the fleet fetches instead of re-warming).
+// WarmStateInfo returns the warm-state snapshot stored under key — an
+// opaque, already-encoded byte blob owned by the caller's codec (see pfe's
+// warm-state artifacts) — building it with build on first use, with
+// cache-hit provenance. Lookups walk the same tier chain as every other
+// artifact: in-process memory, the local disk store, then build (serialized
+// across processes by the store's build lock, with the finished snapshot
+// persisted so a later process restores instead of re-warming).
 func (c *Cache) WarmStateInfo(key string, build func() ([]byte, error)) ([]byte, Info, error) {
 	if c == nil {
 		data, err := build()
@@ -275,13 +247,6 @@ func (c *Cache) WarmStateInfo(key string, build func() ([]byte, error)) ([]byte,
 				return data, int64(len(data)) + 64, nil
 			}
 		}
-		if data, ok := c.remote.Fetch(storeKindWarm, key); ok {
-			source = "remote-hit"
-			if c.store != nil {
-				c.store.Put(storeKindWarm, key, data)
-			}
-			return data, int64(len(data)) + 64, nil
-		}
 		data, err := build()
 		if err != nil {
 			return nil, 0, err
@@ -289,7 +254,6 @@ func (c *Cache) WarmStateInfo(key string, build func() ([]byte, error)) ([]byte,
 		if c.store != nil {
 			c.store.Put(storeKindWarm, key, data)
 		}
-		c.remote.Publish(storeKindWarm, key, data)
 		return data, int64(len(data)) + 64, nil
 	})
 	if err != nil {

@@ -1,9 +1,11 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/artifact/store"
@@ -218,5 +220,63 @@ func TestCacheWithoutStore(t *testing.T) {
 	}
 	if ds := c.DiskStats(); ds.Entries != 0 || ds.Puts != 0 {
 		t.Fatalf("storeless cache reports disk activity: %+v", ds)
+	}
+}
+
+// TestCacheDiskWarmStateTierChain walks a warm-state snapshot through the
+// tier chain: built once, then served from memory, and from the disk store
+// by a fresh cache over the same directory (a new process, as far as the
+// cache can tell) — never rebuilt.
+func TestCacheDiskWarmStateTierChain(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := []byte("warmed front-end state, opaque to the cache")
+	var builds atomic.Int64
+	build := func() ([]byte, error) { builds.Add(1); return snapshot, nil }
+
+	c := New(0)
+	c.SetStore(openStoreT(t, dir), nil)
+	got, info, err := c.WarmStateInfo("ws1:k", build)
+	if err != nil || !bytes.Equal(got, snapshot) {
+		t.Fatalf("WarmStateInfo = (%q, %v)", got, err)
+	}
+	if info.Source != "miss" || builds.Load() != 1 {
+		t.Fatalf("first lookup source = %q, builds = %d", info.Source, builds.Load())
+	}
+	if _, info, _ = c.WarmStateInfo("ws1:k", build); info.Source != "mem-hit" {
+		t.Fatalf("repeat lookup source = %q, want mem-hit", info.Source)
+	}
+
+	c2 := New(0)
+	c2.SetStore(openStoreT(t, dir), nil)
+	got, info, err = c2.WarmStateInfo("ws1:k", build)
+	if err != nil || !bytes.Equal(got, snapshot) || info.Source != "disk-hit" {
+		t.Fatalf("fresh-process lookup = (%q, %+v, %v), want the snapshot as a disk-hit", got, info, err)
+	}
+	if builds.Load() != 1 {
+		t.Fatalf("snapshot built %d times, want exactly once", builds.Load())
+	}
+
+	if s := c.Stats(); s.WarmHits != 1 || s.WarmMisses != 1 {
+		t.Fatalf("warm traffic: %d hits / %d misses, want 1 / 1", s.WarmHits, s.WarmMisses)
+	}
+}
+
+// TestCacheDiskWarmStateQuarantine drops a checksum-valid but semantically
+// broken snapshot from both tiers so the next lookup rebuilds instead of
+// re-serving the bad blob.
+func TestCacheDiskWarmStateQuarantine(t *testing.T) {
+	var builds atomic.Int64
+	c := New(0)
+	c.SetStore(openStoreT(t, t.TempDir()), nil)
+	build := func() ([]byte, error) { builds.Add(1); return []byte("v1"), nil }
+	if _, _, err := c.WarmStateInfo("ws1:q", build); err != nil {
+		t.Fatal(err)
+	}
+	c.QuarantineWarm("ws1:q")
+	if _, info, _ := c.WarmStateInfo("ws1:q", build); info.Source != "miss" {
+		t.Fatalf("post-quarantine source = %q, want miss (rebuild)", info.Source)
+	}
+	if builds.Load() != 2 {
+		t.Fatalf("builds = %d, want 2", builds.Load())
 	}
 }

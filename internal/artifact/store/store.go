@@ -454,17 +454,6 @@ func (s *Store) putErr(err error) error {
 	return err
 }
 
-// Frame wraps payload in the store's blob frame (magic, version, length,
-// CRC32). Exported for the fabric artifact plane: blobs travel the wire in
-// the exact frame the store writes to disk, so a receiver re-verifies the
-// same checksum the sender's store maintains.
-func Frame(payload []byte) []byte { return frame(payload) }
-
-// CheckFrame validates a blob frame and returns its payload. It is the
-// receiving end of Frame: a truncated, bit-flipped or foreign transfer is
-// rejected here before any byte of it is trusted.
-func CheckFrame(data []byte) ([]byte, error) { return checkFrame(data) }
-
 // frame wraps payload in the store's blob frame.
 func frame(payload []byte) []byte {
 	out := make([]byte, blobHeader+len(payload))

@@ -117,10 +117,9 @@ type Options struct {
 	NoProgressCycles uint64
 	FlightRecorder   int
 
-	// Inject maps "bench/key" to a fault mode ("panic", "error", "stall",
-	// or — on fabric workers — "kill[:n]") injected into that cell: the
-	// harness's own fault-tolerance test hook, reachable via pfe-bench
-	// -inject. See ParseInject.
+	// Inject maps "bench/key" to a fault mode ("panic", "error" or "stall")
+	// injected into that cell: the harness's own fault-tolerance test hook,
+	// reachable via pfe-bench -inject. See ParseInject.
 	Inject map[string]string
 
 	// Sample, if non-nil, runs every cell in systematic-sampling mode
@@ -145,18 +144,6 @@ type Options struct {
 	// grid) is served without re-simulating. Results are bit-identical
 	// with or without it.
 	Artifacts *artifact.Cache
-
-	// Fabric, if non-nil, dispatches every cell batch to the distributed
-	// sweep fabric (coordinator/worker leases over HTTP) instead of the
-	// in-process work-stealing pool. Resume replay, result memoization,
-	// journaling and failure accounting behave identically; see fabric.go.
-	Fabric *Fabric
-
-	// collect, if non-nil, switches runCells into enumeration mode: cells
-	// are recorded (and given placeholder results) instead of simulated.
-	// Fabric workers use it to re-derive a leased cell's machine
-	// configuration from (experiment, batch, index).
-	collect *cellCollector
 }
 
 // Default returns the harness budgets used for the recorded results in
@@ -255,12 +242,6 @@ type cell struct {
 // which case the whole batch errors. Cancelling o.Ctx drains workers and
 // returns the completed subset wrapped around the context error.
 func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
-	if o.collect != nil {
-		return o.collect.add(cells), nil
-	}
-	if o.Fabric != nil {
-		return runCellsFabric(o, cells)
-	}
 	if o.Observer != nil {
 		o.Observer.Planned(len(cells))
 	}

@@ -98,11 +98,41 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 	cs := batch.StartCell(idx, c.bench, c.key, worker)
 	defer cs.End()
 	cs.Str("cell_hash", hash)
-	if out, ok := o.replayCell(cs, c, hash); ok {
-		return out
+	if o.Resume != nil {
+		if r, ok := o.Resume.lookup(o.ExperimentID, c.bench, c.key, hash); ok {
+			cs.Str("source", "resume-replay")
+			if o.Observer != nil {
+				o.Observer.Completed(c.bench, c.key, 0, r)
+			}
+			return cellOutcome{r: r}
+		}
 	}
 	inject := o.Inject[c.bench+"/"+c.key]
+	// Result memoization: the simulation is a pure function of everything
+	// cellHash covers, so an identical cell completed earlier in this run
+	// (e.g. by a previous experiment sharing the config grid) is served
+	// as-is. Skipped for injected faults and test-hook cells, whose outcome
+	// is not a function of the hash. Memoized completions are journaled like
+	// fresh ones so a resumed run replays them under this experiment too.
 	memoize := o.Artifacts != nil && c.run == nil && inject == ""
+	if memoize {
+		if v, info, ok := o.Artifacts.GetResultInfo(hash); ok {
+			r := v.(*pfe.Result)
+			// Keep the established "memo-hit" annotation for in-process
+			// hits; a result inherited from the persistent store is marked
+			// distinctly so warm-run provenance is traceable per cell.
+			if info.Source == "disk-hit" {
+				cs.Str("source", "memo-disk-hit")
+			} else {
+				cs.Str("source", "memo-hit")
+			}
+			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, r))
+			if o.Observer != nil {
+				o.Observer.Completed(c.bench, c.key, 0, r)
+			}
+			return cellOutcome{r: r}
+		}
+	}
 	if inject == "stall" {
 		// Trip the forward-progress watchdog deterministically: a
 		// threshold shorter than the pipeline fill depth means no cell can
@@ -135,7 +165,7 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 			}
 			// Journal before reporting: a record exists for every cell
 			// an observer (and thus a report) has seen complete.
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, attempt, 0, r))
+			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, attempt, r))
 			if attempt > 1 {
 				cs.Int("retries", int64(attempt-1))
 			}
@@ -190,50 +220,6 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 	return cellOutcome{fail: f}
 }
 
-// replayCell resolves a cell without simulating when a previous run's
-// journal (resume) or this run's result memo already holds it, annotating
-// the open cell span with the provenance. ok=false means the cell must
-// actually run. Shared between the in-process path (runCell) and the fabric
-// coordinator (runCellsFabric), so both short-circuit identically.
-func (o Options) replayCell(cs span.Span, c *cell, hash string) (cellOutcome, bool) {
-	if o.Resume != nil {
-		if r, ok := o.Resume.lookup(o.ExperimentID, c.bench, c.key, hash); ok {
-			cs.Str("source", "resume-replay")
-			if o.Observer != nil {
-				o.Observer.Completed(c.bench, c.key, 0, r)
-			}
-			return cellOutcome{r: r}, true
-		}
-	}
-	inject := o.Inject[c.bench+"/"+c.key]
-	// Result memoization: the simulation is a pure function of everything
-	// cellHash covers, so an identical cell completed earlier in this run
-	// (e.g. by a previous experiment sharing the config grid) is served
-	// as-is. Skipped for injected faults and test-hook cells, whose outcome
-	// is not a function of the hash. Memoized completions are journaled like
-	// fresh ones so a resumed run replays them under this experiment too.
-	memoize := o.Artifacts != nil && c.run == nil && inject == ""
-	if memoize {
-		if v, info, ok := o.Artifacts.GetResultInfo(hash); ok {
-			r := v.(*pfe.Result)
-			// Keep the established "memo-hit" annotation for in-process
-			// hits; a result inherited from the persistent store is marked
-			// distinctly so warm-run provenance is traceable per cell.
-			if info.Source == "disk-hit" {
-				cs.Str("source", "memo-disk-hit")
-			} else {
-				cs.Str("source", "memo-hit")
-			}
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, 0, r))
-			if o.Observer != nil {
-				o.Observer.Completed(c.bench, c.key, 0, r)
-			}
-			return cellOutcome{r: r}, true
-		}
-	}
-	return cellOutcome{}, false
-}
-
 // journalCell appends a completed-cell record to the crash-safe journal (a
 // no-op without one), wrapped in a phase span so fsync stalls are visible in
 // the sweep timeline.
@@ -278,20 +264,14 @@ func safeRun(c *cell, ro pfe.RunOptions, inject string) (r *pfe.Result, err erro
 			stack = string(debug.Stack())
 		}
 	}()
-	switch {
-	case inject == "panic":
+	switch inject {
+	case "panic":
 		panic("injected cell fault (-inject mode panic)")
-	case inject == "error":
+	case "error":
 		return nil, errors.New("injected cell fault (-inject mode error)"), false, ""
-	case inject == "" || inject == "stall":
+	case "", "stall":
 		// stall is applied by the caller (watchdog threshold); run normally.
 	default:
-		if _, ok := killEpochs(inject); ok {
-			// kill is consumed by the fabric worker before safeRun; reaching
-			// it here means the cell ran in-process, where a worker cannot be
-			// killed.
-			return nil, fmt.Errorf("experiments: inject mode %q applies to fabric workers (-local or -worker)", inject), false, ""
-		}
 		// An unknown mode must fail the cell loudly, never run it clean: a
 		// typo in -inject would otherwise silently pass the fault drill it
 		// was meant to perform.
@@ -303,6 +283,36 @@ func safeRun(c *cell, ro pfe.RunOptions, inject string) (r *pfe.Result, err erro
 		r, err = pfe.Run(c.bench, c.machine, ro)
 	}
 	return r, err, false, ""
+}
+
+// ParseInject parses the -inject spec: comma-separated cell faults
+//
+//	bench/key=mode          mode: panic | error | stall
+//
+// Unknown modes are errors — a typo must not silently skip the fault drill
+// it was meant to run.
+func ParseInject(s string) (map[string]string, error) {
+	cells := map[string]string{}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		target, mode, ok := strings.Cut(part, "=")
+		if !ok || !strings.Contains(target, "/") {
+			return nil, fmt.Errorf("-inject %q: want bench/key=mode", part)
+		}
+		switch mode {
+		case "panic", "error", "stall":
+		default:
+			return nil, fmt.Errorf("-inject %q: mode must be panic, error or stall", part)
+		}
+		cells[target] = mode
+	}
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("-inject %q: no injections parsed", s)
+	}
+	return cells, nil
 }
 
 // sleepBackoff waits base<<(attempt-1), capped at 5s, or until ctx is

@@ -16,17 +16,12 @@ import (
 // to the one that was journaled — that is what makes `-resume` produce the
 // same report as an uninterrupted run.
 type cellRecord struct {
-	Exp      string `json:"exp"`
-	Bench    string `json:"bench"`
-	Key      string `json:"key"`
-	Hash     string `json:"hash"`
-	Attempts int    `json:"attempts,omitempty"`
-	// Epoch is the fabric lease epoch the result was accepted under (0 for
-	// in-process cells). Distributed sweeps can journal the same cell twice —
-	// a zombie worker's fenced report raced an accepted one — and on replay
-	// the higher epoch must win regardless of append order.
-	Epoch  int64      `json:"epoch,omitempty"`
-	Result cellResult `json:"result"`
+	Exp      string     `json:"exp"`
+	Bench    string     `json:"bench"`
+	Key      string     `json:"key"`
+	Hash     string     `json:"hash"`
+	Attempts int        `json:"attempts,omitempty"`
+	Result   cellResult `json:"result"`
 }
 
 // cellResult mirrors every scalar field of pfe.Result. The Pipeline
@@ -69,14 +64,13 @@ type cellResult struct {
 	Slices     []pfe.SliceInfo   `json:"slices,omitempty"`
 }
 
-func newCellRecord(exp string, c *cell, hash string, attempts int, epoch int64, r *pfe.Result) cellRecord {
+func newCellRecord(exp string, c *cell, hash string, attempts int, r *pfe.Result) cellRecord {
 	return cellRecord{
 		Exp:      exp,
 		Bench:    c.bench,
 		Key:      c.key,
 		Hash:     hash,
 		Attempts: attempts,
-		Epoch:    epoch,
 		Result:   toCellResult(r),
 	}
 }
@@ -157,26 +151,18 @@ type Resume struct {
 
 // LoadResume reads a journal written by a previous (possibly killed) run
 // and builds the replay index. A duplicate (exp, bench, key) keeps the last
-// record — the one whose append was acknowledged most recently — unless the
-// duplicate carries a lower fabric lease epoch: a fenced zombie's record
-// must lose to the lease that actually resolved the cell, whatever order
-// the appends landed in.
+// record — the one whose append was acknowledged most recently.
 func LoadResume(path string) (*Resume, error) {
 	r := &Resume{
 		results: map[[3]string]*pfe.Result{},
 		hashes:  map[[3]string]string{},
 	}
-	epochs := map[[3]string]int64{}
 	records, torn, err := journal.Scan(path, func(payload []byte) error {
 		var rec cellRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("experiments: resume record: %w", err)
 		}
 		k := [3]string{rec.Exp, rec.Bench, rec.Key}
-		if cur, seen := epochs[k]; seen && rec.Epoch < cur {
-			return nil
-		}
-		epochs[k] = rec.Epoch
 		r.results[k] = rec.Result.toResult()
 		r.hashes[k] = rec.Hash
 		return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -310,5 +311,175 @@ func TestInjectPanicAndErrorModes(t *testing.T) {
 	}
 	if f := byKey["b"]; f.Panic || !strings.Contains(f.Error, "injected") {
 		t.Errorf("error injection record = %+v", f)
+	}
+}
+
+// TestInProcessInjectRejectsUnknownAndKill pins the in-process side of the
+// -inject contract for a map built without ParseInject: a mode safeRun does
+// not implement — the worker-kill mode included — fails the cell loudly as
+// unknown instead of silently running it clean.
+func TestInProcessInjectRejectsUnknownAndKill(t *testing.T) {
+	log := &FailureLog{}
+	o := Options{
+		Warmup: 1000, Measure: 2000, Workers: 1,
+		RetryBackoff: -1, FailBudget: 2,
+		Failures: log, ExperimentID: "inj3",
+		Inject: map[string]string{
+			"gzip/a": "kill",
+			"mcf/b":  "frobnicate",
+		},
+	}
+	cells := []cell{
+		{bench: "gzip", machine: pfe.Preset(pfe.W16), key: "a"},
+		{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "b"},
+	}
+	got, err := runCells(o, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]string{}
+	for _, f := range log.All() {
+		byKey[f.Key] = f.Error
+	}
+	for _, c := range cells {
+		if msg := byKey[c.key]; !strings.Contains(msg, "unknown inject mode") {
+			t.Errorf("%s/%s: failure error = %q, want an unknown inject mode failure", c.bench, c.key, msg)
+		}
+		if r := got[[2]string{c.bench, c.key}]; r == nil || !r.Failed {
+			t.Errorf("%s/%s: result = %+v, want a Failed placeholder (the cell must not run clean)", c.bench, c.key, r)
+		}
+	}
+}
+
+// TestParseInject pins the -inject grammar: the three cell modes parse, and
+// unknown modes and malformed entries are rejected instead of silently
+// skipping the drill they were meant to run — including the worker-kill
+// mode and network chaos rules, which have no meaning in one process.
+func TestParseInject(t *testing.T) {
+	cells, err := ParseInject("gzip/W16=panic, mcf/b=error,gcc/c=stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"gzip/W16": "panic", "mcf/b": "error", "gcc/c": "stall"}
+	if len(cells) != len(want) {
+		t.Fatalf("cells = %v, want %v", cells, want)
+	}
+	for k, v := range want {
+		if cells[k] != v {
+			t.Errorf("cells[%q] = %q, want %q", k, cells[k], v)
+		}
+	}
+
+	bad := []string{
+		"gzip/W16=frobnicate", // unknown cell mode
+		"gzip/W16=kill",       // worker kill
+		"gzip/W16=kill:3",     // worker kill with an epoch budget
+		"net/report=drop",     // network chaos rule
+		"gzipW16=panic",       // no bench/key separator
+		"",                    // nothing parsed
+		"gzip/W16",            // no mode at all
+	}
+	for _, in := range bad {
+		if _, err := ParseInject(in); err == nil {
+			t.Errorf("ParseInject(%q) accepted, want an error", in)
+		}
+	}
+}
+
+// TestResumeDuplicateKeepsLastRecord pins LoadResume's duplicate rule: when
+// a cell was journaled twice, the later append — the one acknowledged most
+// recently — is the one replayed.
+func TestResumeDuplicateKeepsLastRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dups.wal")
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ipc := range []float64{2.5, 3.5} {
+		rec := cellRecord{Exp: "e", Bench: "gzip", Key: "k", Hash: "h",
+			Result: cellResult{Bench: "gzip", Config: "W16", IPC: ipc}}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	res, err := LoadResume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cells() != 1 || res.Records != 2 {
+		t.Fatalf("resume index: %d cells from %d records, want 1 from 2", res.Cells(), res.Records)
+	}
+	if r, ok := res.lookup("e", "gzip", "k", "h"); !ok || r.IPC != 3.5 {
+		t.Fatalf("lookup = %+v (ok=%v), want the last record (IPC 3.5)", r, ok)
+	}
+}
+
+// TestResumeLegacyEpochJournalBitIdentical pins compatibility with journals
+// written by earlier binaries, whose records carry an "epoch" field: such a
+// journal still resumes, every cell replays, and the rendered output is
+// identical to the run that wrote it.
+func TestResumeLegacyEpochJournalBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	dir := t.TempDir()
+	o := Options{Warmup: 1000, Measure: 2000, Benchmarks: []string{"gzip"}, ExperimentID: "fig4"}
+	e, err := ByID("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orig := filepath.Join(dir, "orig.wal")
+	w, err := journal.Create(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run1 := o
+	run1.Journal = w
+	res1, err := e.Run(run1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	legacy := filepath.Join(dir, "legacy.wal")
+	lw, err := journal.Create(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := journal.Scan(orig, func(p []byte) error {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(p, &rec); err != nil {
+			return err
+		}
+		rec["epoch"] = json.RawMessage("2")
+		return lw.Append(rec)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw.Close()
+	if n == 0 {
+		t.Fatal("original run journaled nothing")
+	}
+
+	res, err := LoadResume(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run2 := o
+	run2.Resume = res
+	res2, err := e.Run(run2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed.Load() != int64(n) || res.Mismatched.Load() != 0 {
+		t.Errorf("replayed %d/%d cells (%d mismatched); the whole sweep must replay",
+			res.Replayed.Load(), n, res.Mismatched.Load())
+	}
+	if res1.String() != res2.String() {
+		t.Errorf("resumed output differs:\n--- original\n%s\n--- resumed\n%s", res1, res2)
 	}
 }

@@ -190,22 +190,6 @@ type SchedulerReport struct {
 	Stolen      int     `json:"stolen"`
 	BusySeconds float64 `json:"busy_seconds"`
 	Utilization float64 `json:"utilization"`
-
-	// Fabric is the per-worker lease accounting of a distributed sweep
-	// (absent for in-process runs — additive, so the schema version is
-	// unchanged). Sorted by worker id at Finalize.
-	Fabric []FabricWorkerReport `json:"fabric,omitempty"`
-}
-
-// FabricWorkerReport is one fabric worker's lease accounting within an
-// experiment: leases granted, cells completed, leases lost to expiry or
-// errored attempts (requeued), and stale-epoch reports fenced out.
-type FabricWorkerReport struct {
-	ID        string `json:"id"`
-	Leases    int    `json:"leases"`
-	Completed int    `json:"completed"`
-	Requeued  int    `json:"requeued"`
-	Fenced    int    `json:"fenced"`
 }
 
 // ExperimentReport is one experiment's slice of a report.
@@ -251,45 +235,7 @@ type Report struct {
 	// schema version is unchanged.
 	Artifacts *ArtifactsReport `json:"artifacts,omitempty"`
 
-	// Fabric is the distributed-sweep summary (present only for fabric
-	// runs). Additive and omitted when absent, so the schema version is
-	// unchanged.
-	Fabric *FabricReport `json:"fabric,omitempty"`
-
 	Experiments []ExperimentReport `json:"experiments"`
-}
-
-// FabricReport is the run-level distributed-sweep summary: fleet size plus
-// the artifact plane's transfer accounting.
-type FabricReport struct {
-	Workers int                `json:"workers"`
-	Blobs   *FabricBlobsReport `json:"blobs,omitempty"`
-}
-
-// FabricBlobsReport aggregates the artifact plane's wire traffic: the
-// coordinator's serve/accept side and the fleet's fetch/publish side. The
-// dedup invariant — each distinct artifact crosses the wire at most once per
-// worker — is checkable as Serves <= UniqueServed * Workers.
-type FabricBlobsReport struct {
-	Serves       int64   `json:"serves"`
-	ServeMisses  int64   `json:"serve_misses,omitempty"`
-	Collapses    int64   `json:"collapses,omitempty"`
-	UniqueServed int     `json:"unique_served"`
-	Accepts      int64   `json:"accepts"`
-	DupAccepts   int64   `json:"dup_accepts,omitempty"`
-	Rejects      int64   `json:"rejects,omitempty"`
-	BytesOut     int64   `json:"bytes_out"`
-	BytesIn      int64   `json:"bytes_in"`
-	ServeSeconds float64 `json:"serve_seconds,omitempty"`
-
-	// Worker-side aggregates across the -local fleet (absent for external
-	// workers, whose counters live in their own processes).
-	WorkerFetches         int64   `json:"worker_fetches,omitempty"`
-	WorkerFetchBytes      int64   `json:"worker_fetch_bytes,omitempty"`
-	WorkerCorruptRejected int64   `json:"worker_corrupt_rejected,omitempty"`
-	WorkerPublishes       int64   `json:"worker_publishes,omitempty"`
-	WorkerFetchSeconds    float64 `json:"worker_fetch_seconds,omitempty"`
-	WorkerWaitSeconds     float64 `json:"worker_wait_seconds,omitempty"`
 }
 
 // EncodeReport writes r as indented JSON.
@@ -440,44 +386,6 @@ func (b *ReportBuilder) AddScheduler(id string, workers, tasks, stolen int, busy
 	e.Scheduler.BusySeconds += busySeconds
 }
 
-// AddFabricWorkers merges one distributed batch's per-worker lease stats
-// into an experiment's scheduler block (stats accumulate across batches,
-// keyed by worker id). Tasks counts leased completions; Workers tracks the
-// distinct fleet size.
-func (b *ReportBuilder) AddFabricWorkers(id string, ws []FabricWorkerReport) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.byID[id]
-	if e == nil {
-		return
-	}
-	if e.Scheduler == nil {
-		e.Scheduler = &SchedulerReport{}
-	}
-	s := e.Scheduler
-	for _, w := range ws {
-		var cur *FabricWorkerReport
-		for i := range s.Fabric {
-			if s.Fabric[i].ID == w.ID {
-				cur = &s.Fabric[i]
-				break
-			}
-		}
-		if cur == nil {
-			s.Fabric = append(s.Fabric, FabricWorkerReport{ID: w.ID})
-			cur = &s.Fabric[len(s.Fabric)-1]
-		}
-		cur.Leases += w.Leases
-		cur.Completed += w.Completed
-		cur.Requeued += w.Requeued
-		cur.Fenced += w.Fenced
-		s.Tasks += w.Completed
-	}
-	if len(s.Fabric) > s.Workers {
-		s.Workers = len(s.Fabric)
-	}
-}
-
 // AddFailure records one failed cell in the report's failures block.
 func (b *ReportBuilder) AddFailure(f CellFailure) {
 	b.mu.Lock()
@@ -491,13 +399,6 @@ func (b *ReportBuilder) SetArtifacts(a ArtifactsReport) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.rep.Artifacts = &a
-}
-
-// SetFabric records the distributed-sweep summary in the report.
-func (b *ReportBuilder) SetFabric(f FabricReport) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.rep.Fabric = &f
 }
 
 // SetPartial marks the report as covering an incomplete run (e.g. a sweep
@@ -537,11 +438,6 @@ func (b *ReportBuilder) Finalize(totalWall time.Duration) *Report {
 			}
 			return e.Rows[x].Config < e.Rows[y].Config
 		})
-		if s := e.Scheduler; s != nil && len(s.Fabric) > 0 {
-			// Worker rows arrive in lease-grant order, which is racy across
-			// runs; sort so the report is deterministic.
-			sort.Slice(s.Fabric, func(x, y int) bool { return s.Fabric[x].ID < s.Fabric[y].ID })
-		}
 		total += e.Sims
 		b.rep.Experiments = append(b.rep.Experiments, *e)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -168,5 +169,38 @@ func TestCompareThroughputCollapseFails(t *testing.T) {
 	new2 := fixtureReport(map[string]float64{"gcc": 4.0}, 9)
 	if c2 := Compare(old, new2, DefaultCompareOptions()); c2.ExitCode() != 0 {
 		t.Errorf("host throughput -10%%: exit %d, want 0", c2.ExitCode())
+	}
+}
+
+// TestRecordedLegacyReportsDecode pins compatibility with the checked-in
+// BENCH_PR9.json and BENCH_PR10.json: they carry the scheduler.fabric and
+// top-level fabric blocks of the distributed-sweep path, which this schema
+// no longer defines, and must still decode — and still match BENCH_PR8.json
+// row for row.
+func TestRecordedLegacyReportsDecode(t *testing.T) {
+	for _, path := range []string{"../../BENCH_PR9.json", "../../BENCH_PR10.json"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"fabric": `)) {
+			t.Fatalf("%s carries no fabric block; the test no longer covers the legacy fields", path)
+		}
+		if _, err := ReadReportFile(path); err != nil {
+			t.Errorf("decoding %s: %v", path, err)
+		}
+	}
+
+	old, err := ReadReportFile("../../BENCH_PR8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	new, err := ReadReportFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Compare(old, new, CompareOptions{IPCTolPct: 0, ThroughputTolPct: 25})
+	if c.Compared != 84 || c.Regressions != 0 || c.Improvements != 0 || c.Missing != 0 || c.ExitCode() != 0 {
+		t.Errorf("BENCH_PR8.json vs BENCH_PR10.json: want 84 rows ok\n%s", c.Table())
 	}
 }

@@ -22,10 +22,6 @@ type Tracker struct {
 	logEvery time.Duration
 	lastLog  time.Time
 
-	// rosterFn, when set, snapshots the fabric coordinator's worker roster
-	// for /status (nil outside distributed sweeps).
-	rosterFn func() []FabricRosterEntry
-
 	// Registered metrics (nil without a registry).
 	reg     *Registry
 	durHist *Histogram
@@ -55,11 +51,6 @@ type expState struct {
 	stolen    int
 	busySec   float64
 	shardWall float64
-
-	// Distributed-fabric per-worker accounting, accumulated across batches
-	// (keyed by worker id; fabOrder preserves arrival order).
-	fabric   map[string]*FabricWorkerStatus
-	fabOrder []string
 
 	plannedG, completedG *Gauge
 }
@@ -207,75 +198,6 @@ func (t *Tracker) ShardingDone(id string, workers, stolen int, busySeconds, wall
 	}
 }
 
-// FabricWorkerStatus is one fabric worker's per-experiment lease accounting
-// (the /status and progress-line view of a distributed sweep).
-type FabricWorkerStatus struct {
-	ID        string `json:"id"`
-	Leases    int    `json:"leases"`
-	Completed int    `json:"completed"`
-	Requeued  int    `json:"requeued"`
-	Fenced    int    `json:"fenced"`
-}
-
-// FabricRosterEntry is one process-lifetime roster row from the fabric
-// coordinator: liveness plus lifetime lease accounting.
-type FabricRosterEntry struct {
-	ID              string  `json:"id"`
-	LastSeenSeconds float64 `json:"last_seen_seconds"`
-	Busy            string  `json:"busy,omitempty"`
-	Leases          int64   `json:"leases"`
-	Completed       int64   `json:"completed"`
-	Requeued        int64   `json:"requeued"`
-	Fenced          int64   `json:"fenced"`
-}
-
-// SetFabricRoster attaches a live snapshot function for the coordinator's
-// worker roster, surfaced verbatim in Status.
-func (t *Tracker) SetFabricRoster(fn func() []FabricRosterEntry) {
-	t.mu.Lock()
-	t.rosterFn = fn
-	t.mu.Unlock()
-}
-
-// FabricDone folds one distributed batch's per-worker stats into an
-// experiment (counts accumulate across batches) and emits an unthrottled
-// progress line, mirroring ShardingDone for the leased path.
-func (t *Tracker) FabricDone(id string, workers []FabricWorkerStatus) {
-	t.mu.Lock()
-	e := t.exps[id]
-	if e == nil {
-		t.mu.Unlock()
-		return
-	}
-	if e.fabric == nil {
-		e.fabric = map[string]*FabricWorkerStatus{}
-	}
-	for _, ws := range workers {
-		cur := e.fabric[ws.ID]
-		if cur == nil {
-			cur = &FabricWorkerStatus{ID: ws.ID}
-			e.fabric[ws.ID] = cur
-			e.fabOrder = append(e.fabOrder, ws.ID)
-		}
-		cur.Leases += ws.Leases
-		cur.Completed += ws.Completed
-		cur.Requeued += ws.Requeued
-		cur.Fenced += ws.Fenced
-	}
-	if len(e.fabric) > e.workers {
-		e.workers = len(e.fabric)
-	}
-	line := ""
-	if t.logW != nil {
-		line = t.progressLine(e)
-	}
-	w := t.logW
-	t.mu.Unlock()
-	if line != "" {
-		fmt.Fprintln(w, line)
-	}
-}
-
 // FinishExperiment marks an experiment done.
 func (t *Tracker) FinishExperiment(id string) {
 	t.mu.Lock()
@@ -346,17 +268,6 @@ func (t *Tracker) progressLine(e *expState) string {
 		line += fmt.Sprintf("  util %.0f%%/%dw (%d stolen)",
 			100*e.busySec/(float64(e.workers)*e.shardWall), e.workers, e.stolen)
 	}
-	if len(e.fabric) > 0 {
-		leases, requeued := 0, 0
-		for _, ws := range e.fabric {
-			leases += ws.Leases
-			requeued += ws.Requeued
-		}
-		line += fmt.Sprintf("  fabric %dw/%d leases", len(e.fabric), leases)
-		if requeued > 0 {
-			line += fmt.Sprintf(" (%d requeued)", requeued)
-		}
-	}
 	return line
 }
 
@@ -391,11 +302,6 @@ type ExpStatus struct {
 	Workers     int     `json:"workers,omitempty"`
 	StolenSims  int     `json:"stolen_sims,omitempty"`
 	Utilization float64 `json:"utilization,omitempty"`
-
-	// FabricWorkers is the per-worker lease accounting of a distributed
-	// sweep, accumulated across this experiment's completed batches (absent
-	// outside fabric runs).
-	FabricWorkers []FabricWorkerStatus `json:"fabric_workers,omitempty"`
 }
 
 // Status is the whole process's progress snapshot.
@@ -403,11 +309,6 @@ type Status struct {
 	StartedAt      time.Time   `json:"started_at"`
 	ElapsedSeconds float64     `json:"elapsed_seconds"`
 	Experiments    []ExpStatus `json:"experiments"`
-
-	// FabricRoster is the live fleet view of a distributed sweep: every
-	// worker the coordinator has seen, with liveness and lifetime lease
-	// accounting (absent outside fabric runs).
-	FabricRoster []FabricRosterEntry `json:"fabric_roster,omitempty"`
 }
 
 // Status snapshots current progress.
@@ -446,19 +347,7 @@ func (t *Tracker) Status() Status {
 			es.StolenSims = e.stolen
 			es.Utilization = e.busySec / (float64(e.workers) * e.shardWall)
 		}
-		for _, id := range e.fabOrder {
-			es.FabricWorkers = append(es.FabricWorkers, *e.fabric[id])
-		}
 		st.Experiments = append(st.Experiments, es)
-	}
-	if t.rosterFn != nil {
-		fn := t.rosterFn
-		// Snapshot outside the tracker lock: the roster function takes the
-		// coordinator's own lock.
-		t.mu.Unlock()
-		roster := fn()
-		t.mu.Lock()
-		st.FabricRoster = roster
 	}
 	return st
 }

@@ -283,11 +283,10 @@ type RunOptions struct {
 	// boundary (see warmstate.go), it replays the skipped prefix once
 	// training the union of every distinct warm class in the roster —
 	// hierarchies, predictor, live-out predictor, trace caches — and
-	// snapshots them all, so the sweep (or the whole fleet, via the blob
-	// plane) pays one replay per boundary instead of one per class. The
-	// roster never changes any result: each snapshot is bit-identical to
-	// the one a solo warm of that class would produce. Empty means solo
-	// warming.
+	// snapshots them all, so the sweep pays one replay per boundary instead
+	// of one per class. The roster never changes any result: each snapshot
+	// is bit-identical to the one a solo warm of that class would produce.
+	// Empty means solo warming.
 	WarmRoster []Machine
 }
 

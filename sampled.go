@@ -290,9 +290,9 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	// The first window's prefix — the run warmup minus the detailed-warmup
 	// region — is by far the longest gap, and it is identical for every cell
 	// sharing the stream and the warm-relevant machine class. Advance through
-	// the warm-state artifact tier: restored when any earlier cell (or any
-	// worker in the fleet) snapshotted this boundary, replayed and published
-	// otherwise.
+	// the warm-state artifact tier: restored when any earlier cell (in this
+	// process or, through the disk store, an earlier one) snapshotted this
+	// boundary, replayed and stored otherwise.
 	{
 		absStart := uint64(opts.WarmupInsts) + windows[0].Start
 		warm := uint64(spec.Warmup)

@@ -92,8 +92,8 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			sw.Int("warm_insts", sj-warm)
 			wm := newWarmer(rd, p, m)
 			// Through the warm-state artifact tier: a boundary another cell
-			// (or fleet worker) already reached restores at decode cost
-			// instead of replaying the whole prefix.
+			// already reached restores at decode cost instead of replaying
+			// the whole prefix.
 			info, err := warmThrough(wm, pspec, m, uint64(sj-warm), opts)
 			annotArtifact(sw, info)
 			if err != nil {

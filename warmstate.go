@@ -28,9 +28,9 @@ import (
 // wall time, and it is identical for every cell that shares the dynamic
 // stream, the warm-relevant machine configuration, and the boundary. Caching
 // the warmed state under that triple and letting it ride the artifact tier
-// chain (in-process memory, local disk store, the coordinator's blob plane)
-// means a sweep — or a whole fleet — pays the replay once instead of once
-// per cell.
+// chain (in-process memory, then the local disk store) means a sweep — and
+// every later run over the same store — pays the replay once instead of
+// once per cell.
 
 const (
 	warmStateMagic   = "PFEW"
@@ -85,12 +85,12 @@ func warmClasses(machines []Machine) []string {
 // warmPackKey is the content address of one warm pack: the dynamic stream
 // (spec), the sorted set of warm classes the pack carries, and the boundary
 // the warmer stopped at. Keying the whole class set — rather than one blob
-// per class — matters for the fleet: every cell of a sweep, whatever its
-// class, asks the coordinator for the same key, so the blob plane's per-key
-// build collapsing serializes the union replay fleet-wide (one builder, the
-// rest poll and fetch) and the pack crosses the wire once per worker. Tape
-// length is deliberately not part of the key — the stream prefix below the
-// boundary is identical whatever budget the tape was recorded to.
+// per class — is what makes union warming single-flight: every cell of a
+// sweep, whatever its class, asks the cache for the same key, so the first
+// one replays the prefix for the whole roster and the rest wait for its
+// pack instead of warming their own class. Tape length is deliberately not
+// part of the key — the stream prefix below the boundary is identical
+// whatever budget the tape was recorded to.
 func warmPackKey(spec program.Spec, classes []string, boundary uint64) string {
 	h := sha256.New()
 	for _, c := range classes {
@@ -566,10 +566,10 @@ func (s *warmSet) snapshot(mb *warmMember) ([]byte, error) {
 // artifact tier when one is attached: the first cell of a sweep to reach a
 // boundary replays the prefix once — training every distinct warm class of
 // the roster side by side — and snapshots the results into one warm pack;
-// every later cell, whatever its class — in this process, on this worker's
-// disk, or anywhere in the fleet via the blob plane — restores its section
-// at decode cost. A pack that fails semantic decode is quarantined and the
-// prefix replayed, so a poisoned blob can slow a run but never corrupt it.
+// every later cell, whatever its class — in this process or, through the
+// disk store, in a later one — restores its section at decode cost. A pack
+// that fails semantic decode is quarantined and the prefix replayed, so a
+// poisoned blob can slow a run but never corrupt it.
 func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts RunOptions) (artifact.Info, error) {
 	if opts.Artifacts == nil || boundary < warmStateMinInsts {
 		return artifact.Info{}, wm.warmTo(boundary)
