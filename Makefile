@@ -16,10 +16,6 @@
 #                      counts under -race, live scrape of accelerated runs,
 #                      Chrome trace round-trip + merge, traced-vs-untraced
 #                      determinism)
-#   make test-store    tier 1.5: persistent artifact store suite under -race
-#                      (codec round-trips, crash/corruption battery, GC
-#                      property test, cross-process warm-run determinism,
-#                      SIGKILL-during-store-write recovery)
 #   make vet           static hygiene: go vet + gofmt -l (fails on diff);
 #                      runs as part of `make test`
 #   make race          tier 2: vet + race detector over the short suite
@@ -27,9 +23,8 @@
 #   make bench         front-end comparison benchmarks (no -race)
 #   make bench-stat    benchstat-ready hot-path runs (BENCH_COUNT=10)
 #   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json),
-#                      every cell simulated (persistent store off)
-#   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5];
-#                      OLD=store resolves the baseline from the artifact store
+#                      every cell simulated
+#   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5]
 #   make perfbench     the repository benchmark on one workload:
 #                      W=fig8-ci|long-cells|sampled-warm [PERF_TRACE=0|1]
 #   make all           tiers 1-3 in order
@@ -43,13 +38,13 @@ BENCH_WARMUP  ?= 20000
 BENCH_MEASURE ?= 60000
 GIT_SHA       := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all test test-alloc test-robust test-sample test-obs test-store vet race fuzz bench bench-stat bench-json bench-compare perfbench fmt
+.PHONY: all test test-alloc test-robust test-sample test-obs vet race fuzz bench bench-stat bench-json bench-compare perfbench fmt
 
 all: test test-alloc race fuzz
 
 # perfbench is a module of its own (it imports the repository through a
 # replace), so the root ./... does not reach its tests.
-test: vet test-robust test-sample test-obs test-store
+test: vet test-robust test-sample test-obs
 	$(GO) build ./...
 	$(GO) test ./...
 	cd perfbench && $(GO) test .
@@ -94,16 +89,6 @@ test-obs:
 	$(GO) test -count=1 ./cmd/pfe-trace/ -run TestMerge
 	$(GO) test -count=1 ./cmd/pfe-bench/ -run 'TestTracing|TestSweepTrace'
 
-# Persistent artifact store tier, always under -race: the store is shared
-# mutable state hit from every sweep worker, so its unit battery (durability,
-# corruption quarantine, LRU GC property test), the two-tier cache seam, and
-# the cross-process integration tests (warm-run bit-identity, store-resolved
-# -compare, SIGKILL mid-write, end-to-end blob corruption) all run race-enabled.
-test-store:
-	$(GO) test -race -count=1 ./internal/artifact/store/
-	$(GO) test -race -count=1 ./internal/artifact/ -run 'TestTapeCodec|TestProgramCodec|TestCacheDisk|TestCacheWithoutStore'
-	$(GO) test -race -count=1 ./cmd/pfe-bench/ -run 'TestStore'
-
 # Allocation guards, run on their own so a perf PR can iterate on just
 # them: the steady-state cycle loop must not allocate at all, and a
 # /metrics scrape must stay bounded. Both also run as part of `make test`.
@@ -121,7 +106,7 @@ fuzz:
 	$(GO) test ./internal/emu/ -run='^$$' -fuzz=FuzzEmuVsInterp -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/program/ -run='^$$' -fuzz=FuzzProgramAsm -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/sim/ -run='^$$' -fuzz=FuzzFrontEndsAgree -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
-	$(GO) test ./internal/artifact/ -run='^$$' -fuzz=FuzzTapeBlockCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
+	$(GO) test ./internal/artifact/ -run='^$$' -fuzz=FuzzTapeSeekReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -139,13 +124,11 @@ bench-stat:
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS
-# revision via debug.ReadBuildInfo, `go run` does not. The persistent store
-# stays off so every cell is simulated: a report served from an earlier
-# run's store would time disk reads, not simulation.
+# revision via debug.ReadBuildInfo, `go run` does not.
 bench-json:
 	$(GO) build -o bin/pfe-bench ./cmd/pfe-bench
 	./bin/pfe-bench -exp $(BENCH_EXP) -warmup $(BENCH_WARMUP) -measure $(BENCH_MEASURE) \
-		-no-artifact-store -json BENCH_$(GIT_SHA).json
+		-json BENCH_$(GIT_SHA).json
 	@echo wrote BENCH_$(GIT_SHA).json
 
 # bench-compare gates NEW against OLD: exits non-zero on an IPC regression

@@ -52,7 +52,6 @@ import (
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/artifact"
-	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/experiments"
 	"github.com/parallel-frontend/pfe/internal/journal"
 	"github.com/parallel-frontend/pfe/internal/obs"
@@ -91,11 +90,6 @@ func run() int {
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB (shared program images, oracle tapes, memoized cell results; LRU past the cap; 0 = unbounded)")
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")
 
-		artifactDir    = flag.String("artifact-dir", "", "persistent artifact store directory (default $PFE_ARTIFACT_DIR, else ~/.cache/pfe)")
-		artifactDisk   = flag.Int64("artifact-disk", 4096, "persistent artifact store byte budget in MiB (LRU GC past it; 0 = unbounded)")
-		noStore        = flag.Bool("no-artifact-store", false, "disable the persistent on-disk artifact store (cross-run reuse); the in-memory cache still applies")
-		updateBaseline = flag.Bool("update-baseline", false, "with -json: overwrite the stored -compare baseline for this run configuration (after an intentional perf change)")
-
 		sweepTrace = flag.String("sweep-trace", "", "write the sweep's span trace to this file: Chrome trace_event JSON (load in Perfetto/chrome://tracing), or NDJSON when the name ends in .ndjson/.jsonl")
 		events     = flag.Bool("events", false, "serve the live sweep event stream at /events (SSE, deterministic cell order); implies -http localhost:0 when -http is unset")
 	)
@@ -118,7 +112,7 @@ func run() int {
 	}
 
 	if *compare {
-		return runCompare(flag.Args(), *tol, *ttol, *artifactDir, *artifactDisk)
+		return runCompare(flag.Args(), *tol, *ttol)
 	}
 
 	if err := accel.validate(); err != nil {
@@ -145,15 +139,6 @@ func run() int {
 	}
 	if !*noArtifacts {
 		opts.Artifacts = artifact.New(*artifactMem << 20)
-	}
-	// Persistent tier: attaches behind the in-memory cache (read-through), so
-	// artifacts built by earlier processes are inherited instead of rebuilt.
-	var diskStore *store.Store
-	if opts.Artifacts != nil && !*noStore {
-		if diskStore = openStore(*artifactDir, *artifactDisk); diskStore != nil {
-			opts.Artifacts.SetStore(diskStore, experiments.ResultCodec{})
-			defer diskStore.Close()
-		}
 	}
 	accel.apply(&opts)
 
@@ -210,9 +195,6 @@ func run() int {
 	}
 	if reg != nil && opts.Artifacts != nil {
 		opts.Artifacts.Register(reg)
-	}
-	if reg != nil {
-		diskStore.Register(reg)
 	}
 	tracker := obs.NewTracker(reg)
 	if w := *workers; w > 0 {
@@ -374,7 +356,6 @@ func run() int {
 			}
 		}
 	}
-	printStoreSummary(diskStore)
 	if opts.Journal != nil {
 		if err := opts.Journal.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "pfe-bench: journal unreliable (do not resume from it): %v\n", err)
@@ -392,11 +373,7 @@ func run() int {
 			report.SetPartial()
 		}
 		if opts.Artifacts != nil {
-			ar := artifactsReport(opts.Artifacts.Stats())
-			if diskStore != nil {
-				ar.Disk = diskReport(diskStore.Stats())
-			}
-			report.SetArtifacts(ar)
+			report.SetArtifacts(artifactsReport(opts.Artifacts.Stats()))
 		}
 		// Per-cell timing breakdown from the span trace: where each row's
 		// wall time went (queue-wait, build, sim, overhead).
@@ -413,9 +390,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "pfe-bench: writing %s: %v\n", *jsonOut, err)
 			return 2
 		}
-		// Every complete -json run seeds (or, with -update-baseline,
-		// refreshes) the store-resolved baseline `-compare store` reads.
-		putBaseline(diskStore, rep, *updateBaseline)
 		partial := ""
 		if rep.Partial {
 			partial = ", partial"
@@ -552,12 +526,10 @@ func runValidateSampling(spec pfe.SampleSpec, opts experiments.Options) int {
 	return 0
 }
 
-// runCompare gates new.json against a baseline: a report file, or the
-// literal `store`, which resolves the stored baseline matching the new
-// report's run configuration from the persistent artifact store.
-func runCompare(args []string, tol, ttol float64, storeDir string, storeBudget int64) int {
+// runCompare gates new.json against the baseline report old.json.
+func runCompare(args []string, tol, ttol float64) int {
 	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: pfe-bench [-tol pct] [-ttol pct] -compare {old.json|store} new.json")
+		fmt.Fprintln(os.Stderr, "usage: pfe-bench [-tol pct] [-ttol pct] -compare old.json new.json")
 		return 2
 	}
 	newRep, err := obs.ReadReportFile(args[1])
@@ -565,30 +537,14 @@ func runCompare(args []string, tol, ttol float64, storeDir string, storeBudget i
 		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 		return 2
 	}
-	var oldRep *obs.Report
-	oldName := args[0]
-	if args[0] == "store" {
-		st := openStore(storeDir, storeBudget)
-		if st == nil {
-			return 2
-		}
-		defer st.Close()
-		oldRep, err = resolveBaseline(st, newRep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
-		oldName = "store:" + baselineKey(newRep.Options)
-	} else {
-		oldRep, err = obs.ReadReportFile(args[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
+	oldRep, err := obs.ReadReportFile(args[0])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
+		return 2
 	}
 	cmp := obs.Compare(oldRep, newRep, obs.CompareOptions{IPCTolPct: tol, ThroughputTolPct: ttol})
 	fmt.Printf("old: %s  (git %s, %s)\nnew: %s  (git %s, %s)\n\n",
-		oldName, shortSHA(oldRep.Provenance.GitSHA), oldRep.CreatedAt,
+		args[0], shortSHA(oldRep.Provenance.GitSHA), oldRep.CreatedAt,
 		args[1], shortSHA(newRep.Provenance.GitSHA), newRep.CreatedAt)
 	fmt.Print(cmp.Table())
 	return cmp.ExitCode()

@@ -60,10 +60,7 @@ func TestSweepTraceFileShape(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "sweep.json")
 	jsonPath := filepath.Join(dir, "report.json")
-	// The persistent store must stay out of this run: the test asserts that
-	// simulation phases actually execute (sim-phase spans, non-zero SimSeconds),
-	// which a warm store from earlier tests would memoize away.
-	args := benchArgs("-sweep-trace", tracePath, "-json", jsonPath, "-workers", "2", "-no-artifact-store")
+	args := benchArgs("-sweep-trace", tracePath, "-json", jsonPath, "-workers", "2")
 	if b, err := exec.Command(pb, args...).CombinedOutput(); err != nil {
 		t.Fatalf("traced run: %v\n%s", err, b)
 	}

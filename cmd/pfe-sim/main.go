@@ -17,13 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/artifact"
-	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/obs"
 )
 
@@ -42,10 +40,6 @@ func main() {
 
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB when several front-ends share a workload (0 = unbounded)")
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable workload reuse across the -frontend list (rebuild + re-emulate per run)")
-
-		artifactDir  = flag.String("artifact-dir", "", "persistent artifact store directory (default $PFE_ARTIFACT_DIR, else ~/.cache/pfe)")
-		artifactDisk = flag.Int64("artifact-disk", 4096, "persistent artifact store byte budget in MiB (LRU GC past it; 0 = unbounded)")
-		noStore      = flag.Bool("no-artifact-store", false, "disable the persistent on-disk artifact store (cross-run reuse)")
 	)
 	flag.Parse()
 
@@ -62,27 +56,9 @@ func main() {
 		opts.Trace = os.Stdout
 		opts.TraceCycles = *trace
 	}
-	// In-process reuse only pays off when several runs share the workload;
-	// with the persistent store attached, even a single run inherits (and
-	// leaves behind) warm cross-process artifacts.
-	var diskStore *store.Store
-	if !*noArtifacts && !*noStore {
-		if dir := *artifactDir; dir != "" || defaultDir() != "" {
-			if dir == "" {
-				dir = defaultDir()
-			}
-			st, err := store.Open(dir, *artifactDisk<<20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pfe-sim: artifact store unavailable (%v); running without it\n", err)
-			} else {
-				diskStore = st
-				defer st.Close()
-			}
-		}
-	}
-	if (len(frontends) > 1 || diskStore != nil) && !*noArtifacts {
+	// Reuse only pays off when several runs share the workload.
+	if len(frontends) > 1 && !*noArtifacts {
 		opts.Artifacts = artifact.New(*artifactMem << 20)
-		opts.Artifacts.SetStore(diskStore, nil)
 	}
 	var reg *obs.Registry
 	if *httpAddr != "" {
@@ -125,26 +101,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "artifacts: %d reused / %d built, %.1f MiB cached (%.1f MiB tapes)\n",
 			s.Hits(), s.Misses(), float64(s.Bytes)/(1<<20), float64(s.TapeBytes)/(1<<20))
 	}
-	if diskStore != nil {
-		if s := diskStore.Stats(); s.Hits()+s.Misses() > 0 {
-			fmt.Fprintf(os.Stderr, "artifact store: %d disk hit(s) / %d miss(es), %d entries at %s\n",
-				s.Hits(), s.Misses(), s.Entries, s.Dir)
-		}
-	}
-}
-
-// defaultDir resolves the store location when -artifact-dir is unset:
-// $PFE_ARTIFACT_DIR (test/CI redirection) or ~/.cache/pfe; empty disables
-// the store (no home directory).
-func defaultDir() string {
-	if d := os.Getenv("PFE_ARTIFACT_DIR"); d != "" {
-		return d
-	}
-	home, err := os.UserHomeDir()
-	if err != nil || home == "" {
-		return ""
-	}
-	return filepath.Join(home, ".cache", "pfe")
 }
 
 func printResult(res *pfe.Result) {

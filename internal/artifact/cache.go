@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -48,7 +47,7 @@ func (s Stats) Misses() int64 {
 	return s.ProgramMisses + s.TapeMisses + s.ResultMisses + s.WarmMisses
 }
 
-// Cache is the content-addressed artifact store. All methods are safe for
+// Cache is the content-addressed artifact cache. All methods are safe for
 // concurrent use; a nil *Cache disables every lookup (misses without
 // recording them), so callers can thread an optional cache without
 // branching.
@@ -64,11 +63,6 @@ type Cache struct {
 	evictions    int64
 
 	tapeFallback atomic.Int64
-
-	// Persistent tier (optional, see SetStore): misses fall through to the
-	// store before building, completed builds are written back.
-	store       *store.Store
-	resultCodec ResultCodec
 }
 
 // entry is one cached artifact. A pending entry (ready not yet closed) is
@@ -106,15 +100,11 @@ func SpecHash(spec program.Spec) string {
 }
 
 // Info describes how one artifact lookup was served, for span annotation:
-// the content address used and whether a cache tier satisfied it
+// the content address used and whether the cache satisfied it
 // (single-flight waiters that shared an in-progress build count as hits).
 type Info struct {
 	Key string
 	Hit bool
-	// Source is which tier served the lookup: "mem-hit" (in-process cache),
-	// "disk-hit" (persistent store), or "miss" (built fresh). Empty when the
-	// lookup bypassed the cache entirely (nil *Cache).
-	Source string
 }
 
 // Program returns the built image for spec, building it on first use and
@@ -131,43 +121,17 @@ func (c *Cache) ProgramInfo(spec program.Spec) (*program.Program, Info, error) {
 		return p, Info{}, err
 	}
 	key := "prog:" + SpecHash(spec)
-	source := "miss"
 	v, hit, err := c.get(key, kindProgram, func() (any, int64, error) {
-		if p, ok := c.diskProgram(key); ok {
-			source = "disk-hit"
-			return p, programBytes(p), nil
-		}
-		// Serialize the build across processes; whoever loses the race finds
-		// the winner's artifact on disk when the lock is granted.
-		unlock := c.store.BuildLock(storeKindProgram, key)
-		defer unlock()
-		// Re-check behind the lock (Has first, so a plain cold build does not
-		// double-count the miss): the lock's previous holder may have
-		// completed this exact build.
-		if c.store.Has(storeKindProgram, key) {
-			if p, ok := c.diskProgram(key); ok {
-				source = "disk-hit"
-				return p, programBytes(p), nil
-			}
-		}
 		p, err := program.Build(spec)
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.store != nil {
-			if data, err := EncodeProgram(p); err == nil {
-				c.store.Put(storeKindProgram, key, data)
-			}
-		}
 		return p, programBytes(p), nil
 	})
 	if err != nil {
-		return nil, Info{Key: key, Source: source}, err
+		return nil, Info{Key: key}, err
 	}
-	if hit {
-		source = "mem-hit"
-	}
-	return v.(*program.Program), Info{Key: key, Hit: source != "miss", Source: source}, nil
+	return v.(*program.Program), Info{Key: key, Hit: hit}, nil
 }
 
 // Tape returns a recording of spec's dynamic stream covering at least
@@ -184,145 +148,72 @@ func (c *Cache) TapeInfo(spec program.Spec, minInsts uint64) (*Tape, Info, error
 		return nil, Info{}, fmt.Errorf("artifact: nil cache")
 	}
 	key := fmt.Sprintf("tape:%s:%d", SpecHash(spec), minInsts)
-	source := "miss"
 	v, hit, err := c.get(key, kindTape, func() (any, int64, error) {
 		p, err := c.Program(spec)
 		if err != nil {
 			return nil, 0, err
-		}
-		if t, ok := c.diskTape(key, p); ok {
-			source = "disk-hit"
-			return t, t.Bytes() + t.IndexBytes() + 64, nil
-		}
-		unlock := c.store.BuildLock(storeKindTape, key)
-		defer unlock()
-		if c.store.Has(storeKindTape, key) {
-			if t, ok := c.diskTape(key, p); ok {
-				source = "disk-hit"
-				return t, t.Bytes() + t.IndexBytes() + 64, nil
-			}
 		}
 		t, err := Record(p, minInsts)
 		if err != nil {
 			return nil, 0, err
 		}
 		t.sink = &c.tapeFallback
-		if c.store != nil {
-			c.store.Put(storeKindTape, key, EncodeTape(t))
-		}
 		return t, t.Bytes() + t.IndexBytes() + 64, nil
 	})
 	if err != nil {
-		return nil, Info{Key: key, Source: source}, err
+		return nil, Info{Key: key}, err
 	}
-	if hit {
-		source = "mem-hit"
-	}
-	return v.(*Tape), Info{Key: key, Hit: source != "miss", Source: source}, nil
+	return v.(*Tape), Info{Key: key, Hit: hit}, nil
 }
 
 // WarmStateInfo returns the warm-state snapshot stored under key — an
 // opaque, already-encoded byte blob owned by the caller's codec (see pfe's
 // warm-state artifacts) — building it with build on first use, with
-// cache-hit provenance. Lookups walk the same tier chain as every other
-// artifact: in-process memory, the local disk store, then build (serialized
-// across processes by the store's build lock, with the finished snapshot
-// persisted so a later process restores instead of re-warming).
+// cache-hit provenance.
 func (c *Cache) WarmStateInfo(key string, build func() ([]byte, error)) ([]byte, Info, error) {
 	if c == nil {
 		data, err := build()
 		return data, Info{}, err
 	}
-	source := "miss"
 	v, hit, err := c.get(key, kindWarm, func() (any, int64, error) {
-		if data, ok := c.diskWarm(key); ok {
-			source = "disk-hit"
-			return data, int64(len(data)) + 64, nil
-		}
-		unlock := c.store.BuildLock(storeKindWarm, key)
-		defer unlock()
-		if c.store.Has(storeKindWarm, key) {
-			if data, ok := c.diskWarm(key); ok {
-				source = "disk-hit"
-				return data, int64(len(data)) + 64, nil
-			}
-		}
 		data, err := build()
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.store != nil {
-			c.store.Put(storeKindWarm, key, data)
-		}
 		return data, int64(len(data)) + 64, nil
 	})
 	if err != nil {
-		return nil, Info{Key: key, Source: source}, err
+		return nil, Info{Key: key}, err
 	}
-	if hit {
-		source = "mem-hit"
-	}
-	return v.([]byte), Info{Key: key, Hit: source != "miss", Source: source}, nil
+	return v.([]byte), Info{Key: key, Hit: hit}, nil
 }
 
 // GetResult returns a previously memoized cell result (see PutResult). The
 // value is opaque to the cache; callers own the key scheme and must treat
 // returned values as immutable shared state.
 func (c *Cache) GetResult(key string) (any, bool) {
-	v, _, ok := c.GetResultInfo(key)
-	return v, ok
-}
-
-// GetResultInfo is GetResult plus tier provenance. A memory miss falls
-// through to the persistent store (when attached with a ResultCodec); a disk
-// hit is decoded and promoted into the memory tier so repeats stay cheap.
-func (c *Cache) GetResultInfo(key string) (any, Info, bool) {
 	if c == nil {
-		return nil, Info{}, false
+		return nil, false
 	}
-	resKey := "res:" + key
 	c.mu.Lock()
-	if e := c.entries[resKey]; e != nil && e.elem != nil {
+	defer c.mu.Unlock()
+	if e := c.entries["res:"+key]; e != nil && e.elem != nil {
 		c.lru.MoveToFront(e.elem)
 		c.hits[kindResult]++
-		c.mu.Unlock()
-		return e.val, Info{Key: resKey, Hit: true, Source: "mem-hit"}, true
+		return e.val, true
 	}
 	c.misses[kindResult]++
-	c.mu.Unlock()
-
-	if c.store != nil && c.resultCodec != nil {
-		if data, ok := c.store.Get(storeKindResult, resKey); ok {
-			v, bytes, err := c.resultCodec.DecodeResult(data)
-			if err != nil {
-				c.store.Quarantine(storeKindResult, resKey)
-				return nil, Info{Key: resKey, Source: "miss"}, false
-			}
-			c.putResultMem(resKey, v, bytes)
-			return v, Info{Key: resKey, Hit: true, Source: "disk-hit"}, true
-		}
-	}
-	return nil, Info{Key: resKey, Source: "miss"}, false
+	return nil, false
 }
 
 // PutResult memoizes a completed cell result under key, accounted as bytes
-// toward the cache cap, and persists it to the store when one is attached. A
-// key already present is left untouched (results are deterministic, so the
-// first value is as good as any).
+// toward the cache cap. A key already present is left untouched (results
+// are deterministic, so the first value is as good as any).
 func (c *Cache) PutResult(key string, v any, bytes int64) {
 	if c == nil {
 		return
 	}
 	resKey := "res:" + key
-	c.putResultMem(resKey, v, bytes)
-	if c.store != nil && c.resultCodec != nil && !c.store.Has(storeKindResult, resKey) {
-		if data, err := c.resultCodec.EncodeResult(v); err == nil {
-			c.store.Put(storeKindResult, resKey, data)
-		}
-	}
-}
-
-func (c *Cache) putResultMem(resKey string, v any, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries[resKey] != nil {

@@ -122,6 +122,36 @@ func TestCacheResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheInfoProvenance pins the provenance build-phase spans are
+// annotated with: the lookup that builds an artifact is a miss under its
+// content address, every later one a hit — for programs, tapes and
+// warm-state snapshots alike — and a snapshot is built exactly once.
+func TestCacheInfoProvenance(t *testing.T) {
+	spec := gccSpec(t)
+	c := New(0)
+	for i, wantHit := range []bool{false, true} {
+		if _, info, err := c.ProgramInfo(spec); err != nil || info.Hit != wantHit || info.Key == "" {
+			t.Fatalf("program lookup %d: %+v, %v", i, info, err)
+		}
+		if _, info, err := c.TapeInfo(spec, 1_000); err != nil || info.Hit != wantHit || info.Key == "" {
+			t.Fatalf("tape lookup %d: %+v, %v", i, info, err)
+		}
+	}
+
+	snapshot := []byte("warmed front-end state, opaque to the cache")
+	builds := 0
+	build := func() ([]byte, error) { builds++; return snapshot, nil }
+	for i, wantHit := range []bool{false, true} {
+		got, info, err := c.WarmStateInfo("ws1:k", build)
+		if err != nil || string(got) != string(snapshot) || info.Hit != wantHit || info.Key != "ws1:k" {
+			t.Fatalf("warm lookup %d = (%q, %+v, %v)", i, got, info, err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("snapshot built %d times, want exactly once", builds)
+	}
+}
+
 // TestNilCache ensures the optional-cache idiom holds: a nil *Cache builds
 // cold and never panics.
 func TestNilCache(t *testing.T) {

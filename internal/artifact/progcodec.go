@@ -10,7 +10,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
-// The on-disk program format (version 1): a JSON header carrying the
+// The program encoding (version 1): a JSON header carrying the
 // metadata and generator spec, then the raw encoded code image and the
 // initialised data segment. The decoded instruction slice is not stored —
 // it is reconstructed by the same isa.DecodeImage the generator validates
@@ -34,7 +34,9 @@ type progHeader struct {
 	Spec     program.Spec `json:"spec"`
 }
 
-// EncodeProgram serializes a built program image for the persistent store.
+// EncodeProgram serializes a built program image into a self-contained
+// byte string. Nothing in the simulator calls it: programs are shared
+// between cells in memory only.
 func EncodeProgram(p *program.Program) ([]byte, error) {
 	hdr, err := json.Marshal(progHeader{
 		Name: p.Name, Input: p.Input, EntryPC: p.EntryPC, DataSize: p.DataSize, Spec: p.Spec,
@@ -56,8 +58,8 @@ func EncodeProgram(p *program.Program) ([]byte, error) {
 
 // DecodeProgram reconstructs a program image from its stored encoding,
 // re-decoding the instruction stream from the image bytes and re-running the
-// generator's structural validation, so a corrupted-but-checksum-passing
-// blob still cannot smuggle an invalid program into a simulation.
+// generator's structural validation, so a damaged encoding that still frames
+// correctly cannot smuggle an invalid program into a simulation.
 func DecodeProgram(data []byte) (*program.Program, error) {
 	if len(data) < 12 || string(data[:4]) != progMagic {
 		return nil, fmt.Errorf("artifact: bad program frame")
@@ -105,8 +107,7 @@ func DecodeProgram(data []byte) (*program.Program, error) {
 		DataSize: hdr.DataSize,
 		Spec:     hdr.Spec,
 		// Copy out of the caller's buffer: programs live for the whole
-		// sweep, and unlike tape sections they are written to by nobody,
-		// but the backing store mapping may be unmapped at Close.
+		// sweep, and the caller may reuse its buffer.
 		Image: append([]byte(nil), image...),
 		Data:  append([]byte(nil), dseg...),
 	}

@@ -56,9 +56,9 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 }
 
 // TestProgramCodecDetectsCorruption feeds structurally damaged encodings to
-// DecodeProgram; every one must be rejected. (Payload bit flips that leave
-// the frame intact are the store checksum's job — see the store's corruption
-// battery — so this table only covers the codec's own framing.)
+// DecodeProgram; every one must be rejected. (The program encoding carries
+// no checksum, so payload bit flips that leave the frame intact are out of
+// its reach; this table only covers the codec's own framing.)
 func TestProgramCodecDetectsCorruption(t *testing.T) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {

@@ -86,7 +86,6 @@ func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 	var bitN uint
 	var bits uint64 // total taken bits recorded
 	var prevEA uint64
-	var buf [binary.MaxVarintLen64]byte
 	for t.count < maxInsts && !m.Halted() {
 		if t.count%IndexStride == 0 {
 			t.index = append(t.index, seekPoint{
@@ -109,11 +108,9 @@ func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 				bitBuf, bitN = 0, 0
 			}
 		case in.IsIndirect():
-			n := binary.PutUvarint(buf[:], d.NextPC)
-			t.aux = append(t.aux, buf[:n]...)
+			t.aux = binary.AppendUvarint(t.aux, d.NextPC)
 		case in.IsMem():
-			n := binary.PutVarint(buf[:], int64(d.EA)-int64(prevEA))
-			t.aux = append(t.aux, buf[:n]...)
+			t.aux = binary.AppendVarint(t.aux, int64(d.EA)-int64(prevEA))
 			prevEA = d.EA
 		}
 		t.count++

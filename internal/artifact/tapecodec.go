@@ -11,7 +11,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
-// The framed on-disk tape format (version 1). A tape file is three sections
+// The framed tape encoding (version 1). An encoded tape is three sections
 // — the packed taken bits, the varint aux stream, and the seek index — each
 // cut into fixed-size blocks that are individually flate-compressed when
 // that actually shrinks them and stored raw otherwise. The block table
@@ -28,10 +28,10 @@ import (
 //	payload: stored block bytes, back to back, in table order
 //
 // Because payloads are laid out back to back, a section whose blocks are all
-// raw occupies one contiguous byte range of the file: DecodeTape references
-// it as a subslice of the input — the zero-copy path a Store mmap hit rides
-// — instead of copying it onto the heap. Sections with any compressed block
-// are inflated into a fresh contiguous buffer.
+// raw occupies one contiguous byte range of the encoding: DecodeTape
+// references it as a subslice of the input instead of copying it onto the
+// heap. Sections with any compressed block are inflated into a fresh
+// contiguous buffer.
 const (
 	tapeMagic     = "PFET"
 	tapeVersion   = 1
@@ -50,8 +50,9 @@ type tapeBlock struct {
 }
 
 // EncodeTape serializes t into the framed block-compressed format. The
-// encoding is self-contained except for the program image, which is stored
-// separately under its own content address (DecodeTape takes it back).
+// encoding is self-contained except for the program image, which the caller
+// keeps separately (DecodeTape takes it back). Nothing in the simulator calls
+// it: tapes are shared between cells in memory only.
 func EncodeTape(t *Tape) []byte {
 	idx := make([]byte, len(t.index)*seekPointBytes)
 	for i, sp := range t.index {
@@ -150,9 +151,8 @@ func deflate(b []byte) []byte {
 // image it was recorded from. Every block's CRC is verified before any byte
 // is trusted; any framing, checksum, or consistency failure returns an error
 // and never a partially decoded tape. Sections stored raw are referenced as
-// subslices of data (zero-copy — the caller must keep data alive, e.g. an
-// mmap'd store entry, for the life of the tape); compressed sections are
-// inflated into fresh buffers.
+// subslices of data (zero-copy — the caller must leave data unmodified for
+// the life of the tape); compressed sections are inflated into fresh buffers.
 func DecodeTape(data []byte, prog *program.Program) (*Tape, error) {
 	const headerLen = 4 + 4 + 8 + 8 + 1 + 4 + 4*tapeNumSecs
 	if len(data) < headerLen {

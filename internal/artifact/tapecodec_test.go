@@ -11,7 +11,7 @@ import (
 // tapeCodecHeaderLen is the fixed tape-frame header: magic, version, startPC,
 // count, halted, blockSize, three per-section block counts. Bytes past it
 // (the block table and payload) are individually guarded by per-block CRCs;
-// the header itself is guarded by the store's whole-blob checksum.
+// the header itself carries no checksum.
 const tapeCodecHeaderLen = 4 + 4 + 8 + 8 + 1 + 4 + 4*tapeNumSecs
 
 // tapeStructEqual compares every stored field of two tapes (the program

@@ -18,7 +18,7 @@ type delayedRename struct {
 	stats *Stats
 	obs   *observer
 
-	reserved int // window slots reserved for eligible fragments
+	reserved reservation // window slots reserved for eligible fragments
 
 	// assigned is the per-cycle renamer-assignment scratch, reused across
 	// cycles.
@@ -29,7 +29,7 @@ func newDelayedRename(n, width int, be Backend, stats *Stats, obs *observer) *de
 	return &delayedRename{n: n, width: width, be: be, stats: stats, obs: obs}
 }
 
-func (dr *delayedRename) redirect() { dr.reserved = 0 }
+func (dr *delayedRename) redirect(q *fragQueue) { dr.reserved.rebuild(q) }
 
 func (dr *delayedRename) cycle(now uint64, q *fragQueue) {
 	// Reorder-buffer allocation, in order, one fragment per cycle (the
@@ -40,11 +40,9 @@ func (dr *delayedRename) cycle(now uint64, q *fragQueue) {
 		if fs.phase1Done {
 			continue
 		}
-		if dr.be.FreeSlots()-dr.reserved < fs.len() {
+		if !dr.reserved.admit(dr.be, fs) {
 			break
 		}
-		fs.phase1Done = true
-		dr.reserved += fs.len()
 		dr.obs.phase1(now, fs)
 		break
 	}
@@ -102,9 +100,8 @@ func (dr *delayedRename) cycle(now uint64, q *fragQueue) {
 				dr.stats.DelayedForMapping++
 				break
 			}
-			dr.be.Insert(op)
+			dr.reserved.insert(dr.be, op)
 			fs.renamed++
-			dr.reserved--
 			dr.stats.Renamed++
 		}
 		dr.obs.phase2(now, fs, start, fs.renamed-start, lane)

@@ -194,7 +194,7 @@ func (u *Unit) cycleRename(now uint64) {
 		if seq, ok := u.pr.takeSquash(); ok {
 			n := u.be.SquashFrom(seq)
 			u.obs.squash(now, seq, n, trace.CauseLiveOutMispredict)
-			u.pr.recomputeReserved(&u.queue)
+			u.pr.reserved.rebuild(&u.queue)
 		}
 	}
 }
@@ -276,16 +276,13 @@ func (u *Unit) Redirect(now uint64, culpritSeq uint64) {
 		u.pool.SquashYounger(culpritSeq + 1)
 	}
 	u.engine.redirect()
-	u.stage.redirect()
+	u.stage.redirect(&u.queue)
 	for i, fs := range drops {
 		u.stream.RecycleFrag(fs.ff)
 		u.fsp.recycle(fs)
 		drops[i] = nil
 	}
 	u.drops = drops[:0]
-	if u.pr != nil {
-		u.pr.recomputeReserved(&u.queue)
-	}
 	u.fetchAllowedAt = now + uint64(u.cfg.RedirectBubble)
 }
 

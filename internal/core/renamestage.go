@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/parallel-frontend/pfe/internal/backend"
 	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/rename"
@@ -68,8 +69,45 @@ type renameStage interface {
 	// renamed fragments land in the queue's popped list, which the
 	// owning Unit drains once per cycle.
 	cycle(now uint64, queue *fragQueue)
-	// redirect clears any in-progress rename state.
-	redirect()
+	// redirect clears any in-progress rename state after a redirect has
+	// truncated or dropped fragments of the queue.
+	redirect(queue *fragQueue)
+}
+
+// reservation counts the window slots held for fragments that have been
+// admitted to a renamer but have not inserted every op yet. Both
+// out-of-order renamers (parallel and delayed) admit fragments in order
+// against it, so a younger fragment is never admitted into slots an older
+// one still needs. A redirect or squash changes what the surviving
+// fragments still hold, so it rebuilds the count from the queue.
+type reservation int
+
+// admit marks fs eligible for a renamer when the window has room for all
+// of its ops on top of the slots already reserved.
+func (r *reservation) admit(be Backend, fs *fragState) bool {
+	if be.FreeSlots()-int(*r) < fs.len() {
+		return false
+	}
+	fs.phase1Done = true
+	*r += reservation(fs.len())
+	return true
+}
+
+// insert hands one op of an admitted fragment to the back-end, consuming
+// one reserved slot.
+func (r *reservation) insert(be Backend, op *backend.Op) {
+	be.Insert(op)
+	*r--
+}
+
+// rebuild recomputes the count from the admitted fragments still queued.
+func (r *reservation) rebuild(q *fragQueue) {
+	*r = 0
+	for i := 0; i < q.size(); i++ {
+		if fs := q.at(i); fs.phase1Done {
+			*r += reservation(fs.len() - fs.renamed)
+		}
+	}
 }
 
 // fragQueue is the program-ordered list of in-flight fragments. Fragments
@@ -148,7 +186,7 @@ func newSequentialRename(width int, be Backend, stats *Stats, obs *observer) *se
 	return &sequentialRename{width: width, be: be, stats: stats, obs: obs}
 }
 
-func (sr *sequentialRename) redirect() {}
+func (sr *sequentialRename) redirect(*fragQueue) {}
 
 func (sr *sequentialRename) cycle(now uint64, q *fragQueue) {
 	if q.empty() {
@@ -206,7 +244,7 @@ type parallelRename struct {
 	lo    *rename.LiveOutPredictor
 	prof  *obs.StageProf // optional phase-1/phase-2 wall-time attribution
 
-	reserved int // window slots reserved by phase 1, not yet inserted
+	reserved reservation // window slots reserved by phase 1, not yet inserted
 
 	// mispredictSquash asks the simulator to squash ops younger than the
 	// returned seq; the front-end polls it after cycle().
@@ -222,8 +260,8 @@ func newParallelRename(n, width int, lo *rename.LiveOutPredictor, be Backend, st
 	return &parallelRename{n: n, width: width, be: be, stats: stats, obs: obs, lo: lo}
 }
 
-func (pr *parallelRename) redirect() {
-	pr.reserved = 0
+func (pr *parallelRename) redirect(q *fragQueue) {
+	pr.reserved.rebuild(q)
 	pr.havePending = false
 }
 
@@ -267,13 +305,11 @@ func (pr *parallelRename) cycle(now uint64, q *fragQueue) {
 			lo = rename.ComputeLiveOuts(fs.ff.Frag.Insts)
 			hit = true
 		}
-		if pr.be.FreeSlots()-pr.reserved < fs.len() {
+		if !pr.reserved.admit(pr.be, fs) {
 			goto phase2 // no reorder-buffer space: phase 1 stalls
 		}
 		fs.loPred = lo
 		fs.loHit = hit
-		fs.phase1Done = true
-		pr.reserved += fs.len()
 		pr.stats.LiveOutPredicted++
 		pr.obs.phase1(now, fs)
 		break // one fragment per cycle
@@ -321,9 +357,8 @@ phase2:
 					}
 				}
 			}
-			pr.be.Insert(op)
+			pr.reserved.insert(pr.be, op)
 			fs.renamed++
-			pr.reserved--
 			pr.stats.Renamed++
 		}
 		pr.obs.phase2(now, fs, start, n, lane)
@@ -379,16 +414,5 @@ func (pr *parallelRename) requestSquash(seq uint64) {
 	if !pr.havePending || seq < pr.squashFrom {
 		pr.squashFrom = seq
 		pr.havePending = true
-	}
-}
-
-// recomputeReserved rebuilds the reservation counter after a live-out
-// misprediction squash reset younger fragments' rename progress.
-func (pr *parallelRename) recomputeReserved(q *fragQueue) {
-	pr.reserved = 0
-	for i := 0; i < q.size(); i++ {
-		if fs := q.at(i); fs.phase1Done {
-			pr.reserved += fs.len() - fs.renamed
-		}
 	}
 }

@@ -116,16 +116,9 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 	// fresh ones so a resumed run replays them under this experiment too.
 	memoize := o.Artifacts != nil && c.run == nil && inject == ""
 	if memoize {
-		if v, info, ok := o.Artifacts.GetResultInfo(hash); ok {
+		if v, ok := o.Artifacts.GetResult(hash); ok {
 			r := v.(*pfe.Result)
-			// Keep the established "memo-hit" annotation for in-process
-			// hits; a result inherited from the persistent store is marked
-			// distinctly so warm-run provenance is traceable per cell.
-			if info.Source == "disk-hit" {
-				cs.Str("source", "memo-disk-hit")
-			} else {
-				cs.Str("source", "memo-hit")
-			}
+			cs.Str("source", "memo-hit")
 			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, r))
 			if o.Observer != nil {
 				o.Observer.Completed(c.bench, c.key, 0, r)

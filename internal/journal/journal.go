@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -40,12 +41,28 @@ type Writer struct {
 }
 
 // Create opens path for appending, creating it if needed. An existing
-// journal is extended, never truncated — that is what makes resume append
-// new results to the same file it replayed.
+// journal is extended, never rewritten — that is what makes resume append
+// new results to the same file it replayed — except that a torn tail left
+// by a crash mid-append is cut off first: the next record must start on a
+// line of its own, or it would run into the fragment and the whole line
+// would read as corrupt. A journal corrupted before its tail is an error.
 func Create(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	_, torn, end, err := scan(f, path, func([]byte) error { return nil })
+	if err == nil && torn > 0 {
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			err = fmt.Errorf("journal: cutting torn tail of %s: %w", path, err)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &Writer{f: f}, nil
 }
@@ -110,50 +127,62 @@ func (w *Writer) Close() error {
 // append order. It returns the number of valid records delivered and the
 // number of trailing lines dropped as torn (0 or 1 in practice).
 //
-// A checksum or framing failure on the *final* line is the expected
-// signature of a crash mid-append and is tolerated; the same failure
-// followed by further valid records means the file was corrupted at rest,
-// which Scan reports as an error rather than silently replaying around.
+// A checksum or framing failure on the *final* line — including a final
+// line whose newline never made it to disk, which Append writes together
+// with the record — is the expected signature of a crash mid-append and is
+// tolerated; the same failure followed by further valid records means the
+// file was corrupted at rest, which Scan reports as an error rather than
+// silently replaying around.
 func Scan(path string, fn func(payload []byte) error) (records, torn int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
+	records, torn, _, err = scan(f, path, fn)
+	return records, torn, err
+}
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+// scan is Scan over an open file. end is the byte offset just past the last
+// valid record's newline: everything after it is the torn tail.
+func scan(r io.Reader, path string, fn func(payload []byte) error) (records, torn int, end int64, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var off int64
 	lineNo := 0
 	badLine := 0 // 1-based line number of the first undecodable line
-	for sc.Scan() {
-		lineNo++
-		raw := bytes.TrimSpace(sc.Bytes())
+	for {
+		raw, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return records, 0, end, fmt.Errorf("journal: reading %s: %w", path, rerr)
+		}
 		if len(raw) == 0 {
-			continue
+			break
 		}
-		if badLine != 0 {
-			return records, 0, fmt.Errorf("journal: %s:%d: corrupt record followed by more data (not a torn tail)", path, badLine)
+		lineNo++
+		off += int64(len(raw))
+		text := bytes.TrimSpace(raw)
+		if len(text) > 0 {
+			if badLine != 0 {
+				return records, 0, end, fmt.Errorf("journal: %s:%d: corrupt record followed by more data (not a torn tail)", path, badLine)
+			}
+			var l line
+			if raw[len(raw)-1] != '\n' || json.Unmarshal(text, &l) != nil ||
+				fmt.Sprintf("%08x", crc32.ChecksumIEEE(l.D)) != l.CRC {
+				badLine = lineNo
+			} else {
+				if err := fn(l.D); err != nil {
+					return records, 0, end, err
+				}
+				records++
+				end = off
+			}
 		}
-		var l line
-		if err := json.Unmarshal(raw, &l); err != nil {
-			badLine = lineNo
-			continue
+		if rerr == io.EOF {
+			break
 		}
-		sum := fmt.Sprintf("%08x", crc32.ChecksumIEEE(l.D))
-		if sum != l.CRC {
-			badLine = lineNo
-			continue
-		}
-		if err := fn(l.D); err != nil {
-			return records, 0, err
-		}
-		records++
-	}
-	if err := sc.Err(); err != nil {
-		return records, 0, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
 	if badLine != 0 {
 		torn = 1
 	}
-	return records, torn, nil
+	return records, torn, end, nil
 }

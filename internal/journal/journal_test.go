@@ -106,6 +106,59 @@ func TestTornTailDropped(t *testing.T) {
 	}
 }
 
+// TestResumeAfterTornTail is the resume round trip over a journal a crash
+// left torn: reopening it for appending (what -resume does after replaying)
+// must cut the torn tail, so the records appended next stay readable and a
+// second resume sees every record with no torn line. Covers a half-written
+// record and a whole record that lost its newline.
+func TestResumeAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.wal")
+	w, _ := Create(whole)
+	w.Append(rec{"c", 3, 3})
+	w.Close()
+	line, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tails := map[string]string{
+		"half-written": `{"crc":"deadbeef","d":{"key":"c","n`,
+		"lost-newline": strings.TrimSuffix(string(line), "\n"),
+	}
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.wal")
+			w, _ := Create(path)
+			w.Append(rec{"a", 1, 1})
+			w.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(tail)
+			f.Close()
+			if got, torn := readAll(t, path); len(got) != 1 || torn != 1 {
+				t.Fatalf("before resume: %d records torn=%d, want 1 torn=1", len(got), torn)
+			}
+
+			w, err = Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []rec{{"b", 2, 2}, {"d", 4, 4}} {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+			got, torn := readAll(t, path)
+			if torn != 0 || len(got) != 3 || got[0].Key != "a" || got[1].Key != "b" || got[2].Key != "d" {
+				t.Fatalf("after resume: %+v torn=%d, want [a b d] torn=0", got, torn)
+			}
+		})
+	}
+}
+
 func TestChecksumMismatchTailDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	w, _ := Create(path)

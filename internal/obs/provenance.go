@@ -154,31 +154,6 @@ type ArtifactsReport struct {
 	TapeBytes         int64 `json:"tape_bytes"`
 	MaxBytes          int64 `json:"max_bytes,omitempty"`
 	TapeFallbackSteps int64 `json:"tape_fallback_steps,omitempty"`
-
-	// Disk summarizes the persistent store tier (present only when the run
-	// had one attached). Additive and omitted when absent.
-	Disk *ArtifactsDiskReport `json:"disk,omitempty"`
-}
-
-// ArtifactsDiskReport summarizes the persistent artifact store's traffic for
-// one run: per-kind disk hits/misses (a disk hit is a build the process
-// inherited from an earlier run), footprint against the -artifact-disk
-// budget, and the integrity counters (quarantined blobs, orphans swept,
-// torn journal tails — all zero in healthy runs).
-type ArtifactsDiskReport struct {
-	Dir          string           `json:"dir,omitempty"`
-	Kinds        map[string]int64 `json:"hits,omitempty"`
-	KindMisses   map[string]int64 `json:"misses,omitempty"`
-	Entries      int              `json:"entries"`
-	Bytes        int64            `json:"bytes"`
-	MaxBytes     int64            `json:"max_bytes,omitempty"`
-	Puts         int64            `json:"puts,omitempty"`
-	PutErrors    int64            `json:"put_errors,omitempty"`
-	Evictions    int64            `json:"evictions,omitempty"`
-	Quarantined  int64            `json:"quarantined,omitempty"`
-	OrphansSwept int64            `json:"orphans_swept,omitempty"`
-	TornTail     int64            `json:"torn_tail,omitempty"`
-	IndexRebuilt bool             `json:"index_rebuilt,omitempty"`
 }
 
 // SchedulerReport summarizes how the work-stealing scheduler executed an

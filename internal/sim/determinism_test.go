@@ -53,6 +53,7 @@ func goldenConfigs() []core.Config {
 		mk("PR-2x8w", core.FetchParallel, core.RenameParallel, 2, 8),
 		mk("PR-4x4w", core.FetchParallel, core.RenameParallel, 4, 4),
 		mk("PRd-2x8w", core.FetchParallel, core.RenameDelayed, 2, 8),
+		mk("PRd-4x4w", core.FetchParallel, core.RenameDelayed, 4, 4),
 		mk("TC+PR-2x8w", core.FetchTraceCache, core.RenameParallel, 2, 8),
 	}
 	// TC2x: double the trace cache against the same workload.

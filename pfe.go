@@ -370,18 +370,15 @@ func runSpec(spec program.Spec, m Machine, opts RunOptions) (*Result, error) {
 	return runProgram(p, m, opts, oracle)
 }
 
-// annotArtifact stamps a build-phase span with which cache tier served the
-// lookup (mem-hit / disk-hit / miss, plus the content address).
+// annotArtifact stamps a build-phase span with whether the artifact cache
+// served the lookup (hit / miss, plus the content address).
 func annotArtifact(s span.Span, info artifact.Info) {
 	if !s.OK() || info.Key == "" {
 		return
 	}
-	switch {
-	case info.Source != "":
-		s.Str("artifact", info.Source)
-	case info.Hit:
+	if info.Hit {
 		s.Str("artifact", "hit")
-	default:
+	} else {
 		s.Str("artifact", "miss")
 	}
 	s.Str("artifact_key", info.Key)

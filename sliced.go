@@ -91,9 +91,9 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			sw := ss.Child(span.KindPhase, "slice-warm")
 			sw.Int("warm_insts", sj-warm)
 			wm := newWarmer(rd, p, m)
-			// Through the warm-state artifact tier: a boundary another cell
-			// already reached restores at decode cost instead of replaying
-			// the whole prefix.
+			// Through the artifact cache: a boundary another cell already
+			// reached restores at decode cost instead of replaying the
+			// whole prefix.
 			info, err := warmThrough(wm, pspec, m, uint64(sj-warm), opts)
 			annotArtifact(sw, info)
 			if err != nil {

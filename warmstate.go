@@ -27,10 +27,8 @@ import (
 // structures — at 30 M-instruction warmups it dominates a sampled cell's
 // wall time, and it is identical for every cell that shares the dynamic
 // stream, the warm-relevant machine configuration, and the boundary. Caching
-// the warmed state under that triple and letting it ride the artifact tier
-// chain (in-process memory, then the local disk store) means a sweep — and
-// every later run over the same store — pays the replay once instead of
-// once per cell.
+// the warmed state under that triple in the in-process artifact cache means
+// a sweep pays the replay once instead of once per cell.
 
 const (
 	warmStateMagic   = "PFEW"
@@ -132,8 +130,7 @@ func encodeWarmPack(sections []packSection) []byte {
 }
 
 // warmPackSection extracts one class's snapshot from a pack. A malformed
-// pack or an absent class is an error — the caller quarantines the blob and
-// warms the long way.
+// pack or an absent class is an error.
 func warmPackSection(pack []byte, class string) ([]byte, error) {
 	if len(pack) < len(warmPackMagic)+1+4 || string(pack[:len(warmPackMagic)]) != warmPackMagic {
 		return nil, fmt.Errorf("pfe: warm pack: bad magic")
@@ -218,7 +215,7 @@ func encodeWarmState(w *warmer) ([]byte, error) {
 // decodeWarmState restores a snapshot into a freshly built warmer for the
 // same machine class and seeks its reader to the snapshot boundary. Any
 // mismatch (foreign flags, wrong table geometry, trailing bytes) is an
-// error — the caller quarantines the blob and warms the long way.
+// error.
 func decodeWarmState(w *warmer, data []byte) error {
 	if len(data) < len(warmStateMagic)+1 || string(data[:len(warmStateMagic)]) != warmStateMagic {
 		return fmt.Errorf("pfe: warm state: bad magic")
@@ -562,14 +559,13 @@ func (s *warmSet) snapshot(mb *warmMember) ([]byte, error) {
 	return encodeWarmState(fw)
 }
 
-// warmThrough advances a fresh warmer to boundary, through the warm-state
-// artifact tier when one is attached: the first cell of a sweep to reach a
-// boundary replays the prefix once — training every distinct warm class of
-// the roster side by side — and snapshots the results into one warm pack;
-// every later cell, whatever its class — in this process or, through the
-// disk store, in a later one — restores its section at decode cost. A pack
-// that fails semantic decode is quarantined and the prefix replayed, so a
-// poisoned blob can slow a run but never corrupt it.
+// warmThrough advances a fresh warmer to boundary, through the artifact
+// cache when one is attached: the first cell of a sweep to reach a boundary
+// replays the prefix once — training every distinct warm class of the
+// roster side by side — and snapshots the results into one warm pack; every
+// later cell of the process, whatever its class, restores its section at
+// decode cost. Packs never leave the process, so a decode error is a bug
+// and is returned, not papered over.
 func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts RunOptions) (artifact.Info, error) {
 	if opts.Artifacts == nil || boundary < warmStateMinInsts {
 		return artifact.Info{}, wm.warmTo(boundary)
@@ -611,18 +607,8 @@ func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts
 		return info, nil // this cell ran a solo build: wm is already warm
 	}
 	section, err := warmPackSection(data, warmClassHash(m))
-	if err == nil {
-		err = decodeWarmState(wm, section)
-	}
 	if err != nil {
-		// A failed decode may have partially mutated the warmer — rebuild it
-		// from scratch (same backing reader, rewound) before replaying.
-		opts.Artifacts.QuarantineWarm(info.Key)
-		if err := wm.rd.Seek(0); err != nil {
-			return artifact.Info{Key: info.Key, Source: "quarantined"}, err
-		}
-		*wm = *newWarmer(wm.rd, wm.prog, m)
-		return artifact.Info{Key: info.Key, Source: "quarantined"}, wm.warmTo(boundary)
+		return info, err
 	}
-	return info, nil
+	return info, decodeWarmState(wm, section)
 }

@@ -6,19 +6,8 @@ import (
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/artifact"
-	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
-
-func openStoreT(t *testing.T, dir string) *store.Store {
-	t.Helper()
-	st, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st
-}
 
 // warmStateOpts is a sampled plan whose first-window boundary clears
 // warmStateMinInsts, so the run snapshots (or restores) warm state whenever
@@ -33,11 +22,9 @@ func warmStateOpts() RunOptions {
 
 // TestWarmStateSampledBitIdentical is the warm-state determinism guarantee
 // for sampled runs: a cell that restores the functionally warmed front-end
-// state from a snapshot — in-process, from the disk store of an earlier
-// process, or after an earlier cell of a different width shared it — is
-// bit-identical to the cell that replayed the whole prefix. Covers a plain
-// machine and one with every optional trained structure (live-out predictor
-// and trace cache).
+// state from a cached snapshot is bit-identical to the cell that replayed
+// the whole prefix. Covers a plain machine and one with every optional
+// trained structure (live-out predictor and trace cache).
 func TestWarmStateSampledBitIdentical(t *testing.T) {
 	for _, fe := range []FrontEnd{W16, TCPR2x8w} {
 		fe := fe
@@ -49,9 +36,7 @@ func TestWarmStateSampledBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dir := t.TempDir()
 			cold := artifact.New(0)
-			cold.SetStore(openStoreT(t, dir), nil)
 			opts.Artifacts = cold
 			built, err := Run("gcc", m, opts)
 			if err != nil {
@@ -74,22 +59,6 @@ func TestWarmStateSampledBitIdentical(t *testing.T) {
 			}
 			if s := cold.Stats(); s.WarmHits != 1 {
 				t.Fatalf("warm hits = %d after re-run, want 1", s.WarmHits)
-			}
-
-			// Fresh cache over the same store: a new process restoring the
-			// snapshot from disk.
-			disk := artifact.New(0)
-			disk.SetStore(openStoreT(t, dir), nil)
-			opts.Artifacts = disk
-			restored, err := Run("gcc", m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(baseline, restored) {
-				t.Fatal("disk-restored run diverged from plain run")
-			}
-			if s := disk.Stats(); s.WarmMisses != 1 {
-				t.Fatalf("disk-restored warm misses = %d, want 1 (served below the memory tier)", s.WarmMisses)
 			}
 		})
 	}
@@ -159,8 +128,6 @@ func TestWarmStateUnionWarming(t *testing.T) {
 
 	opts := warmStateOpts()
 	opts.Artifacts = artifact.New(0)
-	unionStore := openStoreT(t, t.TempDir())
-	opts.Artifacts.SetStore(unionStore, nil)
 	opts.WarmRoster = roster
 	for i, fe := range fes {
 		got, err := Run("gzip", Preset(fe), opts)
@@ -178,11 +145,10 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	}
 
 	// Byte-identity of a sibling snapshot: solo-warm the trace-cache class
-	// in its own store and compare blobs.
+	// in its own cache and compare blobs. Both packs are read back from the
+	// caches that built them; a build here means a run left no pack.
 	solo := warmStateOpts()
 	solo.Artifacts = artifact.New(0)
-	soloStore := openStoreT(t, t.TempDir())
-	solo.Artifacts.SetStore(soloStore, nil)
 	if _, err := Run("gzip", Preset(TC), solo); err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +158,19 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	}
 	boundary := uint64(solo.WarmupInsts - solo.Sample.Warmup)
 	class := warmClassHash(Preset(TC))
-	soloPack, ok := soloStore.Get("warm", warmPackKey(spec, warmClasses([]Machine{Preset(TC)}), boundary))
-	if !ok {
-		t.Fatal("solo run left no warm pack")
+	cachedPack := func(c *artifact.Cache, machines []Machine) []byte {
+		t.Helper()
+		pack, _, err := c.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() ([]byte, error) {
+			t.Fatal("run left no warm pack in its cache")
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pack
 	}
-	unionPack, ok := unionStore.Get("warm", warmPackKey(spec, warmClasses(roster), boundary))
-	if !ok {
-		t.Fatal("union build left no warm pack")
-	}
+	soloPack := cachedPack(solo.Artifacts, []Machine{Preset(TC)})
+	unionPack := cachedPack(opts.Artifacts, roster)
 	want, err := warmPackSection(soloPack, class)
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +195,8 @@ func TestWarmStateSlicedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	cold := artifact.New(0)
-	cold.SetStore(openStoreT(t, dir), nil)
-	opts.Artifacts = cold
+	cache := artifact.New(0)
+	opts.Artifacts = cache
 	built, err := Run("gcc", m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -235,67 +204,19 @@ func TestWarmStateSlicedBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(baseline, built) {
 		t.Fatal("snapshot-building sliced run diverged from plain run")
 	}
-	if s := cold.Stats(); s.WarmMisses != 2 {
+	if s := cache.Stats(); s.WarmMisses != 2 {
 		t.Fatalf("warm misses = %d, want 2 (one per interior slice past the gate)", s.WarmMisses)
 	}
 
-	disk := artifact.New(0)
-	disk.SetStore(openStoreT(t, dir), nil)
-	opts.Artifacts = disk
+	// Same cache: every interior slice restores its snapshot from memory.
 	restored, err := Run("gcc", m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(baseline, restored) {
-		t.Fatal("disk-restored sliced run diverged from plain run")
+		t.Fatal("memory-restored sliced run diverged from plain run")
 	}
-}
-
-// TestWarmStateQuarantineFallback poisons a stored snapshot (checksum-valid
-// frame, semantically broken payload) and proves the run survives: the blob
-// is quarantined, the prefix replayed, and the result stays bit-identical.
-func TestWarmStateQuarantineFallback(t *testing.T) {
-	m := Preset(W16)
-	opts := warmStateOpts()
-	baseline, err := Run("gzip", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	seed := artifact.New(0)
-	st := openStoreT(t, dir)
-	seed.SetStore(st, nil)
-	opts.Artifacts = seed
-	if _, err := Run("gzip", m, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	// Overwrite the snapshot with garbage that still carries a valid store
-	// frame (Put recomputes the checksum), then run from a fresh cache. The
-	// boundary is the run warmup minus the per-window detailed warmup.
-	spec, err := program.SpecByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := warmPackKey(spec, warmClasses([]Machine{m}), uint64(opts.WarmupInsts-opts.Sample.Warmup))
-	if !st.Has("warm", key) {
-		t.Fatalf("seeding run left no warm snapshot under %s", key)
-	}
-	if err := st.Put("warm", key, []byte("not a warm snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	poisoned := artifact.New(0)
-	poisoned.SetStore(st, nil)
-	opts.Artifacts = poisoned
-	got, err := Run("gzip", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, got) {
-		t.Fatal("run with poisoned snapshot diverged from plain run")
-	}
-	if st.Stats().Quarantined == 0 {
-		t.Fatal("poisoned snapshot was not quarantined")
+	if s := cache.Stats(); s.WarmMisses != 2 || s.WarmHits != 2 {
+		t.Fatalf("warm traffic after re-run: %d hits / %d misses, want 2 / 2", s.WarmHits, s.WarmMisses)
 	}
 }
