@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
@@ -193,9 +194,11 @@ func TestTapeSeekAllocs(t *testing.T) {
 }
 
 // FuzzTapeSeekReplay feeds random seek offsets (including past-the-end and
-// backward positions) into a truncated recording and requires the sought
-// reader to replay bit-identically to a from-zero replay advanced to the
-// same instruction index.
+// backward positions) into a truncated recording and a halted one, and
+// requires the sought reader to replay bit-identically to a from-zero
+// replay advanced to the same instruction index — through Step, and through
+// ReadBlock in blocks of random sizes, whose instructions past a truncated
+// recording's end count as fallback steps.
 func FuzzTapeSeekReplay(f *testing.F) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {
@@ -209,47 +212,79 @@ func FuzzTapeSeekReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	hp, err := program.Build(program.TestSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	halted, err := Record(hp, 1_000_000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !halted.Halted() {
+		f.Fatalf("test spec should halt within the budget (recorded %d)", halted.Len())
+	}
 	f.Add(uint64(0), uint64(0))
 	f.Add(uint64(IndexStride), uint64(IndexStride-1))
 	f.Add(tape.Len()-1, tape.Len()+50)
 	f.Add(uint64(123456789), uint64(42))
 	f.Fuzz(func(t *testing.T, a, b uint64) {
-		// Bound fallback fast-forwards so a huge random offset doesn't
-		// emulate for minutes; in-tape offsets are used as-is.
-		const span = 4 * IndexStride
-		a %= span
-		b %= span
-		r := tape.NewReader()
-		ref := tape.NewReader()
-		for _, at := range []uint64{a, b} { // second seek exercises reuse + backward
-			if err := r.Seek(at); err != nil {
-				t.Fatalf("Seek(%d): %v", at, err)
-			}
-			if err := ref.Seek(0); err != nil {
-				t.Fatal(err)
-			}
+		rng := rand.New(rand.NewSource(int64(a*31 + b)))
+		// walked is a fresh reader stepped from zero to at.
+		walked := func(tp *Tape, at uint64) *Reader {
+			ref := tp.NewReader()
 			for ref.Pos() < at && !ref.Halted() {
 				if _, err := ref.Step(); err != nil {
 					t.Fatalf("walk to %d: %v", at, err)
 				}
 			}
-			for i := 0; i < 64; i++ {
-				if r.Halted() != ref.Halted() {
-					t.Fatalf("seek %d + %d: halted sought=%v walked=%v", at, i, r.Halted(), ref.Halted())
+			return ref
+		}
+		// Bound fallback fast-forwards so a huge random offset doesn't
+		// emulate for minutes; in-tape offsets are used as-is. The halted
+		// recording's span reaches just past its halt.
+		for _, c := range []struct {
+			tape *Tape
+			span uint64
+		}{{tape, 4 * IndexStride}, {halted, halted.Len() + 64}} {
+			r := c.tape.NewReader()
+			for _, at := range []uint64{a % c.span, b % c.span} { // second seek exercises reuse + backward
+				if err := r.Seek(at); err != nil {
+					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				if r.Halted() {
-					break
+				ref := walked(c.tape, at)
+				for i := 0; i < 64; i++ {
+					if r.Halted() != ref.Halted() {
+						t.Fatalf("seek %d + %d: halted sought=%v walked=%v", at, i, r.Halted(), ref.Halted())
+					}
+					if r.Halted() {
+						break
+					}
+					got, gerr := r.Step()
+					want, werr := ref.Step()
+					if (werr == nil) != (gerr == nil) {
+						t.Fatalf("seek %d + %d: err sought=%v walked=%v", at, i, gerr, werr)
+					}
+					if werr != nil {
+						break
+					}
+					if got != want {
+						t.Fatalf("seek %d + %d: diverged:\n walked %+v\n sought %+v", at, i, want, got)
+					}
 				}
-				got, gerr := r.Step()
-				want, werr := ref.Step()
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("seek %d + %d: err sought=%v walked=%v", at, i, gerr, werr)
+
+				rb := c.tape.NewReader()
+				if err := rb.Seek(at); err != nil {
+					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				if werr != nil {
-					break
+				n := drainBlocks(t, "block", walked(c.tape, at), rb, 1+uint64(rng.Intn(700)), rng)
+				var past int64
+				for i := uint64(0); i < n; i++ {
+					if at+i >= c.tape.Len() {
+						past++
+					}
 				}
-				if got != want {
-					t.Fatalf("seek %d + %d: diverged:\n walked %+v\n sought %+v", at, i, want, got)
+				if got := rb.FallbackSteps(); got != past {
+					t.Fatalf("seek %d: block reader FallbackSteps = %d, want %d", at, got, past)
 				}
 			}
 		}

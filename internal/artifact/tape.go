@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -216,8 +217,11 @@ func (r *Reader) Seek(seq uint64) error {
 	sp := t.index[b]
 	r.pc, r.seq = sp.pc, b*IndexStride
 	r.bitPos, r.auxOff, r.prevEA = sp.bitPos, sp.auxOff, sp.prevEA
+	var dyn [64]frag.Dyn
+	var ea [64]uint64
 	for r.seq < seq {
-		if _, err := r.Step(); err != nil {
+		k := min(seq-r.seq, uint64(len(dyn)))
+		if _, err := r.decode(dyn[:k], ea[:k]); err != nil {
 			return fmt.Errorf("artifact: seek decode at seq %d: %w", r.seq, err)
 		}
 	}
@@ -232,44 +236,116 @@ func (r *Reader) Step() (emu.DynInst, error) {
 	if r.live != nil || r.seq >= r.t.count {
 		return r.stepLive()
 	}
-	in, ok := r.t.prog.InstAt(r.pc)
-	if !ok {
-		return emu.DynInst{}, fmt.Errorf("artifact: replay PC %#x outside code image", r.pc)
+	seq := r.seq
+	var dyn [1]frag.Dyn
+	var ea [1]uint64
+	if _, err := r.decode(dyn[:], ea[:]); err != nil {
+		return emu.DynInst{}, err
 	}
-	d := emu.DynInst{Seq: r.seq, PC: r.pc, Inst: in}
-	next := r.pc + isa.InstBytes
-	switch {
-	case in.IsCondBranch():
-		if r.t.taken[r.bitPos>>3]>>(r.bitPos&7)&1 != 0 {
-			d.Taken = true
-			next = uint64(int64(r.pc) + isa.InstBytes + int64(in.Imm)*isa.InstBytes)
-		}
-		r.bitPos++
-	case in.IsDirectJump():
-		next = uint64(in.Imm) * isa.InstBytes
-	case in.IsIndirect():
-		v, n := binary.Uvarint(r.t.aux[r.auxOff:])
-		if n <= 0 {
-			return emu.DynInst{}, fmt.Errorf("artifact: corrupt tape (indirect target at seq %d)", r.seq)
-		}
-		r.auxOff += n
-		next = v
-	case in.IsMem():
-		delta, n := binary.Varint(r.t.aux[r.auxOff:])
-		if n <= 0 {
-			return emu.DynInst{}, fmt.Errorf("artifact: corrupt tape (EA delta at seq %d)", r.seq)
-		}
-		r.auxOff += n
-		d.EA = uint64(int64(r.prevEA) + delta)
-		r.prevEA = d.EA
-	case in.Op == isa.OpHalt:
-		next = r.pc
-		r.halted = true
+	d := &dyn[0] // field by field, with loads no wider than decode's stores
+	return emu.DynInst{Seq: seq, PC: d.PC, Inst: d.Inst, NextPC: r.pc, Taken: d.Taken, EA: ea[0]}, nil
+}
+
+// ReadBlock decodes the next len(dyn) instructions of the true dynamic
+// stream into dyn, and each one's effective address (0 unless it accesses
+// memory) into ea, which must be at least as long. It stops early after a
+// halt, and continues through the live fallback past the end of a
+// truncated recording, as Step does. It returns how many instructions it
+// decoded; on a halted reader that is 0, with emu.ErrHalted.
+func (r *Reader) ReadBlock(dyn []frag.Dyn, ea []uint64) (int, error) {
+	if r.halted {
+		return 0, emu.ErrHalted
 	}
-	d.NextPC = next
-	r.pc = next
-	r.seq++
-	return d, nil
+	n := 0
+	for n < len(dyn) && !r.halted {
+		if r.live == nil && r.seq < r.t.count {
+			k, err := r.decode(dyn[n:], ea[n:])
+			n += k
+			if err != nil {
+				return n, err
+			}
+			continue
+		}
+		d, err := r.stepLive()
+		if err != nil {
+			return n, err
+		}
+		dyn[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
+		ea[n] = d.EA
+		n++
+	}
+	return n, nil
+}
+
+// decode is the one decoder of the tape format. It replays recorded
+// instructions into dyn and their effective addresses into ea — as many as
+// dyn holds, stopping at the recording's end and after a halt — and
+// returns how many it replayed. The cursor advances past each of them.
+func (r *Reader) decode(dyn []frag.Dyn, ea []uint64) (int, error) {
+	t := r.t
+	if rest := t.count - r.seq; uint64(len(dyn)) > rest {
+		dyn = dyn[:rest]
+	}
+	ea = ea[:len(dyn)]
+	pc, bitPos, auxOff, prevEA := r.pc, r.bitPos, r.auxOff, r.prevEA
+	n := 0
+	var err error
+	for n < len(dyn) {
+		in, ok := t.prog.InstAt(pc)
+		if !ok {
+			err = fmt.Errorf("artifact: replay PC %#x outside code image", pc)
+			break
+		}
+		next := pc + isa.InstBytes
+		taken := false
+		var addr uint64
+		switch {
+		case in.IsCondBranch():
+			if t.taken[bitPos>>3]>>(bitPos&7)&1 != 0 {
+				taken = true
+				next = uint64(int64(pc) + isa.InstBytes + int64(in.Imm)*isa.InstBytes)
+			}
+			bitPos++
+		case in.IsDirectJump():
+			next = uint64(in.Imm) * isa.InstBytes
+		case in.IsIndirect():
+			v, k := binary.Uvarint(t.aux[auxOff:])
+			if k <= 0 {
+				err = fmt.Errorf("artifact: corrupt tape (indirect target at seq %d)", r.seq+uint64(n))
+				break
+			}
+			auxOff += k
+			next = v
+		case in.IsMem():
+			delta, k := binary.Varint(t.aux[auxOff:])
+			if k <= 0 {
+				err = fmt.Errorf("artifact: corrupt tape (EA delta at seq %d)", r.seq+uint64(n))
+				break
+			}
+			auxOff += k
+			addr = uint64(int64(prevEA) + delta)
+			prevEA = addr
+		case in.Op == isa.OpHalt:
+			next = pc
+			r.halted = true
+		}
+		if err != nil {
+			break
+		}
+		// Field by field: a composite literal is built on the stack and
+		// copied with loads wider than its stores, which stalls.
+		d := &dyn[n]
+		d.PC, d.Inst, d.Taken = pc, in, taken
+		ea[n] = addr
+		pc = next
+		n++
+		if r.halted {
+			break
+		}
+	}
+	r.pc, r.bitPos, r.auxOff, r.prevEA = pc, bitPos, auxOff, prevEA
+	r.seq += uint64(n)
+	return n, err
 }
 
 // stepLive serves instructions past the recorded end: a fresh emulator is

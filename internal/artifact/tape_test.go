@@ -2,9 +2,11 @@ package artifact
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
@@ -36,9 +38,59 @@ func drainBoth(t *testing.T, name string, live, replay emu.Oracle, n uint64) uin
 	return i
 }
 
+// drainBlocks reads up to n instructions from r through ReadBlock, in
+// blocks of random sizes, and requires each one's PC, instruction,
+// direction and effective address to match want's next Step. A block may
+// come back short only at a halt, which both streams must reach together.
+// Returns how many instructions r produced.
+func drainBlocks(t *testing.T, name string, want emu.Oracle, r *Reader, n uint64, rng *rand.Rand) uint64 {
+	t.Helper()
+	var dyn [300]frag.Dyn
+	var ea [300]uint64
+	var i uint64
+	for i < n {
+		k := 1 + rng.Intn(len(dyn))
+		if rest := n - i; uint64(k) > rest {
+			k = int(rest)
+		}
+		got, err := r.ReadBlock(dyn[:k], ea[:k])
+		if errors.Is(err, emu.ErrHalted) && got == 0 && want.Halted() {
+			return i
+		}
+		if err != nil {
+			t.Fatalf("%s: ReadBlock at +%d: %v", name, i, err)
+		}
+		for j := 0; j < got; j++ {
+			w, werr := want.Step()
+			if werr != nil {
+				t.Fatalf("%s: reference at +%d: %v", name, i+uint64(j), werr)
+			}
+			if d := (frag.Dyn{PC: w.PC, Inst: w.Inst, Taken: w.Taken}); dyn[j] != d || ea[j] != w.EA {
+				t.Fatalf("%s: seq %d: block decode diverged:\n want %+v ea %#x\n got  %+v ea %#x",
+					name, w.Seq, d, w.EA, dyn[j], ea[j])
+			}
+			if j == got-1 && r.Pos() != w.Seq+1 {
+				t.Fatalf("%s: Pos() = %d after seq %d", name, r.Pos(), w.Seq)
+			}
+		}
+		i += uint64(got)
+		if got < k {
+			if !r.Halted() || !want.Halted() {
+				t.Fatalf("%s: short block (%d of %d) at +%d: halted reader=%v reference=%v",
+					name, got, k, i, r.Halted(), want.Halted())
+			}
+			return i
+		}
+	}
+	return i
+}
+
 // TestTapeReplayBitIdentical replays every suite benchmark against the live
 // emulator and requires the identical DynInst stream, including the region
 // past the recorded end (the live-fallback path) and post-halt behaviour.
+// The block decoder must produce the same stream from the start, after a
+// Seek, and through the fallback, whose instructions it counts; on the
+// halting program it must stop at the halt.
 func TestTapeReplayBitIdentical(t *testing.T) {
 	for _, name := range program.SuiteNames() {
 		name := name
@@ -59,8 +111,50 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 			// Drain past the tape's end so the fallback region is compared
 			// too.
 			drainBoth(t, name, emu.New(p), tape.NewReader(), budget+5_000)
+
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			rb := tape.NewReader()
+			if n := drainBlocks(t, name, emu.New(p), rb, budget+5_000, rng); n != budget+5_000 {
+				t.Fatalf("block reader produced %d instructions, want %d", n, budget+5_000)
+			}
+			if got := rb.FallbackSteps(); got != 5_000 {
+				t.Fatalf("block reader FallbackSteps = %d, want 5000", got)
+			}
+
+			const at = IndexStride + 123
+			sought, live := tape.NewReader(), emu.New(p)
+			if err := sought.Seek(at); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := live.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			drainBlocks(t, name+"-seek", live, sought, 3_000, rng)
 		})
 	}
+	t.Run("halt", func(t *testing.T) {
+		p, err := program.Build(program.TestSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape, err := Record(p, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb := tape.NewReader()
+		rng := rand.New(rand.NewSource(1))
+		if n := drainBlocks(t, "testspec", emu.New(p), rb, 1_000_000, rng); n != tape.Len() {
+			t.Fatalf("block reader produced %d instructions, tape recorded %d", n, tape.Len())
+		}
+		var dyn [4]frag.Dyn
+		var ea [4]uint64
+		if n, err := rb.ReadBlock(dyn[:], ea[:]); n != 0 || !errors.Is(err, emu.ErrHalted) {
+			t.Fatalf("ReadBlock after halt: %d, %v; want 0, ErrHalted", n, err)
+		}
+		if got := tape.FallbackSteps(); got != 0 {
+			t.Fatalf("halting block replay used the fallback: %d steps", got)
+		}
+	})
 }
 
 // TestTapeReplayHalt runs the halting miniature benchmark to completion on

@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
@@ -118,5 +119,27 @@ func TestPredictorSuiteDeterminism(t *testing.T) {
 	a2, n2 := run()
 	if a1 != a2 || n1 != n2 {
 		t.Errorf("nondeterministic: %.6f/%d vs %.6f/%d", a1, n1, a2, n2)
+	}
+}
+
+// TestPredictUpdateEqualsPredictThenUpdate: the one-hash call leaves the
+// tables and every counter exactly as Predict followed by Update on the
+// same history does, and returns the same prediction.
+func TestPredictUpdateEqualsPredictThenUpdate(t *testing.T) {
+	cfg := Config{PrimaryEntries: 1 << 10, SecondaryEntries: 1 << 8, DOLC: DefaultDOLC()}
+	a, b := New(cfg), New(cfg)
+	var ha, hb History
+	for i := 0; i < 5000; i++ {
+		id := frag.ID{StartPC: uint64(i*i%53) * 4, BrMask: uint32(i % 3), NumBr: uint8(i % 2)}
+		want := a.Predict(&ha)
+		a.Update(&ha, id)
+		if got := b.PredictUpdate(&hb, id); got != want {
+			t.Fatalf("step %d: PredictUpdate %+v, Predict %+v", i, got, want)
+		}
+		ha.Push(id.Key())
+		hb.Push(id.Key())
+	}
+	if !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+		t.Fatal("tables or counters differ")
 	}
 }

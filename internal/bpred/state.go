@@ -89,12 +89,14 @@ func (h *History) AppendState(b []byte) []byte {
 }
 
 // LoadState restores a history snapshot, returning the remaining bytes.
+// The folds are derived from the restored keys, as Push derives them.
 func (h *History) LoadState(b []byte) ([]byte, error) {
 	if len(b) < maxDepth*8+2 {
 		return nil, fmt.Errorf("bpred: truncated history state")
 	}
 	for i := range h.keys {
 		h.keys[i] = binary.LittleEndian.Uint64(b[i*8:])
+		h.foldSlot(i)
 	}
 	b = b[maxDepth*8:]
 	h.n, h.head = int(b[0]), int(b[1])

@@ -13,12 +13,16 @@
 package bpred
 
 import (
+	"fmt"
+
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
 // DOLC carries the history-hashing parameters of the Jacobson et al.
 // predictor: history Depth, bits taken from Older IDs, bits from the Last
-// ID, and bits from the Current (most recent) ID.
+// ID, and bits from the Current (most recent) ID. Any Depth up to 16 is
+// supported; the widths must be Table 1's, because History folds each key
+// to them once, when the key is pushed.
 type DOLC struct {
 	Depth   int
 	Older   uint
@@ -26,31 +30,56 @@ type DOLC struct {
 	Current uint
 }
 
+// Table 1's DOLC widths: the widths History folds every key to.
+const (
+	olderBits   = 4
+	lastBits    = 7
+	currentBits = 9
+)
+
 // DefaultDOLC returns the paper's Table 1 parameters.
-func DefaultDOLC() DOLC { return DOLC{Depth: 9, Older: 4, Last: 7, Current: 9} }
+func DefaultDOLC() DOLC {
+	return DOLC{Depth: 9, Older: olderBits, Last: lastBits, Current: currentBits}
+}
 
 // maxDepth bounds the history ring so History stays a copyable value type
-// cheap enough to checkpoint per in-flight fragment.
+// cheap enough to checkpoint per in-flight fragment. It is a power of two.
 const maxDepth = 16
 
 // History is the speculative path history: the keys of the most recent
-// fragment IDs, newest last. It is a value type — the fetch unit copies it
+// fragment IDs, newest last, each stored beside its folds to the Current,
+// Last and Older widths. It is a value type — the fetch unit copies it
 // into a checkpoint before each prediction so that recovery after a
 // misprediction restores the exact history the paper's hardware would.
 type History struct {
-	keys [maxDepth]uint64
-	n    int // ring fill for warm-up behaviour; saturates at maxDepth
-	head int // index of the oldest key
+	keys  [maxDepth]uint64
+	cur   [maxDepth]uint16 // fold(key, currentBits)
+	last  [maxDepth]uint8  // fold(key, lastBits)
+	older [maxDepth]uint8  // fold(key, olderBits)
+	n     int              // ring fill for warm-up behaviour; saturates at maxDepth
+	head  int              // index of the oldest key
 }
 
-// Push appends the key of a new fragment ID, evicting the oldest.
+// Push appends the key of a new fragment ID, evicting the oldest. The key
+// is folded to the three DOLC widths here, once, rather than on every
+// lookup that sees it.
 func (h *History) Push(key uint64) {
-	h.keys[(h.head+h.n)%maxDepth] = key
+	i := (h.head + h.n) % maxDepth
+	h.keys[i] = key
+	h.foldSlot(i)
 	if h.n == maxDepth {
 		h.head = (h.head + 1) % maxDepth
 	} else {
 		h.n++
 	}
+}
+
+// foldSlot derives slot i's folds from its key.
+func (h *History) foldSlot(i int) {
+	k := h.keys[i]
+	h.cur[i] = uint16(fold(k, currentBits))
+	h.last[i] = uint8(fold(k, lastBits))
+	h.older[i] = uint8(fold(k, olderBits))
 }
 
 // recent returns the i-th most recent key (i=0 is newest); zero if the
@@ -97,7 +126,8 @@ type TracePredictor struct {
 }
 
 // New creates a predictor with the given configuration; sizes are rounded
-// up to powers of two.
+// up to powers of two. It panics on DOLC widths other than Table 1's, which
+// History cannot hash.
 func New(cfg Config) *TracePredictor {
 	if cfg.PrimaryEntries <= 0 {
 		cfg.PrimaryEntries = 64 << 10
@@ -110,6 +140,10 @@ func New(cfg Config) *TracePredictor {
 	}
 	if cfg.DOLC.Depth > maxDepth {
 		cfg.DOLC.Depth = maxDepth
+	}
+	if d := cfg.DOLC; d.Older != olderBits || d.Last != lastBits || d.Current != currentBits {
+		panic(fmt.Sprintf("bpred: DOLC widths O=%d L=%d C=%d unsupported: History folds keys to O=%d L=%d C=%d",
+			d.Older, d.Last, d.Current, olderBits, lastBits, currentBits))
 	}
 	pb, sb := tableBits(cfg.PrimaryEntries), tableBits(cfg.SecondaryEntries)
 	return &TracePredictor{
@@ -147,21 +181,23 @@ func fold(v uint64, bits uint) uint64 {
 
 // primaryIndex hashes the full DOLC history: Current bits from the newest
 // ID, Last bits from the next, Older bits from each of the remaining
-// Depth-2 IDs, concatenated and folded to the table size.
+// Depth-2 IDs, concatenated (wrapping at 48 bits) and folded to the table
+// size. The per-key folds were made at push. A ring that is not full yet
+// holds zeros beyond its keys, so an ID the history does not hold yet
+// contributes zero.
 func (p *TracePredictor) primaryIndex(h *History) int {
-	d := p.cfg.DOLC
-	var acc uint64
-	var width uint
-	push := func(v uint64, bits uint) {
-		acc ^= (v & (1<<bits - 1)) << (width % 48)
-		width += bits
+	const ring = maxDepth - 1
+	newest := h.head + h.n - 1
+	acc := uint64(h.cur[newest&ring])
+	if p.cfg.DOLC.Depth > 1 {
+		acc ^= uint64(h.last[(newest-1)&ring]) << currentBits
 	}
-	push(fold(h.recent(0), d.Current), d.Current)
-	if d.Depth > 1 {
-		push(fold(h.recent(1), d.Last), d.Last)
-	}
-	for i := 2; i < d.Depth; i++ {
-		push(fold(h.recent(i), d.Older), d.Older)
+	shift := uint(currentBits + lastBits)
+	for i := 2; i < p.cfg.DOLC.Depth; i++ {
+		acc ^= uint64(h.older[(newest-i)&ring]) << shift
+		if shift += olderBits; shift >= 48 {
+			shift -= 48
+		}
 	}
 	return int(fold(acc, p.primaryBits))
 }
@@ -205,15 +241,38 @@ func (p *TracePredictor) Predict(h *History) Prediction {
 // stream — speculative fetch uses checkpointed histories, so recovery is a
 // history restore plus retraining, as in the paper.
 func (p *TracePredictor) Update(h *History, actual frag.ID) {
-	p.updates++
-	// The history is hashed once and the indices shared between the
-	// accuracy peek and the training writes — Update is called once per
-	// true-path fragment by the simulator and the functional warmer alike,
-	// and the DOLC fold is the predictor's hottest computation.
 	pi, si := p.primaryIndex(h), p.secondaryIndex(h)
-	if pred := p.peekAt(pi, si); pred.Valid && pred.ID == actual {
+	p.score(p.peekAt(pi, si), actual)
+	p.train(pi, si, actual)
+}
+
+// PredictUpdate is Predict(h) followed by Update(h, actual) over one hash
+// of h, counters included: it returns what Predict would have said and
+// trains both tables as Update does. It serves a caller whose prediction
+// and retirement histories are the same history, as the functional
+// warmers' are.
+func (p *TracePredictor) PredictUpdate(h *History, actual frag.ID) Prediction {
+	pi, si := p.primaryIndex(h), p.secondaryIndex(h)
+	pred := p.peekAt(pi, si)
+	p.predicts++
+	if pred.FromSecondary {
+		p.fromSec++
+	}
+	p.score(pred, actual)
+	p.train(pi, si, actual)
+	return pred
+}
+
+// score counts one trained fragment and whether pred had it right.
+func (p *TracePredictor) score(pred Prediction, actual frag.ID) {
+	p.updates++
+	if pred.Valid && pred.ID == actual {
 		p.correct++
 	}
+}
+
+// train moves both tables' entries at the given indices toward actual.
+func (p *TracePredictor) train(pi, si int, actual frag.ID) {
 	train := func(e *entry) {
 		if e.id == actual {
 			if e.ctr < 3 {

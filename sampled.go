@@ -5,16 +5,10 @@ import (
 	"math"
 
 	"github.com/parallel-frontend/pfe/internal/artifact"
-	"github.com/parallel-frontend/pfe/internal/bpred"
-	"github.com/parallel-frontend/pfe/internal/core"
-	"github.com/parallel-frontend/pfe/internal/frag"
-	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/metrics"
 	"github.com/parallel-frontend/pfe/internal/program"
-	"github.com/parallel-frontend/pfe/internal/rename"
 	"github.com/parallel-frontend/pfe/internal/sim"
 	"github.com/parallel-frontend/pfe/internal/stats"
-	"github.com/parallel-frontend/pfe/internal/tcache"
 )
 
 // SampleSpec configures systematic sampling: a detailed window of Unit
@@ -73,189 +67,6 @@ func measuredSpan(tape *artifact.Tape, opts RunOptions) (int64, error) {
 	return total, nil
 }
 
-// warmer functionally replays the skipped stream through the long-lived
-// machine state a detailed window or slice inherits from its prefix: every
-// instruction touches the L1I, memory operations touch the L1D, and the
-// fragment-granular structures (fragment predictor, live-out predictor,
-// trace cache) are trained by emulating the fetch stream's true-path
-// prediction loop. That loop is exactly reconstructible without cycle
-// simulation: the stream only updates the fragment predictor on the true
-// path, with an anchor and history evolution that depend solely on the
-// dynamic stream and the predictor's own answers — a divergence re-anchors
-// fragment selection at the first mismatched instruction, which is why
-// naive clean splitting trains a measurably different table population than
-// the machine would. Reconstructing this state at tape-replay cost instead
-// of cycle-simulation cost is the piece of SMARTS that keeps systematic
-// sampling unbiased: the pipeline and in-flight window warm quickly inside
-// the detailed warmup, but caches and predictor tables reach back much
-// further than any affordable detailed region.
-type warmer struct {
-	rd   *artifact.Reader
-	hier *mem.Hierarchy
-	pred *bpred.TracePredictor
-	lo   *rename.LiveOutPredictor // nil: machine has no live-out predictor
-	tc   *tcache.Cache            // nil: machine has no trace cache
-	prog *program.Program
-	heur frag.Heuristics
-
-	// Prediction-loop state, mirroring core.Stream: the speculative and
-	// retirement path histories and a lookahead of pending true-path
-	// instructions (the stream's oracle ring). The lookahead is at least
-	// frag.AbsMaxLen deep whenever a fragment is trained, so every split
-	// and match decision is exact.
-	specHist   bpred.History
-	retireHist bpred.History
-	buf        [2 * frag.AbsMaxLen]frag.Dyn
-	n          int
-	fragMemo   map[frag.ID]*frag.Fragment  // FromCode is pure; memoized as in core.Stream
-	loMemo     map[frag.ID]rename.LiveOuts // ComputeLiveOuts is pure per fragment
-
-	// lastIBlk is the previously touched L1I block address: straight-line
-	// code stays in one block for many instructions, so warming touches the
-	// L1I once per block transition rather than once per instruction (the
-	// resident-block set is identical, only redundant LRU refreshes of the
-	// just-touched way are elided).
-	lastIBlk uint64
-	iblkMask uint64
-}
-
-// newWarmer builds the functional warming state for one machine: a fresh
-// hierarchy plus every trained front-end structure the machine actually has
-// (fragment predictor always; live-out predictor and trace cache when the
-// front-end uses them). The structures are returned to the caller through
-// the sim.Config seams.
-func newWarmer(rd *artifact.Reader, p *program.Program, m Machine) *warmer {
-	w := &warmer{
-		rd:   rd,
-		hier: mem.NewHierarchy(m.memory),
-		pred: bpred.New(m.frontEnd.Predictor),
-		prog: p,
-		heur: m.frontEnd.FragHeuristics,
-	}
-	if m.frontEnd.Rename == core.RenameParallel {
-		w.lo = rename.NewLiveOutPredictor(m.frontEnd.LiveOut)
-	}
-	if m.frontEnd.Fetch == core.FetchTraceCache {
-		w.tc = tcache.New(tcache.Config{SizeBytes: m.frontEnd.TraceCache, Ways: 2})
-	}
-	w.fragMemo = make(map[frag.ID]*frag.Fragment, 256)
-	w.loMemo = make(map[frag.ID]rename.LiveOuts, 256)
-	w.iblkMask = ^uint64(w.hier.L1I.BlockBytes() - 1)
-	w.lastIBlk = ^uint64(0)
-	return w
-}
-
-// config installs the warmed structures into a window's simulator config.
-func (w *warmer) config(cfg *sim.Config) {
-	cfg.Hier = w.hier
-	cfg.Pred = w.pred
-	cfg.LiveOut = w.lo
-	cfg.TC = w.tc
-}
-
-// warmTo replays the stream up to (but not including) sequence index upto,
-// leaving the reader exactly there (or at the halt point). Each instruction
-// touches the caches once, in stream order; complete fragments at the front
-// of the lookahead drive one training step each. A partial tail fragment at
-// the gap boundary is left for the detailed warmup to handle.
-func (w *warmer) warmTo(upto uint64) error {
-	for {
-		for w.n < len(w.buf) && w.rd.Pos() < upto && !w.rd.Halted() {
-			d, err := w.rd.Step()
-			if err != nil {
-				return err
-			}
-			if blk := d.PC & w.iblkMask; blk != w.lastIBlk {
-				w.hier.L1I.Access(d.PC, false, 0)
-				w.lastIBlk = blk
-			}
-			if d.Inst.IsMem() {
-				w.hier.L1D.Access(d.EA, d.Inst.IsStore(), 0)
-			}
-			w.buf[w.n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-			w.n++
-		}
-		if w.n < frag.AbsMaxLen {
-			// The fill loop stopped with less than one guaranteed-complete
-			// fragment of lookahead, so the gap (or the program) is
-			// exhausted; the reader sits exactly at the boundary.
-			return nil
-		}
-		w.train()
-	}
-}
-
-// resync drops the pending lookahead after a discontinuity (a detailed
-// window consumed the stream between two warming phases): stitching
-// instructions from either side of the window into one fragment would train
-// the predictor on boundaries that never occur.
-func (w *warmer) resync() { w.n = 0 }
-
-// fragOf memoizes FromCode like core.Stream does.
-func (w *warmer) fragOf(id frag.ID) *frag.Fragment {
-	f, ok := w.fragMemo[id]
-	if !ok {
-		f = w.heur.FromCode(w.prog, id)
-		w.fragMemo[id] = f
-	}
-	return f
-}
-
-// train performs one iteration of the stream's true-path prediction loop
-// against the front of the lookahead: predict the next fragment from the
-// speculative history, materialize it, compare it against the true stream,
-// update the fragment predictor on the retirement history, and advance the
-// anchor — by the true fragment on a correct prediction, to the first
-// mismatched instruction on a divergence (the stream's redirect re-anchor,
-// which also restores the speculative history). The fetched fragment also
-// trains the live-out predictor and fills the trace cache, as renaming and
-// fetch would.
-func (w *warmer) train() {
-	trueLen, trueID := w.heur.Split(w.buf[:w.n])
-	if trueLen <= 0 {
-		w.n = 0
-		return
-	}
-	pred := w.pred.Predict(&w.specHist)
-	id := frag.ID{StartPC: w.buf[0].PC}
-	if pred.Valid && pred.ID.StartPC == w.buf[0].PC {
-		id = pred.ID
-	}
-	f := w.fragOf(id)
-	m := 0
-	for ; m < f.Len() && m < w.n; m++ {
-		if w.buf[m].PC != f.PCs[m] {
-			break
-		}
-	}
-	w.pred.Update(&w.retireHist, trueID)
-	w.retireHist.Push(trueID.Key())
-	if w.lo != nil && f.Len() > 0 {
-		lo, ok := w.loMemo[f.ID]
-		if !ok {
-			lo = rename.ComputeLiveOuts(f.Insts)
-			w.loMemo[f.ID] = lo
-		}
-		w.lo.Train(f.ID, lo)
-	}
-	if w.tc != nil && f.Len() > 0 {
-		w.tc.Fill(f)
-	}
-	adv := trueLen
-	if m == f.Len() && f.ID == trueID {
-		w.specHist.Push(f.ID.Key())
-	} else {
-		// Divergence: fetch resumes at the first mismatch and the
-		// speculative history is restored from the retirement checkpoint.
-		w.specHist = w.retireHist
-		if adv = m; adv <= 0 {
-			adv = 1 // cannot happen (the start PC is forced correct)
-		}
-	}
-	copy(w.buf[:], w.buf[adv:w.n])
-	w.n -= adv
-}
-
 // runSampled is the systematic-sampling run mode: detailed windows planned
 // by stats.SampleWindows over the measured stream, with the gaps replayed
 // through the cache model (functional warming) instead of simulated. The
@@ -282,7 +93,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	// detailed windows and functionally warming the gaps, so the long-lived
 	// state carries the full stream history into every window.
 	rd := tape.NewReader()
-	wm := newWarmer(rd, p, m)
+	wm := newWarmSet(rd, p, []Machine{m})
 	parts := make([]*sim.Result, 0, len(windows))
 	ipcs := make([]float64, 0, len(windows))
 	cpis := make([]float64, 0, len(windows))
@@ -341,11 +152,6 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 				return nil, err
 			}
 		}
-		// Each window's miss rates describe its own detailed traffic, not
-		// the warming replay's.
-		wm.hier.L1I.ResetStats()
-		wm.hier.L1D.ResetStats()
-		wm.hier.L2.ResetStats()
 		cfg := sim.Config{
 			FrontEnd:         m.frontEnd,
 			Backend:          m.backend,

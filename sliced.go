@@ -90,7 +90,7 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			// untouched.
 			sw := ss.Child(span.KindPhase, "slice-warm")
 			sw.Int("warm_insts", sj-warm)
-			wm := newWarmer(rd, p, m)
+			wm := newWarmSet(rd, p, []Machine{m})
 			// Through the artifact cache: a boundary another cell already
 			// reached restores at decode cost instead of replaying the
 			// whole prefix.
@@ -103,9 +103,6 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 				return
 			}
 			sw.End()
-			wm.hier.L1I.ResetStats()
-			wm.hier.L1D.ResetStats()
-			wm.hier.L2.ResetStats()
 			wm.config(&cfg)
 		}
 		if k == 1 {

@@ -17,6 +17,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
+	"github.com/parallel-frontend/pfe/internal/sim"
 	"github.com/parallel-frontend/pfe/internal/tcache"
 )
 
@@ -32,7 +33,7 @@ import (
 
 const (
 	warmStateMagic   = "PFEW"
-	warmStateVersion = 1
+	warmStateVersion = 2
 
 	warmPackMagic   = "PFWP"
 	warmPackVersion = 1
@@ -166,34 +167,33 @@ func warmPackSection(pack []byte, class string) ([]byte, error) {
 	return nil, fmt.Errorf("pfe: warm pack: no section for class %s", class)
 }
 
-// encodeWarmState serializes a warmer that has just finished warmTo: reader
-// position, the L1I block-elision cursor, both path histories, the
-// hierarchy, and the trained structures the machine has. The pending
-// lookahead is not serialized — every consumer resyncs (drops it) before
-// the next training step, so the post-restore state is exactly the
+// encodeWarmState serializes one member of a warm set that has just
+// finished warmTo: reader position, the L1I block-elision cursor, the path
+// history, the hierarchy, and the trained structures the class has. The
+// pending lookahead is not serialized — every consumer resyncs (drops it)
+// before the next training step, so the post-restore state is exactly the
 // post-resync state. The payload is gzip-compressed: cold table regions are
 // long runs of zeros.
-func encodeWarmState(w *warmer) ([]byte, error) {
+func encodeWarmState(s *warmSet, mb *warmMember) ([]byte, error) {
 	raw := make([]byte, 0, 1<<20)
-	raw = binary.LittleEndian.AppendUint64(raw, w.rd.Pos())
-	raw = binary.LittleEndian.AppendUint64(raw, w.lastIBlk)
+	raw = binary.LittleEndian.AppendUint64(raw, s.rd.Pos())
+	raw = binary.LittleEndian.AppendUint64(raw, mb.hier.lastIBlk)
 	var flags byte
-	if w.lo != nil {
+	if mb.lo != nil {
 		flags |= 1
 	}
-	if w.tc != nil {
+	if mb.tc != nil {
 		flags |= 2
 	}
 	raw = append(raw, flags)
-	raw = w.specHist.AppendState(raw)
-	raw = w.retireHist.AppendState(raw)
-	raw = w.hier.AppendState(raw)
-	raw = w.pred.AppendState(raw)
-	if w.lo != nil {
-		raw = w.lo.AppendState(raw)
+	raw = mb.loop.hist.AppendState(raw)
+	raw = mb.hier.hier.AppendState(raw)
+	raw = mb.loop.pred.AppendState(raw)
+	if mb.lo != nil {
+		raw = mb.lo.AppendState(raw)
 	}
-	if w.tc != nil {
-		raw = w.tc.AppendState(raw)
+	if mb.tc != nil {
+		raw = mb.tc.AppendState(raw)
 	}
 
 	var buf bytes.Buffer
@@ -212,11 +212,11 @@ func encodeWarmState(w *warmer) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeWarmState restores a snapshot into a freshly built warmer for the
-// same machine class and seeks its reader to the snapshot boundary. Any
-// mismatch (foreign flags, wrong table geometry, trailing bytes) is an
+// decodeWarmState restores a snapshot into a freshly built solo warm set
+// for the same machine class and seeks its reader to the snapshot boundary.
+// Any mismatch (foreign flags, wrong table geometry, trailing bytes) is an
 // error.
-func decodeWarmState(w *warmer, data []byte) error {
+func decodeWarmState(s *warmSet, data []byte) error {
 	if len(data) < len(warmStateMagic)+1 || string(data[:len(warmStateMagic)]) != warmStateMagic {
 		return fmt.Errorf("pfe: warm state: bad magic")
 	}
@@ -237,64 +237,84 @@ func decodeWarmState(w *warmer, data []byte) error {
 	if len(raw) < 8+8+1 {
 		return fmt.Errorf("pfe: warm state: truncated header")
 	}
+	mb := &s.members[0]
 	pos := binary.LittleEndian.Uint64(raw)
 	lastIBlk := binary.LittleEndian.Uint64(raw[8:])
 	flags := raw[16]
-	if (flags&1 != 0) != (w.lo != nil) || (flags&2 != 0) != (w.tc != nil) {
+	if (flags&1 != 0) != (mb.lo != nil) || (flags&2 != 0) != (mb.tc != nil) {
 		return fmt.Errorf("pfe: warm state: structure flags %#x do not match machine", flags)
 	}
 	b := raw[17:]
-	if b, err = w.specHist.LoadState(b); err != nil {
+	if b, err = mb.loop.hist.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.retireHist.LoadState(b); err != nil {
+	if b, err = mb.hier.hier.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.hier.LoadState(b); err != nil {
+	if b, err = mb.loop.pred.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.pred.LoadState(b); err != nil {
-		return err
-	}
-	if w.lo != nil {
-		if b, err = w.lo.LoadState(b); err != nil {
+	if mb.lo != nil {
+		if b, err = mb.lo.LoadState(b); err != nil {
 			return err
 		}
 	}
-	if w.tc != nil {
-		if b, err = w.tc.LoadState(b, w.fragOf); err != nil {
+	if mb.tc != nil {
+		if b, err = mb.tc.LoadState(b, mb.loop.fragOf); err != nil {
 			return err
 		}
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("pfe: warm state: %d trailing bytes", len(b))
 	}
-	if err := w.rd.Seek(pos); err != nil {
+	if err := s.rd.Seek(pos); err != nil {
 		return err
 	}
-	w.lastIBlk = lastIBlk
-	w.n = 0
+	mb.hier.lastIBlk = lastIBlk
 	return nil
 }
 
-// Union (matrix) warming. A sweep's cells all skip the same prefix, but
-// split into warm classes by their trained structures; replaying the prefix
-// once per class still repeats the expensive parts — tape decode and cache
-// hierarchy training — for every class. The warmer's training loop has a
-// strict dependency order that makes one shared replay exact: the cache
-// hierarchies observe only the dynamic stream; the fragment predictor and
-// both path histories observe only the stream and themselves; the live-out
-// predictor and trace cache observe only the fetched-fragment sequence,
-// which is fully determined by (stream, predictor). Nothing ever reads a
-// hierarchy, live-out predictor or trace cache during warming. So a single
-// pass can drive one prediction loop per (predictor config, heuristics)
-// anchor group, feed every distinct hierarchy, and fill every distinct
-// live-out predictor and trace cache — and each class's snapshot assembled
-// from those components is bit-for-bit the snapshot a solo warm of that
-// class would have produced (TestWarmSet pins this).
+// Functional warming replays the skipped stream through the long-lived
+// machine state a detailed window or slice inherits from its prefix: every
+// instruction touches the L1I, memory operations touch the L1D, and the
+// fragment-granular structures (fragment predictor, live-out predictor,
+// trace cache) are trained by emulating the fetch stream's true-path
+// prediction loop. That loop is exactly reconstructible without cycle
+// simulation: the stream only updates the fragment predictor on the true
+// path, with an anchor and history evolution that depend solely on the
+// dynamic stream and the predictor's own answers — a divergence re-anchors
+// fragment selection at the first mismatched instruction, which is why
+// naive clean splitting trains a measurably different table population than
+// the machine would. Reconstructing this state at tape-replay cost instead
+// of cycle-simulation cost is the piece of SMARTS that keeps systematic
+// sampling unbiased: the pipeline and in-flight window warm quickly inside
+// the detailed warmup, but caches and predictor tables reach back much
+// further than any affordable detailed region.
+//
+// One kernel does all of it, for one machine (a window's gaps, a slice's
+// prefix) or for a sweep's whole roster at once (union warming: a sweep's
+// cells all skip the same prefix, but split into warm classes by their
+// trained structures). The training has a strict dependency order that
+// makes one shared replay exact: the cache hierarchies observe only the
+// dynamic stream; the fragment predictor and its path history observe only
+// the stream and themselves; the live-out predictor and trace cache
+// observe only the fetched-fragment sequence, which is fully determined by
+// (stream, predictor). Nothing ever reads a hierarchy, live-out predictor
+// or trace cache during warming. So the kernel decodes the tape a block at
+// a time, walks every distinct hierarchy over the block, then runs one
+// prediction loop per (predictor config, heuristics) group over it, filling
+// every distinct live-out predictor and trace cache of the group — and each
+// class's state is bit-for-bit what a replay for that class alone would
+// have produced (TestWarmStateUnionWarming pins this).
+
+// warmBlock is how many instructions the kernel decodes per tape read.
+const warmBlock = 256
 
 // warmHier is one distinct memory hierarchy under training, with its own
-// L1I block-elision cursor.
+// L1I block-elision cursor: straight-line code stays in one block for many
+// instructions, so warming touches the L1I once per block transition
+// rather than once per instruction (the resident-block set is identical,
+// only redundant LRU refreshes of the just-touched way are elided).
 type warmHier struct {
 	key      string
 	hier     *mem.Hierarchy
@@ -302,8 +322,24 @@ type warmHier struct {
 	iblkMask uint64
 }
 
+// walk touches the caches for a decoded block in stream order: the L1I on
+// each block transition, the L1D for each memory operation at its
+// effective address.
+func (h *warmHier) walk(dyn []frag.Dyn, ea []uint64) {
+	for i := range dyn {
+		d := &dyn[i]
+		if blk := d.PC & h.iblkMask; blk != h.lastIBlk {
+			h.hier.L1I.Access(d.PC, false, 0)
+			h.lastIBlk = blk
+		}
+		if d.Inst.IsMem() {
+			h.hier.L1D.Access(ea[i], d.Inst.IsStore(), 0)
+		}
+	}
+}
+
 // warmLO / warmTC are distinct live-out predictor and trace cache instances
-// within an anchor group.
+// within a prediction loop's group.
 type warmLO struct {
 	key string
 	lo  *rename.LiveOutPredictor
@@ -314,114 +350,121 @@ type warmTC struct {
 	tc   *tcache.Cache
 }
 
-// warmAnchor is one true-path prediction loop: fragment predictor, both
-// path histories, and the lookahead, exactly as in warmer — plus the
-// live-out predictors and trace caches trained from its fetched-fragment
-// sequence. Distinct predictor configs or fragment heuristics produce
-// distinct fetched sequences, hence distinct anchors.
-type warmAnchor struct {
-	key        string
-	pred       *bpred.TracePredictor
-	specHist   bpred.History
-	retireHist bpred.History
-	heur       frag.Heuristics
-	prog       *program.Program
-	fragMemo   map[frag.ID]*frag.Fragment
-	loMemo     map[frag.ID]rename.LiveOuts
-	los        []*warmLO
-	tcs        []*warmTC
-	buf        [2 * frag.AbsMaxLen]frag.Dyn
-	n          int
+// warmLoop is one true-path prediction loop, mirroring core.Stream's: a
+// fragment predictor, its path history, and an anchor into the set's
+// lookahead — plus the live-out predictors and trace caches trained from
+// its fetched-fragment sequence. Distinct predictor configs or fragment
+// heuristics produce distinct fetched sequences, hence distinct loops.
+//
+// One history serves as both the stream's speculative and its retirement
+// history: on the true path the two are always equal. Both start empty;
+// each step pushes the true fragment's ID into the retirement history, and
+// the speculative one either pushes the same ID (a correct prediction) or
+// is restored from the retirement history (a divergence).
+type warmLoop struct {
+	key      string
+	pred     *bpred.TracePredictor
+	hist     bpred.History
+	heur     frag.Heuristics
+	prog     *program.Program
+	fragMemo map[frag.ID]*frag.Fragment  // FromCode is pure; memoized as in core.Stream
+	loMemo   map[frag.ID]rename.LiveOuts // ComputeLiveOuts is pure per fragment
+	los      []*warmLO
+	tcs      []*warmTC
+	off      int // the loop's anchor: where its next fragment starts in the set's lookahead
 }
 
-func (a *warmAnchor) fragOf(id frag.ID) *frag.Fragment {
-	f, ok := a.fragMemo[id]
+func (l *warmLoop) fragOf(id frag.ID) *frag.Fragment {
+	f, ok := l.fragMemo[id]
 	if !ok {
-		f = a.heur.FromCode(a.prog, id)
-		a.fragMemo[id] = f
+		f = l.heur.FromCode(l.prog, id)
+		l.fragMemo[id] = f
 	}
 	return f
 }
 
-// train is warmer.train over the anchor's shared loop state, fanned out to
-// every attached live-out predictor and trace cache. The control flow must
-// stay identical to warmer.train — any divergence breaks the bit-identity
-// of union-built snapshots.
-func (a *warmAnchor) train() {
-	trueLen, trueID := a.heur.Split(a.buf[:a.n])
-	if trueLen <= 0 {
-		a.n = 0
-		return
-	}
-	pred := a.pred.Predict(&a.specHist)
-	id := frag.ID{StartPC: a.buf[0].PC}
-	if pred.Valid && pred.ID.StartPC == a.buf[0].PC {
+// train performs one iteration of the stream's true-path prediction loop
+// on look, the lookahead from the loop's anchor, which holds at least
+// frag.AbsMaxLen instructions so every split and match decision is exact:
+// predict the next fragment, materialize it, compare it against the true
+// stream, train the predictor on the true fragment, and return how far the
+// anchor advances — by the true fragment on a correct prediction, to the
+// first mismatched instruction on a divergence (the stream's redirect
+// re-anchor). The fetched fragment also trains the live-out predictors and
+// fills the trace caches, as renaming and fetch would.
+func (l *warmLoop) train(look []frag.Dyn) int {
+	trueLen, trueID := l.heur.Split(look)
+	pred := l.pred.PredictUpdate(&l.hist, trueID)
+	id := frag.ID{StartPC: look[0].PC}
+	if pred.Valid && pred.ID.StartPC == look[0].PC {
 		id = pred.ID
 	}
-	f := a.fragOf(id)
+	f := l.fragOf(id)
 	m := 0
-	for ; m < f.Len() && m < a.n; m++ {
-		if a.buf[m].PC != f.PCs[m] {
-			break
-		}
+	for m < f.Len() && look[m].PC == f.PCs[m] {
+		m++
 	}
-	a.pred.Update(&a.retireHist, trueID)
-	a.retireHist.Push(trueID.Key())
-	if len(a.los) > 0 && f.Len() > 0 {
-		lo, ok := a.loMemo[f.ID]
-		if !ok {
-			lo = rename.ComputeLiveOuts(f.Insts)
-			a.loMemo[f.ID] = lo
-		}
-		for _, l := range a.los {
-			l.lo.Train(f.ID, lo)
-		}
-	}
+	l.hist.Push(trueID.Key())
 	if f.Len() > 0 {
-		for _, t := range a.tcs {
-			t.tc.Fill(f)
+		if len(l.los) > 0 {
+			lo, ok := l.loMemo[f.ID]
+			if !ok {
+				lo = rename.ComputeLiveOuts(f.Insts)
+				l.loMemo[f.ID] = lo
+			}
+			for _, w := range l.los {
+				w.lo.Train(f.ID, lo)
+			}
+		}
+		for _, w := range l.tcs {
+			w.tc.Fill(f)
 		}
 	}
-	adv := trueLen
 	if m == f.Len() && f.ID == trueID {
-		a.specHist.Push(f.ID.Key())
-	} else {
-		a.specHist = a.retireHist
-		if adv = m; adv <= 0 {
-			adv = 1
-		}
+		return trueLen
 	}
-	copy(a.buf[:], a.buf[adv:a.n])
-	a.n -= adv
+	// Divergence: fetch resumes at the first mismatch (never the start PC,
+	// which the loop forces correct).
+	return max(m, 1)
 }
 
 // warmMember is one distinct warm class of the set: the components its
-// snapshot is assembled from.
+// snapshot is assembled from, and that its detailed runs inherit.
 type warmMember struct {
-	m      Machine
-	class  string
-	hier   *warmHier
-	anchor *warmAnchor
-	lo     *rename.LiveOutPredictor // nil: class has no live-out predictor
-	tc     *tcache.Cache            // nil: class has no trace cache
+	class string
+	hier  *warmHier
+	loop  *warmLoop
+	lo    *rename.LiveOutPredictor // nil: class has no live-out predictor
+	tc    *tcache.Cache            // nil: class has no trace cache
 }
 
 // warmSet trains every distinct warm class of a machine roster in one
-// replay of the shared stream.
+// replay of the stream; a machine's own warming is a set with one member.
 type warmSet struct {
 	rd      *artifact.Reader
+	prog    *program.Program
 	hiers   []*warmHier
-	anchors []*warmAnchor
+	loops   []*warmLoop
 	members []warmMember
+
+	// look[:end] is the decoded stream from the oldest loop anchor on; ea
+	// holds the effective addresses of the block decoded last. The
+	// lookahead is compacted only when a block no longer fits behind it.
+	look [warmBlock + frag.AbsMaxLen]frag.Dyn
+	ea   [warmBlock]uint64
+	end  int
 }
 
-// newWarmSet deduplicates machines into warm classes and shared components.
-// Component sharing is by configuration: two classes with the same memory
-// hierarchy config train one hierarchy, two with the same (predictor,
-// heuristics) share one prediction loop, and so on — each component's
-// training is independent of which classes reference it.
+// newWarmSet deduplicates machines into warm classes and shared components:
+// a fresh hierarchy plus every trained front-end structure the machines
+// actually have (fragment predictor always; live-out predictor and trace
+// cache when the front-end uses them). Component sharing is by
+// configuration: two classes with the same memory hierarchy config train
+// one hierarchy, two with the same (predictor, heuristics) share one
+// prediction loop, and so on — each component's training is independent
+// of which classes reference it.
 func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *warmSet {
-	s := &warmSet{rd: rd}
+	s := &warmSet{rd: rd, prog: p}
 	classes := map[string]bool{}
 	for _, m := range machines {
 		class := warmClassHash(m)
@@ -449,45 +492,45 @@ func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *wa
 			s.hiers = append(s.hiers, h)
 		}
 
-		akey := fmt.Sprintf("%+v|%+v", m.frontEnd.Predictor, m.frontEnd.FragHeuristics)
-		var a *warmAnchor
-		for _, c := range s.anchors {
-			if c.key == akey {
-				a = c
+		lkey := fmt.Sprintf("%+v|%+v", m.frontEnd.Predictor, m.frontEnd.FragHeuristics)
+		var l *warmLoop
+		for _, c := range s.loops {
+			if c.key == lkey {
+				l = c
 				break
 			}
 		}
-		if a == nil {
-			a = &warmAnchor{
-				key:      akey,
+		if l == nil {
+			l = &warmLoop{
+				key:      lkey,
 				pred:     bpred.New(m.frontEnd.Predictor),
 				heur:     m.frontEnd.FragHeuristics,
 				prog:     p,
 				fragMemo: make(map[frag.ID]*frag.Fragment, 256),
 				loMemo:   make(map[frag.ID]rename.LiveOuts, 256),
 			}
-			s.anchors = append(s.anchors, a)
+			s.loops = append(s.loops, l)
 		}
 
-		mb := warmMember{m: m, class: class, hier: h, anchor: a}
+		mb := warmMember{class: class, hier: h, loop: l}
 		if m.frontEnd.Rename == core.RenameParallel {
-			lkey := fmt.Sprintf("%+v", m.frontEnd.LiveOut)
+			lokey := fmt.Sprintf("%+v", m.frontEnd.LiveOut)
 			var wl *warmLO
-			for _, c := range a.los {
-				if c.key == lkey {
+			for _, c := range l.los {
+				if c.key == lokey {
 					wl = c
 					break
 				}
 			}
 			if wl == nil {
-				wl = &warmLO{key: lkey, lo: rename.NewLiveOutPredictor(m.frontEnd.LiveOut)}
-				a.los = append(a.los, wl)
+				wl = &warmLO{key: lokey, lo: rename.NewLiveOutPredictor(m.frontEnd.LiveOut)}
+				l.los = append(l.los, wl)
 			}
 			mb.lo = wl.lo
 		}
 		if m.frontEnd.Fetch == core.FetchTraceCache {
 			var wt *warmTC
-			for _, c := range a.tcs {
+			for _, c := range l.tcs {
 				if c.size == m.frontEnd.TraceCache {
 					wt = c
 					break
@@ -495,7 +538,7 @@ func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *wa
 			}
 			if wt == nil {
 				wt = &warmTC{size: m.frontEnd.TraceCache, tc: tcache.New(tcache.Config{SizeBytes: m.frontEnd.TraceCache, Ways: 2})}
-				a.tcs = append(a.tcs, wt)
+				l.tcs = append(l.tcs, wt)
 			}
 			mb.tc = wt.tc
 		}
@@ -505,86 +548,96 @@ func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *wa
 }
 
 // warmTo replays the stream up to (but not including) sequence index upto,
-// feeding every hierarchy and anchor group. Training only ever happens with
-// at least frag.AbsMaxLen of lookahead, so every split and match decision is
-// content-determined — the same decisions warmer.warmTo makes, whatever the
-// interleaving of fills and trains.
+// leaving the reader exactly there (or at the halt point). Each decoded
+// block walks every hierarchy; then every loop trains on each fragment
+// whose anchor has at least frag.AbsMaxLen instructions of lookahead, so
+// every decision is content-determined, whatever the block boundaries. A
+// partial tail fragment at the gap boundary is left for the detailed
+// warmup to handle.
 func (s *warmSet) warmTo(upto uint64) error {
 	for s.rd.Pos() < upto && !s.rd.Halted() {
-		for _, a := range s.anchors {
-			if a.n == len(a.buf) {
-				a.train()
-			}
+		if len(s.look)-s.end < warmBlock {
+			s.compact()
 		}
-		d, err := s.rd.Step()
+		k := min(upto-s.rd.Pos(), warmBlock)
+		n, err := s.rd.ReadBlock(s.look[s.end:s.end+int(k)], s.ea[:k])
 		if err != nil {
 			return err
 		}
 		for _, h := range s.hiers {
-			if blk := d.PC & h.iblkMask; blk != h.lastIBlk {
-				h.hier.L1I.Access(d.PC, false, 0)
-				h.lastIBlk = blk
-			}
-			if d.Inst.IsMem() {
-				h.hier.L1D.Access(d.EA, d.Inst.IsStore(), 0)
-			}
+			h.walk(s.look[s.end:s.end+n], s.ea[:n])
 		}
-		dyn := frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-		for _, a := range s.anchors {
-			a.buf[a.n] = dyn
-			a.n++
-		}
-	}
-	for _, a := range s.anchors {
-		for a.n >= frag.AbsMaxLen {
-			a.train()
+		s.end += n
+		for _, l := range s.loops {
+			for s.end-l.off >= frag.AbsMaxLen {
+				l.off += l.train(s.look[l.off:s.end])
+			}
 		}
 	}
 	return nil
 }
 
-// snapshot encodes one member's warm state from the set's components, via a
-// facade warmer — the exact encoding a solo warm would have produced.
-func (s *warmSet) snapshot(mb *warmMember) ([]byte, error) {
-	fw := &warmer{
-		rd:         s.rd,
-		hier:       mb.hier.hier,
-		pred:       mb.anchor.pred,
-		lo:         mb.lo,
-		tc:         mb.tc,
-		specHist:   mb.anchor.specHist,
-		retireHist: mb.anchor.retireHist,
-		lastIBlk:   mb.hier.lastIBlk,
+// compact moves the lookahead no loop has consumed yet — under
+// frag.AbsMaxLen instructions once every loop has trained — to the front.
+func (s *warmSet) compact() {
+	lo := s.end
+	for _, l := range s.loops {
+		lo = min(lo, l.off)
 	}
-	return encodeWarmState(fw)
+	s.end = copy(s.look[:], s.look[lo:s.end])
+	for _, l := range s.loops {
+		l.off -= lo
+	}
 }
 
-// warmThrough advances a fresh warmer to boundary, through the artifact
-// cache when one is attached: the first cell of a sweep to reach a boundary
-// replays the prefix once — training every distinct warm class of the
-// roster side by side — and snapshots the results into one warm pack; every
-// later cell of the process, whatever its class, restores its section at
-// decode cost. Packs never leave the process, so a decode error is a bug
-// and is returned, not papered over.
-func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts RunOptions) (artifact.Info, error) {
+// resync drops the pending lookahead after a discontinuity (a detailed
+// window consumed the stream between two warming phases): stitching
+// instructions from either side of the window into one fragment would train
+// the predictor on boundaries that never occur.
+func (s *warmSet) resync() {
+	s.end = 0
+	for _, l := range s.loops {
+		l.off = 0
+	}
+}
+
+// config installs a solo set's warmed structures into a detailed run's
+// config, with the cache statistics reset: a window's or slice's miss rates
+// describe its own detailed traffic, not the warming replay's.
+func (s *warmSet) config(cfg *sim.Config) {
+	mb := &s.members[0]
+	h := mb.hier.hier
+	h.L1I.ResetStats()
+	h.L1D.ResetStats()
+	h.L2.ResetStats()
+	cfg.Hier = h
+	cfg.Pred = mb.loop.pred
+	cfg.LiveOut = mb.lo
+	cfg.TC = mb.tc
+}
+
+// warmThrough advances a machine's fresh solo warm set to boundary, through
+// the artifact cache when one is attached: the first cell of a sweep to
+// reach a boundary replays the prefix once — training every distinct warm
+// class of the roster side by side — and snapshots the results into one
+// warm pack; every later cell of the process, whatever its class, restores
+// its section at decode cost. Packs never leave the process, so a decode
+// error is a bug and is returned, not papered over.
+func warmThrough(ws *warmSet, spec program.Spec, m Machine, boundary uint64, opts RunOptions) (artifact.Info, error) {
 	if opts.Artifacts == nil || boundary < warmStateMinInsts {
-		return artifact.Info{}, wm.warmTo(boundary)
+		return artifact.Info{}, ws.warmTo(boundary)
 	}
 	machines := append([]Machine{m}, opts.WarmRoster...)
+	classes := warmClasses(machines)
 	built := false
-	data, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() ([]byte, error) {
-		// This cell runs the build (union warming over the roster).
-		set := newWarmSet(wm.rd, wm.prog, machines)
-		if len(set.members) == 1 {
-			if err := wm.warmTo(boundary); err != nil {
-				return nil, err
-			}
+	data, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, classes, boundary), func() ([]byte, error) {
+		// This cell runs the build. A roster of this cell's class alone
+		// warms the cell's own set.
+		set := ws
+		if len(classes) > 1 {
+			set = newWarmSet(ws.rd, ws.prog, machines)
+		} else {
 			built = true
-			b, err := encodeWarmState(wm)
-			if err != nil {
-				return nil, err
-			}
-			return encodeWarmPack([]packSection{{class: set.members[0].class, data: b}}), nil
 		}
 		if err := set.warmTo(boundary); err != nil {
 			return nil, err
@@ -592,7 +645,7 @@ func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts
 		sections := make([]packSection, 0, len(set.members))
 		for i := range set.members {
 			mb := &set.members[i]
-			b, err := set.snapshot(mb)
+			b, err := encodeWarmState(set, mb)
 			if err != nil {
 				return nil, err
 			}
@@ -604,11 +657,11 @@ func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts
 		return info, err
 	}
 	if built {
-		return info, nil // this cell ran a solo build: wm is already warm
+		return info, nil // this cell warmed its own set
 	}
 	section, err := warmPackSection(data, warmClassHash(m))
 	if err != nil {
 		return info, err
 	}
-	return info, decodeWarmState(wm, section)
+	return info, decodeWarmState(ws, section)
 }

@@ -220,3 +220,45 @@ func TestWarmStateSlicedBitIdentical(t *testing.T) {
 		t.Fatalf("warm traffic after re-run: %d hits / %d misses, want 2 / 2", s.WarmHits, s.WarmMisses)
 	}
 }
+
+// BenchmarkFunctionalWarming times the warming kernel alone over a fixed
+// 1M-instruction gcc prefix replayed from a recorded tape, in ns per warmed
+// instruction: "union" trains Fig 8's seven-machine roster in one replay
+// (four warm classes over two hierarchies and one prediction loop), "solo"
+// one PR-2x8w, as a sampled cell's gap warming does. Building the warm
+// state's tables is outside the timed region.
+func BenchmarkFunctionalWarming(b *testing.B) {
+	const prefix = 1_000_000
+	spec, err := program.SpecByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := program.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape, err := artifact.Record(p, prefix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fig8 []Machine
+	for _, fe := range []FrontEnd{W16, TC, TC2x, PF2x8w, PF4x4w, PR2x8w, PR4x4w} {
+		fig8 = append(fig8, Preset(fe))
+	}
+	for _, c := range []struct {
+		name     string
+		machines []Machine
+	}{{"union", fig8}, {"solo", []Machine{Preset(PR2x8w)}}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				set := newWarmSet(tape.NewReader(), p, c.machines)
+				b.StartTimer()
+				if err := set.warmTo(prefix); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/prefix, "ns/inst")
+		})
+	}
+}
