@@ -11,8 +11,9 @@
 #   make test-sample   tier 1.5: tape-acceleration suite (sampled-vs-full
 #                      statistical gate, sampled/sliced golden results,
 #                      sliced determinism across worker counts, warm-state
-#                      packs, tape replay and block decode, zero-alloc tape
-#                      seek/replay guards)
+#                      packs, block recording against the reference
+#                      recorder, tape replay and block decode, zero-alloc
+#                      tape seek/replay guards)
 #   make test-obs      tier 1.5: observability suite (span tracer alloc guard
 #                      and ordered release, SSE /events ordering across worker
 #                      counts under -race, live scrape of accelerated runs,
@@ -23,8 +24,8 @@
 #   make race          tier 2: vet + race detector over the short suite
 #   make fuzz          tier 3: short-budget fuzz smokes (differential targets)
 #   make bench         front-end comparison benchmarks (no -race)
-#   make bench-stat    benchstat-ready hot-path and functional-warming runs
-#                      (BENCH_COUNT=10)
+#   make bench-stat    benchstat-ready hot-path, functional-warming and
+#                      tape-recording runs (BENCH_COUNT=10)
 #   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json),
 #                      every cell simulated
 #   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5]
@@ -74,14 +75,15 @@ test-robust:
 # (every benchmark's sampled-vs-full error within its own 95% CI on a suite
 # subset), the sampled/sliced golden results, the sliced determinism suite
 # (bit-identical results across slice and worker counts), the warm-state
-# packs (restored and union-built state bit-identical to a replay), tape
-# replay against the live emulator (Step and the block decoder), and the
-# zero-alloc tape seek/replay guards. The full 12-benchmark gate at paper
+# packs (restored and union-built state bit-identical to a replay), block
+# recording against the one-instruction reference recorder (byte-identical
+# tapes), tape replay against the live emulator through the block decoder,
+# and the zero-alloc tape seek/replay guards. The full 12-benchmark gate at paper
 # budgets is `pfe-bench -validate-sampling`.
 test-sample:
 	$(GO) test -count=1 . -run 'TestSample|TestSampled|TestSliced|TestWarmState'
 	$(GO) test -count=1 ./internal/experiments/ -run ValidateSampling
-	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestTapeReplay'
+	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestTapeReplay|TestTapeRecord'
 	$(GO) test -count=1 ./internal/stats/ -run 'TestSummarize|TestSampleWindows|TestTCrit95'
 
 # Observability tier: the sweep span tracer (nil-tracer alloc guard, ordered
@@ -118,9 +120,10 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # bench-stat emits benchstat-ready samples of the hot-path suite (ns/op,
-# allocs/op, ns/sim-cycle per front-end config) and of the functional-warming
-# kernel (ns/inst, union and solo). Record before and after a perf change,
-# then `benchstat old.txt new.txt`:
+# allocs/op, ns/sim-cycle per front-end config), of the functional-warming
+# kernel (ns/inst, union and solo) and of tape recording (ns per recorded
+# instruction). Record before and after a perf change, then
+# `benchstat old.txt new.txt`:
 #
 #   make bench-stat > old.txt
 #   ... apply change ...
@@ -129,6 +132,7 @@ BENCH_COUNT ?= 10
 bench-stat:
 	$(GO) test ./internal/sim -run='^$$' -bench BenchmarkHotSim -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run='^$$' -bench BenchmarkFunctionalWarming -benchmem -count=$(BENCH_COUNT)
+	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeRecord -benchmem -count=$(BENCH_COUNT)
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS

@@ -8,8 +8,9 @@ import (
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
-// seekAndCompare positions one reader via Seek(at) and another by stepping a
-// fresh reader from zero, then drains both in lockstep for n instructions.
+// seekAndCompare positions one reader via Seek(at) and another by reading a
+// fresh reader from zero one instruction at a time, then reads both in
+// lockstep, one instruction at a time, for n instructions.
 // This is the contract every sampling window and slice boundary relies on:
 // a seek is indistinguishable from a from-zero replay advanced to the same
 // sequence index.
@@ -22,12 +23,7 @@ func seekAndCompare(t *testing.T, tape *Tape, at, n uint64) {
 	if got := sought.Pos(); got != at && at < tape.Len() {
 		t.Fatalf("Seek(%d): Pos() = %d", at, got)
 	}
-	walked := tape.NewReader()
-	for walked.Pos() < at && !walked.Halted() {
-		if _, err := walked.Step(); err != nil {
-			t.Fatalf("walk to %d: %v", at, err)
-		}
-	}
+	walked := walkTo(t, tape, at)
 	for i := uint64(0); i < n; i++ {
 		if walked.Halted() != sought.Halted() {
 			t.Fatalf("seek %d + %d: halted walked=%v sought=%v", at, i, walked.Halted(), sought.Halted())
@@ -35,18 +31,35 @@ func seekAndCompare(t *testing.T, tape *Tape, at, n uint64) {
 		if walked.Halted() {
 			break
 		}
-		want, werr := walked.Step()
-		got, gerr := sought.Step()
+		if walked.Pos() != sought.Pos() {
+			t.Fatalf("seek %d + %d: walked at %d, sought at %d", at, i, walked.Pos(), sought.Pos())
+		}
+		want, wantEA, werr := readOne(walked)
+		got, gotEA, gerr := readOne(sought)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("seek %d + %d: err walked=%v sought=%v", at, i, werr, gerr)
 		}
 		if werr != nil {
 			break
 		}
-		if got != want {
-			t.Fatalf("seek %d + %d: diverged:\n walked %+v\n sought %+v", at, i, want, got)
+		if got != want || gotEA != wantEA {
+			t.Fatalf("seek %d + %d: diverged:\n walked %+v ea %#x\n sought %+v ea %#x",
+				at, i, want, wantEA, got, gotEA)
 		}
 	}
+}
+
+// walkTo returns a fresh reader of tape advanced from zero to sequence index
+// at (or to the halt) one instruction at a time.
+func walkTo(t *testing.T, tape *Tape, at uint64) *Reader {
+	t.Helper()
+	r := tape.NewReader()
+	for r.Pos() < at && !r.Halted() {
+		if _, _, err := readOne(r); err != nil {
+			t.Fatalf("walk to %d: %v", at, err)
+		}
+	}
+	return r
 }
 
 // TestTapeSeekBitIdentical seeks to positions straddling every interesting
@@ -136,31 +149,30 @@ func TestTapeSeekBackward(t *testing.T) {
 	if err := r.Seek(IndexStride + 700); err != nil {
 		t.Fatal(err)
 	}
-	first := make([]emu.DynInst, 50)
-	for i := range first {
-		d, err := r.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		first[i] = d
+	var first [50]emu.Dyn
+	var firstEA [50]uint64
+	if n, err := r.ReadBlock(first[:], firstEA[:]); n != len(first) || err != nil {
+		t.Fatalf("ReadBlock: %d, %v", n, err)
 	}
 	if err := r.Seek(IndexStride + 700); err != nil {
 		t.Fatalf("backward Seek: %v", err)
 	}
 	for i := range first {
-		d, err := r.Step()
+		d, ea, err := readOne(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != first[i] {
-			t.Fatalf("replay after backward seek diverged at +%d:\n first  %+v\n second %+v", i, first[i], d)
+		if d != first[i] || ea != firstEA[i] {
+			t.Fatalf("replay after backward seek diverged at +%d:\n first  %+v ea %#x\n second %+v ea %#x",
+				i, first[i], firstEA[i], d, ea)
 		}
 	}
 }
 
 // TestTapeSeekAllocs is the steady-state allocation guard for the seek +
-// fast-forward path: positioning a reader anywhere inside the recording must
-// not allocate, matching the replay guarantee Step already pins.
+// fast-forward path: positioning a reader anywhere inside the recording and
+// reading on, one instruction at a time and then in a block, must not
+// allocate.
 func TestTapeSeekAllocs(t *testing.T) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {
@@ -176,15 +188,20 @@ func TestTapeSeekAllocs(t *testing.T) {
 	}
 	r := tape.NewReader()
 	targets := []uint64{IndexStride / 2, 3*IndexStride + 1000, 100, 2 * IndexStride}
+	var dyn [200]emu.Dyn
+	var ea [200]uint64
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, at := range targets {
 			if err := r.Seek(at); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 200; i++ {
-				if _, err := r.Step(); err != nil {
+				if _, err := r.ReadBlock(dyn[:1], ea[:1]); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if _, err := r.ReadBlock(dyn[:], ea[:]); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
@@ -196,8 +213,8 @@ func TestTapeSeekAllocs(t *testing.T) {
 // FuzzTapeSeekReplay feeds random seek offsets (including past-the-end and
 // backward positions) into a truncated recording and a halted one, and
 // requires the sought reader to replay bit-identically to a from-zero
-// replay advanced to the same instruction index — through Step, and through
-// ReadBlock in blocks of random sizes, whose instructions past a truncated
+// replay advanced to the same instruction index — one instruction at a
+// time, and in blocks of random sizes, whose instructions past a truncated
 // recording's end count as fallback steps.
 func FuzzTapeSeekReplay(f *testing.F) {
 	spec, err := program.SpecByName("gcc")
@@ -229,16 +246,6 @@ func FuzzTapeSeekReplay(f *testing.F) {
 	f.Add(uint64(123456789), uint64(42))
 	f.Fuzz(func(t *testing.T, a, b uint64) {
 		rng := rand.New(rand.NewSource(int64(a*31 + b)))
-		// walked is a fresh reader stepped from zero to at.
-		walked := func(tp *Tape, at uint64) *Reader {
-			ref := tp.NewReader()
-			for ref.Pos() < at && !ref.Halted() {
-				if _, err := ref.Step(); err != nil {
-					t.Fatalf("walk to %d: %v", at, err)
-				}
-			}
-			return ref
-		}
 		// Bound fallback fast-forwards so a huge random offset doesn't
 		// emulate for minutes; in-tape offsets are used as-is. The halted
 		// recording's span reaches just past its halt.
@@ -251,7 +258,7 @@ func FuzzTapeSeekReplay(f *testing.F) {
 				if err := r.Seek(at); err != nil {
 					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				ref := walked(c.tape, at)
+				ref := walkTo(t, c.tape, at)
 				for i := 0; i < 64; i++ {
 					if r.Halted() != ref.Halted() {
 						t.Fatalf("seek %d + %d: halted sought=%v walked=%v", at, i, r.Halted(), ref.Halted())
@@ -259,16 +266,20 @@ func FuzzTapeSeekReplay(f *testing.F) {
 					if r.Halted() {
 						break
 					}
-					got, gerr := r.Step()
-					want, werr := ref.Step()
+					if r.Pos() != ref.Pos() {
+						t.Fatalf("seek %d + %d: sought at %d, walked at %d", at, i, r.Pos(), ref.Pos())
+					}
+					got, gotEA, gerr := readOne(r)
+					want, wantEA, werr := readOne(ref)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("seek %d + %d: err sought=%v walked=%v", at, i, gerr, werr)
 					}
 					if werr != nil {
 						break
 					}
-					if got != want {
-						t.Fatalf("seek %d + %d: diverged:\n walked %+v\n sought %+v", at, i, want, got)
+					if got != want || gotEA != wantEA {
+						t.Fatalf("seek %d + %d: diverged:\n walked %+v ea %#x\n sought %+v ea %#x",
+							at, i, want, wantEA, got, gotEA)
 					}
 				}
 
@@ -276,7 +287,7 @@ func FuzzTapeSeekReplay(f *testing.F) {
 				if err := rb.Seek(at); err != nil {
 					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				n := drainBlocks(t, "block", walked(c.tape, at), rb, 1+uint64(rng.Intn(700)), rng)
+				n := drainBlocks(t, "block", walkTo(t, c.tape, at), rb, at, 1+uint64(rng.Intn(700)), rng)
 				var past int64
 				for i := uint64(0); i < n; i++ {
 					if at+i >= c.tape.Len() {

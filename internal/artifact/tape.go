@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
-	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -20,9 +19,10 @@ import (
 // TapeSlack is how many instructions beyond a cell's commit budget a tape
 // records. The stream's fetch machinery reads ahead of the commit point —
 // bounded by the backend window (256), the fragment buffers (16 × 32
-// instructions) and the oracle lookahead ring (128) — so the slack covers
-// the deepest possible read-ahead many times over. A reader that outruns
-// the tape anyway degrades gracefully to live emulation (see Reader.Step).
+// instructions) and the stream's oracle lookahead (128 instructions) — so
+// the slack covers the deepest possible read-ahead many times over. A
+// reader that outruns the tape anyway degrades gracefully to live emulation
+// (see Reader.ReadBlock).
 const TapeSlack = 8192
 
 // IndexStride is how many instructions separate consecutive index blocks in
@@ -41,6 +41,35 @@ type seekPoint struct {
 	auxOff int    // aux bytes consumed
 	prevEA uint64 // last memory effective address seen
 }
+
+// recordBlock is how many instructions Record asks the emulator for at a
+// time. It divides IndexStride, so a block starts an index stride exactly
+// when the count it starts at is a multiple of IndexStride.
+const recordBlock = 512
+
+// The tape classes: what a recording stores for an instruction.
+const (
+	classNone     uint8 = iota // nothing: it replays from the code image
+	classCond                  // one taken bit
+	classIndirect              // the target PC, as a uvarint
+	classMem                   // the effective-address delta, as a zigzag varint
+)
+
+// tapeClass maps each opcode to its tape class, so Record classifies an
+// instruction with one load.
+var tapeClass = func() (c [256]uint8) {
+	for op := range isa.NumOps {
+		switch in := (isa.Inst{Op: isa.Op(op)}); {
+		case in.IsCondBranch():
+			c[op] = classCond
+		case in.IsIndirect():
+			c[op] = classIndirect
+		case in.IsMem():
+			c[op] = classMem
+		}
+	}
+	return c
+}()
 
 // Tape is a compact recording of a program's true dynamic instruction
 // stream, replayable as an emu.Oracle. Only the dynamic information that
@@ -79,42 +108,55 @@ type Tape struct {
 }
 
 // Record executes p on a fresh emulator for up to maxInsts instructions (or
-// until halt) and returns the recording.
+// until halt) and returns the recording. It runs the emulator a block at a
+// time and encodes each block after it executes.
 func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 	t := &Tape{prog: p, startPC: p.EntryPC}
 	m := emu.New(p)
+	dyn := make([]emu.Dyn, recordBlock)
+	ea := make([]uint64, recordBlock)
 	var bitBuf byte
 	var bitN uint
 	var bits uint64 // total taken bits recorded
 	var prevEA uint64
 	for t.count < maxInsts && !m.Halted() {
-		if t.count%IndexStride == 0 {
-			t.index = append(t.index, seekPoint{
-				pc: m.PC(), bitPos: bits, auxOff: len(t.aux), prevEA: prevEA,
-			})
-		}
-		d, err := m.Step()
+		n, err := m.ReadBlock(dyn[:min(maxInsts-t.count, recordBlock)], ea)
 		if err != nil {
 			return nil, fmt.Errorf("artifact: recording %s: %w", p.Name, err)
 		}
-		in := d.Inst
-		switch {
-		case in.IsCondBranch():
-			if d.Taken {
-				bitBuf |= 1 << bitN
-			}
-			bits++
-			if bitN++; bitN == 8 {
-				t.taken = append(t.taken, bitBuf)
-				bitBuf, bitN = 0, 0
-			}
-		case in.IsIndirect():
-			t.aux = binary.AppendUvarint(t.aux, d.NextPC)
-		case in.IsMem():
-			t.aux = binary.AppendVarint(t.aux, int64(d.EA)-int64(prevEA))
-			prevEA = d.EA
+		if t.count%IndexStride == 0 {
+			t.index = append(t.index, seekPoint{
+				pc: dyn[0].PC, bitPos: bits, auxOff: len(t.aux), prevEA: prevEA,
+			})
 		}
-		t.count++
+		for j := range n {
+			d := &dyn[j]
+			switch tapeClass[d.Inst.Op] {
+			case classCond:
+				var b byte // the direction is data: set it without a branch
+				if d.Taken {
+					b = 1
+				}
+				bitBuf |= b << bitN
+				bits++
+				if bitN++; bitN == 8 {
+					t.taken = append(t.taken, bitBuf)
+					bitBuf, bitN = 0, 0
+				}
+			case classIndirect:
+				// The target is the next instruction's PC; the block's
+				// last instruction is followed by the machine's PC.
+				next := m.PC()
+				if j+1 < n {
+					next = dyn[j+1].PC
+				}
+				t.aux = binary.AppendUvarint(t.aux, next)
+			case classMem:
+				t.aux = binary.AppendVarint(t.aux, int64(ea[j])-int64(prevEA))
+				prevEA = ea[j]
+			}
+		}
+		t.count += uint64(n)
 	}
 	if bitN > 0 {
 		t.taken = append(t.taken, bitBuf)
@@ -149,8 +191,8 @@ func (r *Tape) NewReader() *Reader {
 }
 
 // Reader replays a Tape as an emu.Oracle, reproducing the live emulator's
-// DynInst stream bit for bit. If a consumer reads past the recorded end of
-// a truncated (non-halted) tape, the Reader transparently falls back to a
+// block stream bit for bit. If a consumer reads past the recorded end of a
+// truncated (non-halted) tape, the Reader transparently falls back to a
 // fresh emulator fast-forwarded to the tape's end, so correctness never
 // depends on the recording budget.
 type Reader struct {
@@ -174,11 +216,12 @@ func (r *Reader) Halted() bool { return r.halted }
 // fallback, for per-run metrics and span annotations.
 func (r *Reader) FallbackSteps() int64 { return r.fallback }
 
-// Pos returns the sequence index of the next instruction Step will produce.
+// Pos returns the sequence index of the next instruction ReadBlock will
+// produce.
 func (r *Reader) Pos() uint64 { return r.seq }
 
-// Seek positions the reader so the next Step produces the instruction with
-// sequence index seq, replaying neither the simulator nor the emulator
+// Seek positions the reader so the next ReadBlock starts at the instruction
+// with sequence index seq, replaying neither the simulator nor the emulator
 // through the skipped region: it jumps to the nearest preceding index block
 // and decodes at most IndexStride-1 instructions forward — a zero-allocation
 // fast-forward. Seeking backward is allowed (the cursor state is rebuilt
@@ -187,7 +230,7 @@ func (r *Reader) Pos() uint64 { return r.seq }
 // Seeking at or past the end of a halted recording leaves the reader at
 // end-of-stream (Halted reports true). Seeking past the end of a truncated
 // (non-halted) recording falls back to a fresh emulator fast-forwarded to
-// seq, exactly as Step's past-the-end fallback would.
+// seq, exactly as ReadBlock's past-the-end fallback would.
 func (r *Reader) Seek(seq uint64) error {
 	t := r.t
 	if seq >= t.count && !t.halted {
@@ -217,7 +260,7 @@ func (r *Reader) Seek(seq uint64) error {
 	sp := t.index[b]
 	r.pc, r.seq = sp.pc, b*IndexStride
 	r.bitPos, r.auxOff, r.prevEA = sp.bitPos, sp.auxOff, sp.prevEA
-	var dyn [64]frag.Dyn
+	var dyn [64]emu.Dyn
 	var ea [64]uint64
 	for r.seq < seq {
 		k := min(seq-r.seq, uint64(len(dyn)))
@@ -228,60 +271,36 @@ func (r *Reader) Seek(seq uint64) error {
 	return nil
 }
 
-// Step returns the next instruction of the true dynamic stream.
-func (r *Reader) Step() (emu.DynInst, error) {
-	if r.halted {
-		return emu.DynInst{}, emu.ErrHalted
-	}
-	if r.live != nil || r.seq >= r.t.count {
-		return r.stepLive()
-	}
-	seq := r.seq
-	var dyn [1]frag.Dyn
-	var ea [1]uint64
-	if _, err := r.decode(dyn[:], ea[:]); err != nil {
-		return emu.DynInst{}, err
-	}
-	d := &dyn[0] // field by field, with loads no wider than decode's stores
-	return emu.DynInst{Seq: seq, PC: d.PC, Inst: d.Inst, NextPC: r.pc, Taken: d.Taken, EA: ea[0]}, nil
-}
-
 // ReadBlock decodes the next len(dyn) instructions of the true dynamic
 // stream into dyn, and each one's effective address (0 unless it accesses
 // memory) into ea, which must be at least as long. It stops early after a
-// halt, and continues through the live fallback past the end of a
-// truncated recording, as Step does. It returns how many instructions it
-// decoded; on a halted reader that is 0, with emu.ErrHalted.
-func (r *Reader) ReadBlock(dyn []frag.Dyn, ea []uint64) (int, error) {
+// halt. Past the end of a truncated recording it reads blocks from the live
+// fallback and counts each instruction served there. It returns how many
+// instructions it produced; on a halted reader that is 0, with
+// emu.ErrHalted.
+func (r *Reader) ReadBlock(dyn []emu.Dyn, ea []uint64) (int, error) {
 	if r.halted {
 		return 0, emu.ErrHalted
 	}
 	n := 0
-	for n < len(dyn) && !r.halted {
-		if r.live == nil && r.seq < r.t.count {
-			k, err := r.decode(dyn[n:], ea[n:])
-			n += k
-			if err != nil {
-				return n, err
-			}
-			continue
-		}
-		d, err := r.stepLive()
-		if err != nil {
+	if r.live == nil && r.seq < r.t.count {
+		var err error
+		if n, err = r.decode(dyn, ea); err != nil || r.halted {
 			return n, err
 		}
-		dyn[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-		ea[n] = d.EA
-		n++
 	}
-	return n, nil
+	if n == len(dyn) {
+		return n, nil
+	}
+	k, err := r.readLive(dyn[n:], ea[n:])
+	return n + k, err
 }
 
 // decode is the one decoder of the tape format. It replays recorded
 // instructions into dyn and their effective addresses into ea — as many as
 // dyn holds, stopping at the recording's end and after a halt — and
 // returns how many it replayed. The cursor advances past each of them.
-func (r *Reader) decode(dyn []frag.Dyn, ea []uint64) (int, error) {
+func (r *Reader) decode(dyn []emu.Dyn, ea []uint64) (int, error) {
 	t := r.t
 	if rest := t.count - r.seq; uint64(len(dyn)) > rest {
 		dyn = dyn[:rest]
@@ -348,29 +367,25 @@ func (r *Reader) decode(dyn []frag.Dyn, ea []uint64) (int, error) {
 	return n, err
 }
 
-// stepLive serves instructions past the recorded end: a fresh emulator is
-// fast-forwarded through the recorded prefix once, then stepped live.
-func (r *Reader) stepLive() (emu.DynInst, error) {
+// readLive serves instructions past the recorded end: a fresh emulator is
+// fast-forwarded through the recorded prefix once, then read live.
+func (r *Reader) readLive(dyn []emu.Dyn, ea []uint64) (int, error) {
 	if r.live == nil {
-		r.live = emu.New(r.t.prog)
-		if _, err := r.live.Run(r.t.count); err != nil {
-			return emu.DynInst{}, fmt.Errorf("artifact: tape fallback fast-forward: %w", err)
+		live := emu.New(r.t.prog)
+		if _, err := live.Run(r.t.count); err != nil {
+			return 0, fmt.Errorf("artifact: tape fallback fast-forward: %w", err)
 		}
+		r.live = live
 	}
-	d, err := r.live.Step()
-	if err != nil {
-		return d, err
-	}
-	if r.live.Halted() {
-		r.halted = true
-	}
-	r.seq = d.Seq + 1
-	r.fallback++
-	r.t.fallbackSteps.Add(1)
+	n, err := r.live.ReadBlock(dyn, ea)
+	r.halted = r.live.Halted()
+	r.seq += uint64(n)
+	r.fallback += int64(n)
+	r.t.fallbackSteps.Add(int64(n))
 	if r.t.sink != nil {
-		r.t.sink.Add(1)
+		r.t.sink.Add(int64(n))
 	}
-	return d, nil
+	return n, err
 }
 
 var _ emu.Oracle = (*Reader)(nil)

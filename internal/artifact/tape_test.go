@@ -10,9 +10,30 @@ import (
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
-// drainBoth steps a live machine and a tape reader in lockstep for up to n
-// instructions, failing on the first divergence. Returns how many
-// instructions both produced.
+// readOne reads the next instruction of o through a one-instruction block.
+func readOne(o emu.Oracle) (emu.Dyn, uint64, error) {
+	var dyn [1]emu.Dyn
+	var ea [1]uint64
+	_, err := o.ReadBlock(dyn[:], ea[:])
+	return dyn[0], ea[0], err
+}
+
+// pos returns the sequence index of o's next instruction.
+func pos(o emu.Oracle) uint64 {
+	switch o := o.(type) {
+	case *emu.Machine:
+		return o.ICount()
+	case *Reader:
+		return o.Pos()
+	}
+	panic("pos: unknown oracle")
+}
+
+// drainBoth reads two oracles in lockstep (a live machine and a tape reader,
+// say), one instruction at a time, for up to n instructions, failing on the
+// first divergence: halt state, position, error, PC, instruction, direction
+// and effective address. (Each instruction's successor is the next one's
+// PC.) Returns how many instructions both produced.
 func drainBoth(t *testing.T, name string, live, replay emu.Oracle, n uint64) uint64 {
 	t.Helper()
 	var i uint64
@@ -23,16 +44,20 @@ func drainBoth(t *testing.T, name string, live, replay emu.Oracle, n uint64) uin
 		if live.Halted() {
 			break
 		}
-		want, werr := live.Step()
-		got, gerr := replay.Step()
+		if pos(live) != pos(replay) {
+			t.Fatalf("%s: seq %d: live at %d, replay at %d", name, i, pos(live), pos(replay))
+		}
+		want, wantEA, werr := readOne(live)
+		got, gotEA, gerr := readOne(replay)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s: seq %d: err live=%v replay=%v", name, i, werr, gerr)
 		}
 		if werr != nil {
 			break
 		}
-		if got != want {
-			t.Fatalf("%s: seq %d: replay diverged:\n live  %+v\n replay %+v", name, i, want, got)
+		if got != want || gotEA != wantEA {
+			t.Fatalf("%s: seq %d: replay diverged:\n live   %+v ea %#x\n replay %+v ea %#x",
+				name, i, want, wantEA, got, gotEA)
 		}
 	}
 	return i
@@ -40,10 +65,11 @@ func drainBoth(t *testing.T, name string, live, replay emu.Oracle, n uint64) uin
 
 // drainBlocks reads up to n instructions from r through ReadBlock, in
 // blocks of random sizes, and requires each one's PC, instruction,
-// direction and effective address to match want's next Step. A block may
-// come back short only at a halt, which both streams must reach together.
-// Returns how many instructions r produced.
-func drainBlocks(t *testing.T, name string, want emu.Oracle, r *Reader, n uint64, rng *rand.Rand) uint64 {
+// direction and effective address to match want's next instruction, read
+// one at a time. Both start at sequence index at. A block may come back
+// short only at a halt, which both streams must reach together. Returns
+// how many instructions r produced.
+func drainBlocks(t *testing.T, name string, want emu.Oracle, r *Reader, at, n uint64, rng *rand.Rand) uint64 {
 	t.Helper()
 	var dyn [300]frag.Dyn
 	var ea [300]uint64
@@ -61,19 +87,19 @@ func drainBlocks(t *testing.T, name string, want emu.Oracle, r *Reader, n uint64
 			t.Fatalf("%s: ReadBlock at +%d: %v", name, i, err)
 		}
 		for j := 0; j < got; j++ {
-			w, werr := want.Step()
+			w, wea, werr := readOne(want)
 			if werr != nil {
 				t.Fatalf("%s: reference at +%d: %v", name, i+uint64(j), werr)
 			}
-			if d := (frag.Dyn{PC: w.PC, Inst: w.Inst, Taken: w.Taken}); dyn[j] != d || ea[j] != w.EA {
+			if dyn[j] != w || ea[j] != wea {
 				t.Fatalf("%s: seq %d: block decode diverged:\n want %+v ea %#x\n got  %+v ea %#x",
-					name, w.Seq, d, w.EA, dyn[j], ea[j])
-			}
-			if j == got-1 && r.Pos() != w.Seq+1 {
-				t.Fatalf("%s: Pos() = %d after seq %d", name, r.Pos(), w.Seq)
+					name, at+i+uint64(j), w, wea, dyn[j], ea[j])
 			}
 		}
 		i += uint64(got)
+		if r.Pos() != at+i {
+			t.Fatalf("%s: Pos() = %d after seq %d", name, r.Pos(), at+i-1)
+		}
 		if got < k {
 			if !r.Halted() || !want.Halted() {
 				t.Fatalf("%s: short block (%d of %d) at +%d: halted reader=%v reference=%v",
@@ -86,11 +112,12 @@ func drainBlocks(t *testing.T, name string, want emu.Oracle, r *Reader, n uint64
 }
 
 // TestTapeReplayBitIdentical replays every suite benchmark against the live
-// emulator and requires the identical DynInst stream, including the region
-// past the recorded end (the live-fallback path) and post-halt behaviour.
-// The block decoder must produce the same stream from the start, after a
-// Seek, and through the fallback, whose instructions it counts; on the
-// halting program it must stop at the halt.
+// emulator and requires the identical stream, one instruction at a time,
+// including the region past the recorded end (the live-fallback path) and
+// post-halt behaviour. In blocks of random sizes, the reader must produce
+// the same stream from the start, after a Seek, and through the fallback,
+// whose instructions it counts; on the halting program it must stop at the
+// halt.
 func TestTapeReplayBitIdentical(t *testing.T) {
 	for _, name := range program.SuiteNames() {
 		name := name
@@ -114,7 +141,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			rb := tape.NewReader()
-			if n := drainBlocks(t, name, emu.New(p), rb, budget+5_000, rng); n != budget+5_000 {
+			if n := drainBlocks(t, name, emu.New(p), rb, 0, budget+5_000, rng); n != budget+5_000 {
 				t.Fatalf("block reader produced %d instructions, want %d", n, budget+5_000)
 			}
 			if got := rb.FallbackSteps(); got != 5_000 {
@@ -129,7 +156,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 			if _, err := live.Run(at); err != nil {
 				t.Fatal(err)
 			}
-			drainBlocks(t, name+"-seek", live, sought, 3_000, rng)
+			drainBlocks(t, name+"-seek", live, sought, at, 3_000, rng)
 		})
 	}
 	t.Run("halt", func(t *testing.T) {
@@ -143,7 +170,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		}
 		rb := tape.NewReader()
 		rng := rand.New(rand.NewSource(1))
-		if n := drainBlocks(t, "testspec", emu.New(p), rb, 1_000_000, rng); n != tape.Len() {
+		if n := drainBlocks(t, "testspec", emu.New(p), rb, 0, 1_000_000, rng); n != tape.Len() {
 			t.Fatalf("block reader produced %d instructions, tape recorded %d", n, tape.Len())
 		}
 		var dyn [4]frag.Dyn
@@ -153,6 +180,20 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		}
 		if got := tape.FallbackSteps(); got != 0 {
 			t.Fatalf("halting block replay used the fallback: %d steps", got)
+		}
+
+		// A recording cut before the halt reaches it through the live
+		// fallback, which must stop there too.
+		short, err := Record(p, tape.Len()/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := short.NewReader()
+		if n := drainBlocks(t, "testspec-cut", emu.New(p), rs, 0, 1_000_000, rng); n != tape.Len() || !rs.Halted() {
+			t.Fatalf("cut recording: read %d instructions (halted %v), want %d and a halt", n, rs.Halted(), tape.Len())
+		}
+		if got, want := rs.FallbackSteps(), int64(tape.Len()-short.Len()); got != want {
+			t.Fatalf("cut recording: FallbackSteps = %d, want %d", got, want)
 		}
 	})
 }
@@ -179,8 +220,8 @@ func TestTapeReplayHalt(t *testing.T) {
 	if !replay.Halted() || !live.Halted() {
 		t.Fatalf("halted: live=%v replay=%v", live.Halted(), replay.Halted())
 	}
-	if _, err := replay.Step(); !errors.Is(err, emu.ErrHalted) {
-		t.Fatalf("Step after halt: got %v, want ErrHalted", err)
+	if _, _, err := readOne(replay); !errors.Is(err, emu.ErrHalted) {
+		t.Fatalf("read after halt: got %v, want ErrHalted", err)
 	}
 	if tape.FallbackSteps() != 0 {
 		t.Fatalf("halting replay used the fallback: %d steps", tape.FallbackSteps())
@@ -238,7 +279,8 @@ func TestTapeCompactness(t *testing.T) {
 
 // TestTapeReplayAllocsLessThanLive is the steady-state allocation guard:
 // serving a cell's oracle from a shared tape must allocate less than live
-// emulation, which pays for a fresh data segment and stack every run.
+// emulation, which pays for a fresh data segment and stack every run. Both
+// are read one instruction at a time.
 func TestTapeReplayAllocsLessThanLive(t *testing.T) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {
@@ -253,10 +295,12 @@ func TestTapeReplayAllocsLessThanLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dyn [1]emu.Dyn
+	var ea [1]uint64
 	replayAllocs := testing.AllocsPerRun(10, func() {
 		r := tape.NewReader()
 		for i := 0; i < steps; i++ {
-			if _, err := r.Step(); err != nil {
+			if _, err := r.ReadBlock(dyn[:], ea[:]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -264,7 +308,7 @@ func TestTapeReplayAllocsLessThanLive(t *testing.T) {
 	liveAllocs := testing.AllocsPerRun(10, func() {
 		m := emu.New(p)
 		for i := 0; i < steps; i++ {
-			if _, err := m.Step(); err != nil {
+			if _, err := m.ReadBlock(dyn[:], ea[:]); err != nil {
 				t.Fatal(err)
 			}
 		}

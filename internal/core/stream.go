@@ -32,14 +32,20 @@ type Stream struct {
 	prog *program.Program
 	mach emu.Oracle
 	pred *bpred.TracePredictor
-	heur frag.Heuristics // normalized, so splitTrue's stop test is Split's
+	heur frag.Heuristics // normalized once, for every fragFor
 
-	// Oracle lookahead: a ring of the next oracleLen true-path
-	// instructions, the one with seq oracleBase at index oracleHead.
-	oracle     []emu.DynInst
-	oracleHead int
-	oracleLen  int
-	oracleBase uint64
+	// Oracle lookahead: look[head:end] are the next true-path
+	// instructions, the one at look[head] with seq lookBase, and lookEA
+	// holds their effective addresses at the same indices. refill tops it
+	// up with one block read and moves it to the front when the buffer has
+	// no room left behind it.
+	look      [lookCap]emu.Dyn
+	lookEA    [lookCap]uint64
+	head, end int
+	lookBase  uint64
+	// oracleErr is the first error the oracle returned, with the seq it
+	// failed at; the stream reads nothing further after it (see Err).
+	oracleErr error
 
 	// Speculative state.
 	specHist   bpred.History
@@ -84,8 +90,12 @@ type Stream struct {
 }
 
 // oracleLookahead is how many true-path instructions the stream keeps
-// ahead of its cursor: the ring's size, a power of two.
-const oracleLookahead = 8 * frag.MaxLen
+// ahead of its cursor. lookCap is the lookahead buffer's size: the room
+// behind the lookahead lets refill append several times before it compacts.
+const (
+	oracleLookahead = 8 * frag.MaxLen
+	lookCap         = 4 * oracleLookahead
+)
 
 // writers is the speculative last-writer table behind dependence edges: per
 // register, the seq+1 of the youngest op writing it (0 = none) and the op
@@ -139,8 +149,9 @@ var ErrNoFragment = errors.New("core: no fragment available")
 // a fresh live emulator (the cold path). An artifact-cache tape reader
 // passed here replays a recorded dynamic stream instead — bit-identical by
 // the tape package's contract, so the rest of the front-end cannot tell the
-// difference. A zero Heuristics value selects the paper's fragment
-// selection.
+// difference. The stream reads the oracle in blocks, never more than
+// oracleLookahead instructions past its cursor. A zero Heuristics value
+// selects the paper's fragment selection.
 func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics, oracle emu.Oracle) *Stream {
 	if oracle == nil {
 		oracle = emu.New(p)
@@ -152,7 +163,6 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 		heur:     h.Normalize(),
 		nextSeq:  1,
 		onTrue:   true,
-		oracle:   make([]emu.DynInst, oracleLookahead),
 		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
 	}
 	s.ffPool = pool.NewFreeList(func() *FetchedFrag {
@@ -201,33 +211,33 @@ func (s *Stream) PrevLastSeq() (uint64, bool) {
 // recycling).
 func (s *Stream) PoolStats() pool.Stats { return s.ffPool.Stats() }
 
-// refill drops the lookahead entries below trueCursor and tops the ring up
-// from the oracle.
+// refill drops the lookahead entries below trueCursor and tops the
+// lookahead up to oracleLookahead instructions with one block read of
+// exactly the missing count: a sampled run's next gap starts where the
+// oracle stopped, so the stream must not read further ahead.
 func (s *Stream) refill() {
-	if drop := int(s.trueCursor - s.oracleBase); drop > 0 {
-		s.oracleHead = (s.oracleHead + drop) & (oracleLookahead - 1)
-		s.oracleLen -= drop
-		s.oracleBase = s.trueCursor
+	s.head += int(s.trueCursor - s.lookBase)
+	s.lookBase = s.trueCursor
+	missing := oracleLookahead - (s.end - s.head)
+	if missing == 0 || s.oracleErr != nil || s.mach.Halted() {
+		return
 	}
-	for s.oracleLen < oracleLookahead && !s.mach.Halted() {
-		d, err := s.mach.Step()
-		if err != nil {
-			return
-		}
-		s.oracle[(s.oracleHead+s.oracleLen)&(oracleLookahead-1)] = d
-		s.oracleLen++
+	if s.end+missing > lookCap {
+		copy(s.lookEA[:], s.lookEA[s.head:s.end])
+		s.end = copy(s.look[:], s.look[s.head:s.end])
+		s.head = 0
+	}
+	n, err := s.mach.ReadBlock(s.look[s.end:s.end+missing], s.lookEA[s.end:s.end+missing])
+	s.end += n
+	if err != nil {
+		s.oracleErr = fmt.Errorf("core: oracle failed at seq %d: %w", s.lookBase+uint64(s.end-s.head), err)
 	}
 }
 
-// oracleAt returns the oracle entry for seq (must be >= trueCursor and
-// within lookahead).
-func (s *Stream) oracleAt(seq uint64) (emu.DynInst, bool) {
-	i := seq - s.oracleBase
-	if i >= uint64(s.oracleLen) {
-		return emu.DynInst{}, false
-	}
-	return s.oracle[(s.oracleHead+int(i))&(oracleLookahead-1)], true
-}
+// Err returns the first error the oracle returned, or nil. The stream
+// cannot tell the true path past that point, so the owner must stop the
+// run rather than treat the short lookahead as the program's end.
+func (s *Stream) Err() error { return s.oracleErr }
 
 // Attach wires the optional event sink and pipeline metrics into the
 // stream. Called once by NewUnit; nil values are fine.
@@ -268,12 +278,14 @@ func (s *Stream) Next() (*FetchedFrag, error) {
 // using the predictor for directions and detecting divergence inline.
 func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	s.refill()
-	trueStart, ok := s.oracleAt(s.trueCursor)
-	if !ok {
-		// Lookahead empty: program halted exactly at cursor.
+	look := s.look[s.head:s.end] // look[i] is the true instruction at trueCursor+i
+	if len(look) == 0 {
+		// Lookahead empty: program halted exactly at cursor (or the
+		// oracle failed, which Err reports).
 		s.doneTrue = true
 		return nil, ErrNoFragment
 	}
+	trueStart := &look[0]
 
 	// Choose the predicted ID: the predictor's if it agrees on the start
 	// PC, otherwise a not-taken walk from the known start.
@@ -289,16 +301,15 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 
 	// Compare against the oracle.
 	m := 0
-	for ; m < f.Len(); m++ {
-		d, ok := s.oracleAt(s.trueCursor + uint64(m))
-		if !ok || d.PC != f.PCs[m] {
+	for ; m < f.Len() && m < len(look); m++ {
+		if look[m].PC != f.PCs[m] {
 			break
 		}
 	}
 
 	// Determine the true fragment at this position for training and
 	// retirement history.
-	trueLen, trueID := s.splitTrue(s.trueCursor)
+	trueLen, trueID := s.splitTrue(look)
 	s.pred.Update(&s.retireHist, trueID)
 
 	if m == f.Len() && f.ID == trueID {
@@ -332,8 +343,8 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	s.retireHist.Push(trueID.Key())
 	red.TrueSeq = s.trueCursor + uint64(m)
 	red.retireHist = s.retireHist
-	if d, ok := s.oracleAt(red.TrueSeq); ok {
-		red.TruePC = d.PC
+	if m < len(look) {
+		red.TruePC = look[m].PC
 	} else {
 		// The true path ends inside this fragment (halt reached); the
 		// correct prefix will commit and the program finishes. Treat
@@ -362,26 +373,12 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	return ff, nil
 }
 
-// splitTrue computes the true fragment boundary and ID at oracle seq. It
-// hands Split only the oracle entries up to and including the first one the
-// heuristics stop at (or up to the end of the lookahead): Split never reads
-// past that point, and no fragment is longer than frag.AbsMaxLen. The stop
-// test must use the normalized heuristics, as Split does.
-func (s *Stream) splitTrue(seq uint64) (int, frag.ID) {
-	var buf [frag.AbsMaxLen]frag.Dyn
-	n := 0
-	for n < len(buf) {
-		d, ok := s.oracleAt(seq + uint64(n))
-		if !ok {
-			break
-		}
-		buf[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-		n++
-		if s.heur.Stops(d.Inst, n) {
-			break
-		}
-	}
-	return s.heur.Split(buf[:n])
+// splitTrue computes the true fragment boundary and ID at the start of the
+// lookahead look. It hands Split the lookahead itself, cut at
+// frag.AbsMaxLen: no fragment is longer, and Split stops at the heuristics'
+// first stop or at the end of the lookahead.
+func (s *Stream) splitTrue(look []frag.Dyn) (int, frag.ID) {
+	return s.heur.Split(look[:min(len(look), frag.AbsMaxLen)])
 }
 
 // nextWrongPath generates a fragment beyond the divergence point: pure
@@ -480,8 +477,10 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int, ckpt *writers) *Fe
 			s.lastWriter.op[rd] = op
 		}
 		if in.IsMem() && !op.WrongPath {
-			if d, ok := s.oracleAt(s.trueCursor + uint64(i)); ok {
-				op.EA = d.EA
+			// A correct-path op is in the lookahead, which starts at
+			// trueCursor.
+			if j := s.head + i; j < s.end {
+				op.EA = s.lookEA[j]
 			}
 		}
 	}

@@ -244,7 +244,12 @@ func TestUnitFlagsCulpritAlreadyInWindow(t *testing.T) {
 		var had, planted bool
 		oldest, any := rig.be.OldestSeq()
 		if culprit == nil && s.onTrue && s.pending == nil && prev != nil && prev.Issued() && any && oldest <= prev.Seq {
-			d, ok := s.oracleAt(s.trueCursor)
+			var d frag.Dyn // the true instruction at the cursor
+			i := s.head + int(s.trueCursor-s.lookBase)
+			ok := i < s.end
+			if ok {
+				d = s.look[i]
+			}
 			if _, code := s.prog.InstAt(d.PC + isa.InstBytes); ok && code {
 				id = frag.ID{StartPC: d.PC}
 				if p := s.pred.Predict(&s.specHist); p.Valid && p.ID.StartPC == d.PC {

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/isa"
@@ -17,6 +18,11 @@ type refState struct {
 	fp     [isa.NumFPRegs]float64
 	mem    map[uint64]uint32 // word-addressed; zero default matches zero-init segments
 	halted bool
+
+	// What the last step executed: whether it was a taken conditional
+	// branch, and its effective byte address (0 unless it accessed memory).
+	taken bool
+	ea    uint64
 }
 
 func newRef(p *program.Program) *refState {
@@ -50,6 +56,7 @@ func (r *refState) step(p *program.Program) bool {
 	a := r.readInt(in.Rs1)
 	b := r.readInt(in.Rs2)
 	next := r.pc + isa.InstBytes
+	r.taken, r.ea = false, 0
 
 	switch in.Op {
 	case isa.OpAdd:
@@ -97,13 +104,17 @@ func (r *refState) step(p *program.Program) bool {
 	case isa.OpLui:
 		r.writeInt(in.Rd, uint32(in.Imm)<<isa.LuiShift)
 	case isa.OpLw:
-		r.writeInt(in.Rd, r.mem[uint64(a+uint32(in.Imm))&^3])
+		r.ea = uint64(a + uint32(in.Imm))
+		r.writeInt(in.Rd, r.mem[r.ea&^3])
 	case isa.OpSw:
-		r.mem[uint64(a+uint32(in.Imm))&^3] = b
+		r.ea = uint64(a + uint32(in.Imm))
+		r.mem[r.ea&^3] = b
 	case isa.OpLf:
-		r.fp[in.Rd-isa.FPBase] = float64(r.mem[uint64(a+uint32(in.Imm))&^3])
+		r.ea = uint64(a + uint32(in.Imm))
+		r.fp[in.Rd-isa.FPBase] = float64(r.mem[r.ea&^3])
 	case isa.OpSf:
-		r.mem[uint64(a+uint32(in.Imm))&^3] = uint32(int64(r.fp[in.Rs2-isa.FPBase]))
+		r.ea = uint64(a + uint32(in.Imm))
+		r.mem[r.ea&^3] = uint32(int64(r.fp[in.Rs2-isa.FPBase]))
 	case isa.OpFadd:
 		r.fp[in.Rd-isa.FPBase] = r.fp[in.Rs1-isa.FPBase] + r.fp[in.Rs2-isa.FPBase]
 	case isa.OpFsub:
@@ -114,19 +125,19 @@ func (r *refState) step(p *program.Program) bool {
 		r.fp[in.Rd-isa.FPBase] = -r.fp[in.Rs1-isa.FPBase]
 	case isa.OpBeq:
 		if a == b {
-			next = branchTarget(r.pc, in.Imm)
+			r.taken, next = true, branchTarget(r.pc, in.Imm)
 		}
 	case isa.OpBne:
 		if a != b {
-			next = branchTarget(r.pc, in.Imm)
+			r.taken, next = true, branchTarget(r.pc, in.Imm)
 		}
 	case isa.OpBlt:
 		if int32(a) < int32(b) {
-			next = branchTarget(r.pc, in.Imm)
+			r.taken, next = true, branchTarget(r.pc, in.Imm)
 		}
 	case isa.OpBge:
 		if int32(a) >= int32(b) {
-			next = branchTarget(r.pc, in.Imm)
+			r.taken, next = true, branchTarget(r.pc, in.Imm)
 		}
 	case isa.OpJ:
 		next = uint64(in.Imm) * isa.InstBytes
@@ -203,11 +214,14 @@ func sanitizeInsts(insts []isa.Inst) []isa.Inst {
 // FuzzEmuVsInterp runs the emulator and the reference interpreter in
 // lockstep over fuzz-generated programs and requires identical control flow,
 // branch outcomes, effective addresses and integer register state at every
-// step.
+// step. It then drives the block kernel, ReadBlock, in fuzz-chosen block
+// sizes against a fresh reference: every instruction's PC, instruction,
+// direction and effective address must match, and at each block's end so
+// must the next PC, the registers, and the halt or fault state.
 func FuzzEmuVsInterp(f *testing.F) {
 	// Seed with real generated code (the suite's miniature benchmark at
 	// two scales) and a couple of hand-written kernels.
-	for _, scale := range []float64{1, 0.4} {
+	for i, scale := range []float64{1, 0.4} {
 		p, err := program.Build(program.TestSpec().Scaled(scale))
 		if err != nil {
 			f.Fatal(err)
@@ -216,7 +230,7 @@ func FuzzEmuVsInterp(f *testing.F) {
 		if len(img) > 2048 {
 			img = img[:2048]
 		}
-		f.Add(img)
+		f.Add(img, []byte{byte(7 + 30*i), 1, 200, 64})
 	}
 	loop := []isa.Inst{
 		{Op: isa.OpAddi, Rd: 1, Imm: 5},
@@ -231,9 +245,9 @@ func FuzzEmuVsInterp(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(img)
+	f.Add(img, []byte{2, 3})
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw, sizes []byte) {
 		insts := sanitizeInsts(isa.DecodeImage(raw))
 		p, err := program.FromInsts("fuzz", insts, 0)
 		if err != nil {
@@ -262,19 +276,81 @@ func FuzzEmuVsInterp(f *testing.F) {
 			if !ok {
 				t.Fatalf("step %d: reference stuck at pc %#x but emu executed %v", step, pc, d.Inst)
 			}
+			if d.PC != pc || d.Seq != uint64(step) {
+				t.Fatalf("step %d at pc %#x: record says seq %d pc %#x", step, pc, d.Seq, d.PC)
+			}
 			if d.NextPC != ref.pc {
 				t.Fatalf("step %d at pc %#x (%v): next PC emu %#x, reference %#x",
 					step, pc, d.Inst, d.NextPC, ref.pc)
 			}
-			for r := isa.Reg(0); r < isa.NumIntRegs; r++ {
-				if got, want := m.IntReg(r), ref.readInt(r); got != want {
-					t.Fatalf("step %d at pc %#x (%v): register %v emu %#x, reference %#x",
-						step, pc, d.Inst, r, got, want)
-				}
+			if d.Taken != ref.taken || d.EA != ref.ea {
+				t.Fatalf("step %d at pc %#x (%v): taken/EA emu %v %#x, reference %v %#x",
+					step, pc, d.Inst, d.Taken, d.EA, ref.taken, ref.ea)
 			}
+			checkRegs(t, step, m, ref)
 		}
 		if m.Halted() != ref.halted {
 			t.Fatalf("final halt state diverged: emu %v, reference %v", m.Halted(), ref.halted)
 		}
+
+		// The block kernel, in fuzz-chosen block sizes.
+		m, ref = New(p), newRef(p)
+		var dyn [64]Dyn
+		var ea [64]uint64
+		for b, done := 0, 0; done < maxSteps && !m.Halted(); b++ {
+			k := 1
+			if len(sizes) > 0 {
+				k += int(sizes[b%len(sizes)]) % len(dyn)
+			}
+			n, err := m.ReadBlock(dyn[:k], ea[:k])
+			for j := 0; j < n; j++ {
+				pc := ref.pc
+				in, _ := p.InstAt(pc)
+				if !ref.step(p) {
+					t.Fatalf("block %d +%d: reference stuck at pc %#x but the kernel executed %v", b, j, pc, dyn[j].Inst)
+				}
+				if got := dyn[j]; got.PC != pc || got.Inst != in || got.Taken != ref.taken || ea[j] != ref.ea {
+					t.Fatalf("block %d +%d: kernel %+v ea %#x, reference pc %#x %v taken %v ea %#x",
+						b, j, got, ea[j], pc, in, ref.taken, ref.ea)
+				}
+			}
+			done += n
+			switch {
+			case err != nil:
+				// A fault: the kernel stops at the faulting PC, where the
+				// reference is stuck too.
+				if m.Halted() || m.PC() != ref.pc || ref.step(p) {
+					t.Fatalf("block %d: kernel error %v at pc %#x, reference at %#x not stuck", b, err, m.PC(), ref.pc)
+				}
+			case n < k && !(m.Halted() && ref.halted):
+				t.Fatalf("block %d: short block (%d of %d) without a halt (emu %v, reference %v)",
+					b, n, k, m.Halted(), ref.halted)
+			case m.Halted() != ref.halted || m.PC() != ref.pc:
+				t.Fatalf("block %d end: emu halted %v pc %#x, reference %v %#x", b, m.Halted(), m.PC(), ref.halted, ref.pc)
+			}
+			if m.ICount() != uint64(done) {
+				t.Fatalf("block %d end: ICount %d, executed %d", b, m.ICount(), done)
+			}
+			checkRegs(t, done, m, ref)
+			if err != nil {
+				break
+			}
+		}
+		if m.Halted() {
+			if n, err := m.ReadBlock(dyn[:], ea[:]); n != 0 || !errors.Is(err, ErrHalted) {
+				t.Fatalf("ReadBlock after halt: %d, %v; want 0, ErrHalted", n, err)
+			}
+		}
 	})
+}
+
+// checkRegs requires the emulator's and the reference's integer registers to
+// agree after step.
+func checkRegs(t *testing.T, step int, m *Machine, ref *refState) {
+	t.Helper()
+	for r := isa.Reg(0); r < isa.NumIntRegs; r++ {
+		if got, want := m.IntReg(r), ref.readInt(r); got != want {
+			t.Fatalf("after step %d (pc %#x): register %v emu %#x, reference %#x", step, m.PC(), r, got, want)
+		}
+	}
 }

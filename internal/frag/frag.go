@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/parallel-frontend/pfe/internal/emu"
 	"github.com/parallel-frontend/pfe/internal/isa"
 )
 
@@ -230,14 +231,10 @@ func (f *Fragment) DirectionOf(idx int) (taken, ok bool) {
 	return false, false
 }
 
-// Dyn is the slice of the true dynamic stream the splitter consumes; it
-// mirrors emu.DynInst without importing it (frag is below emu in the
-// dependency order so the trace cache and predictor can use it standalone).
-type Dyn struct {
-	PC    uint64
-	Inst  isa.Inst
-	Taken bool
-}
+// Dyn is one instruction of the true dynamic stream the splitter consumes:
+// the emulator's block record, so a block the oracle fills is split in
+// place.
+type Dyn = emu.Dyn
 
 // Split consumes the longest prefix of stream that forms one fragment under
 // the selection heuristics and returns its length and identity. An empty

@@ -89,7 +89,9 @@ type Config struct {
 	// Oracle, if non-nil, replaces the live functional emulator as the
 	// source of the true dynamic stream (an artifact-cache tape reader).
 	// It must produce the exact stream emu.New(p) would; each simulation
-	// needs its own instance (the stream is consumed statefully).
+	// needs its own instance (the stream is consumed statefully). The
+	// stream reads it in blocks, at most 128 instructions past the fetch
+	// cursor, and the first error it returns ends the run with that error.
 	Oracle emu.Oracle
 
 	// Hier, if non-nil, is an externally built memory hierarchy the run
@@ -328,6 +330,13 @@ func (s *Sim) Step() bool {
 		s.fe.Cycle(now)
 		n, res = s.be.Cycle(now)
 	}
+	if err := s.stream.Err(); err != nil {
+		// The true path past the failure is unknown: a result from here
+		// on would be measured against a stream that ended early.
+		s.err = fmt.Errorf("sim: %s/%s: %w", cfg.FrontEnd.Name, s.p.Name, err)
+		s.stopped = true
+		return false
+	}
 	if cfg.Obs != nil && now&(obsFlushCycles-1) == obsFlushCycles-1 {
 		s.flushObs(now)
 	}
@@ -420,8 +429,8 @@ func (s *Sim) Result() (*Result, error) {
 	s.finished = true
 	cfg := &s.cfg
 	if s.err != nil {
-		// Deadlock: the error already describes it; no final telemetry
-		// flush (matching the historical early return).
+		// Deadlock or oracle failure: the error already describes it; no
+		// final telemetry flush (matching the historical early return).
 		return nil, s.err
 	}
 	if cfg.Obs != nil {
