@@ -10,10 +10,12 @@
 #                      SIGKILL + resume round trip, graceful shutdown)
 #   make test-sample   tier 1.5: tape-acceleration suite (sampled-vs-full
 #                      statistical gate, sampled/sliced golden results,
-#                      sliced determinism across worker counts, warm-state
-#                      packs, block recording against the reference
-#                      recorder, tape replay and block decode, zero-alloc
-#                      tape seek/replay guards)
+#                      sliced determinism across worker counts, also under
+#                      -race, warm-state packs, block recording against the
+#                      reference recorder, tape replay and block decode,
+#                      zero-alloc tape seek/replay guards, stored fragment
+#                      decode and live-outs, one fragment memo per sampled
+#                      cell and per slice)
 #   make test-obs      tier 1.5: observability suite (span tracer alloc guard
 #                      and ordered release, SSE /events ordering across worker
 #                      counts under -race, live scrape of accelerated runs,
@@ -24,8 +26,9 @@
 #   make race          tier 2: vet + race detector over the short suite
 #   make fuzz          tier 3: short-budget fuzz smokes (differential targets)
 #   make bench         front-end comparison benchmarks (no -race)
-#   make bench-stat    benchstat-ready hot-path, functional-warming and
-#                      tape-recording runs (BENCH_COUNT=10)
+#   make bench-stat    benchstat-ready hot-path, functional-warming,
+#                      tape-recording and sampled-window runs
+#                      (BENCH_COUNT=10)
 #   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json),
 #                      every cell simulated
 #   make bench-compare regression gate: OLD=a.json NEW=b.json [TOL=0.5]
@@ -78,10 +81,18 @@ test-robust:
 # packs (restored and union-built state bit-identical to a replay), block
 # recording against the one-instruction reference recorder (byte-identical
 # tapes), tape replay against the live emulator through the block decoder,
-# and the zero-alloc tape seek/replay guards. The full 12-benchmark gate at paper
-# budgets is `pfe-bench -validate-sampling`.
+# and the zero-alloc tape seek/replay guards. TestFromCodeDecode pins every
+# fragment's stored register decode and live-outs, which fetch and rename
+# read instead of decoding again; TestSampledBuildsEachFragmentOnce (matched
+# by TestSampled) pins the one fragment memo a sampled cell shares across its
+# warmer and windows, and TestSlicedKeepsOneMemoPerSlice keeps concurrent
+# slices apart. The sliced tests run again under -race, since slices are the
+# one place detailed runs share a process concurrently. The full 12-benchmark
+# gate at paper budgets is `pfe-bench -validate-sampling`.
 test-sample:
 	$(GO) test -count=1 . -run 'TestSample|TestSampled|TestSliced|TestWarmState'
+	$(GO) test -race -count=1 . -run 'TestSliced'
+	$(GO) test -count=1 ./internal/frag/ -run TestFromCodeDecode
 	$(GO) test -count=1 ./internal/experiments/ -run ValidateSampling
 	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestTapeReplay|TestTapeRecord'
 	$(GO) test -count=1 ./internal/stats/ -run 'TestSummarize|TestSampleWindows|TestTCrit95'
@@ -121,9 +132,10 @@ bench:
 
 # bench-stat emits benchstat-ready samples of the hot-path suite (ns/op,
 # allocs/op, ns/sim-cycle per front-end config), of the functional-warming
-# kernel (ns/inst, union and solo) and of tape recording (ns per recorded
-# instruction). Record before and after a perf change, then
-# `benchstat old.txt new.txt`:
+# kernel (ns/inst, union and solo), of tape recording (ns per recorded
+# instruction) and of a sampled cell's detailed windows alone (ns per
+# detailed instruction, without its warming). Record before and after a
+# perf change, then `benchstat old.txt new.txt`:
 #
 #   make bench-stat > old.txt
 #   ... apply change ...
@@ -131,7 +143,7 @@ bench:
 BENCH_COUNT ?= 10
 bench-stat:
 	$(GO) test ./internal/sim -run='^$$' -bench BenchmarkHotSim -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run='^$$' -bench BenchmarkFunctionalWarming -benchmem -count=$(BENCH_COUNT)
+	$(GO) test . -run='^$$' -bench 'BenchmarkFunctionalWarming|BenchmarkSampledWindows' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeRecord -benchmem -count=$(BENCH_COUNT)
 
 # bench-json records a provenance-stamped machine-readable report for the

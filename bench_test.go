@@ -13,10 +13,12 @@ package pfe_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/artifact"
 	"github.com/parallel-frontend/pfe/internal/experiments"
+	"github.com/parallel-frontend/pfe/internal/obs/span"
 )
 
 // benchOpts returns reduced budgets sized for the bench harness.
@@ -222,6 +224,53 @@ func BenchmarkSlicedRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSampledWindows times only the detailed windows of one sampled
+// cell, the "window" spans without tape recording or functional warming,
+// and reports ns per detailed instruction (each window's detailed warmup
+// plus its measured instructions). perfbench's sim.ns_per_inst on
+// sampled-warm divides the whole cell's time, warming included, by the same
+// instructions, so it cannot place a saving inside the windows. The cells
+// are W16 and PR-2x8w on gcc and on twolf, which no perfbench workload
+// runs: 1M instructions of warmup, then the default plan's 50 windows over
+// 1M measured instructions. The tape is recorded and the prefix's warm
+// state packed before timing starts.
+func BenchmarkSampledWindows(b *testing.B) {
+	for _, bench := range []string{"gcc", "twolf"} {
+		for _, fe := range []pfe.FrontEnd{pfe.W16, pfe.PR2x8w} {
+			b.Run(fmt.Sprintf("%s/%s", bench, fe), func(b *testing.B) {
+				sp := pfe.DefaultSampleSpec()
+				opts := pfe.RunOptions{
+					WarmupInsts:  1_000_000,
+					MeasureInsts: 1_000_000,
+					Sample:       &sp,
+					Artifacts:    artifact.New(256 << 20),
+				}
+				m := pfe.Preset(fe)
+				if _, err := pfe.Run(bench, m, opts); err != nil {
+					b.Fatal(err)
+				}
+				var windows time.Duration
+				var insts int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					opts.Spans = span.New()
+					r, err := pfe.Run(bench, m, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, rec := range opts.Spans.Records() {
+						if rec.Name == "window" {
+							windows += rec.Dur()
+						}
+					}
+					insts += r.Sampling.DetailedInsts
+				}
+				b.ReportMetric(float64(windows.Nanoseconds())/float64(insts), "ns/inst")
+			})
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func testProgram(t *testing.T) *program.Program {
 
 func newTestStream(t *testing.T, p *program.Program) *Stream {
 	t.Helper()
-	return NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.DefaultHeuristics(), nil)
+	return NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.DefaultHeuristics(), nil, nil)
 }
 
 // drainCorrect pulls fragments from the stream, resolving each divergence
@@ -213,7 +213,8 @@ func (f *fakeBackend) SquashFrom(seq uint64) int {
 }
 
 // mkFrag builds a synthetic fragState with n single-dest ALU ops starting
-// at the given seq.
+// at the given seq. The fragment carries its live-outs, as one built by
+// frag.FromCode does.
 func mkFrag(seq uint64, n int) *fragState {
 	ff := &FetchedFrag{
 		Frag: &frag.Fragment{ID: frag.ID{StartPC: 0x1000 * seq}},
@@ -226,6 +227,7 @@ func mkFrag(seq uint64, n int) *fragState {
 		ff.Frag.Insts = append(ff.Frag.Insts, in)
 		ff.Frag.PCs = append(ff.Frag.PCs, 0x1000*seq+uint64(4*i))
 	}
+	ff.Frag.LiveOuts = frag.LiveOutsOf(ff.Frag.Insts)
 	return &fragState{ff: ff, effLen: n}
 }
 

@@ -302,7 +302,7 @@ func (pr *parallelRename) cycle(now uint64, q *fragQueue) {
 				// (it is in-order).
 				goto phase2
 			}
-			lo = rename.ComputeLiveOuts(fs.ff.Frag.Insts)
+			lo = fs.ff.Frag.LiveOuts
 			hit = true
 		}
 		if !pr.reserved.admit(pr.be, fs) {
@@ -390,12 +390,13 @@ phase2:
 }
 
 // finishFragment verifies the live-out prediction against the fragment's
-// actual writes (§4.3) and trains the predictor. A detected misprediction
-// requests a squash of every younger fragment.
+// actual writes (§4.3) and trains the predictor, both from the live-outs
+// the fragment carries. A detected misprediction requests a squash of
+// every younger fragment.
 func (pr *parallelRename) finishFragment(fs *fragState, q *fragQueue) {
-	actual := rename.ComputeLiveOuts(fs.ff.Frag.Insts)
+	f := fs.ff.Frag
 	if fs.loHit {
-		if kind := rename.CheckPrediction(fs.loPred, fs.ff.Frag.Insts); kind != rename.PredictionCorrect {
+		if kind := rename.CheckLiveOuts(fs.loPred, f.LiveOuts, f.Insts); kind != rename.PredictionCorrect {
 			pr.stats.LiveOutMispredict++
 			// Squash all future fragments: they may have consumed
 			// wrong mappings.
@@ -407,7 +408,7 @@ func (pr *parallelRename) finishFragment(fs *fragState, q *fragQueue) {
 			}
 		}
 	}
-	pr.lo.Train(fs.ff.Frag.ID, actual)
+	pr.lo.Train(f.ID, f.LiveOuts)
 }
 
 func (pr *parallelRename) requestSquash(seq uint64) {

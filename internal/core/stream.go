@@ -29,10 +29,14 @@ import (
 // tests), speculative vs. retirement predictor history, and the redirect
 // checkpoint.
 type Stream struct {
-	prog *program.Program
 	mach emu.Oracle
 	pred *bpred.TracePredictor
-	heur frag.Heuristics // normalized once, for every fragFor
+	// frags builds every fragment the stream fetches, once per distinct
+	// ID; a sampled run's windows share one with its functional warmer
+	// (NewStream). heur is its normalized heuristics, which also split the
+	// true stream.
+	frags *frag.Memo
+	heur  frag.Heuristics
 
 	// Oracle lookahead: look[head:end] are the next true-path
 	// instructions, the one at look[head] with seq lookBase, and lookEA
@@ -74,12 +78,8 @@ type Stream struct {
 
 	// ffPool recycles FetchedFrags (and their inline op storage) once the
 	// owning Unit proves every reference is gone — the cycle loop's biggest
-	// allocation source before pooling. fragMemo caches FromCode results:
-	// Fragments are immutable and FromCode is a pure function of
-	// (program, id), so each distinct fragment is constructed once per
-	// simulation and shared by every subsequent use.
-	ffPool   *pool.FreeList[FetchedFrag]
-	fragMemo map[frag.ID]*frag.Fragment
+	// allocation source before pooling.
+	ffPool *pool.FreeList[FetchedFrag]
 
 	// Observability: attached by the owning Unit; now is the current
 	// cycle, advanced by Unit.Cycle via Tick so prediction events carry
@@ -152,18 +152,26 @@ var ErrNoFragment = errors.New("core: no fragment available")
 // difference. The stream reads the oracle in blocks, never more than
 // oracleLookahead instructions past its cursor. A zero Heuristics value
 // selects the paper's fragment selection.
-func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics, oracle emu.Oracle) *Stream {
+//
+// frags is the fragment memo the stream builds through; nil gives the
+// stream a memo of its own. A non-nil memo must have been made for p under
+// h (frag.Memo.For) and must not be in use by a concurrent stream or
+// warmer; sharing it with the functional warmer that ran before this
+// stream lets each fragment be built once for both.
+func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics, oracle emu.Oracle, frags *frag.Memo) *Stream {
 	if oracle == nil {
 		oracle = emu.New(p)
 	}
+	if frags == nil {
+		frags = frag.NewMemo(p, h)
+	}
 	s := &Stream{
-		prog:     p,
-		mach:     oracle,
-		pred:     pred,
-		heur:     h.Normalize(),
-		nextSeq:  1,
-		onTrue:   true,
-		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
+		mach:    oracle,
+		pred:    pred,
+		frags:   frags,
+		heur:    frags.Heuristics(),
+		nextSeq: 1,
+		onTrue:  true,
 	}
 	s.ffPool = pool.NewFreeList(func() *FetchedFrag {
 		ff := &FetchedFrag{}
@@ -174,19 +182,6 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 	})
 	s.refill()
 	return s
-}
-
-// fragFor returns the fragment for id, memoized: FromCode is pure and
-// Fragments are immutable, so one construction per distinct id serves the
-// whole simulation (the trace cache and fragment buffers already share
-// Fragment pointers the same way).
-func (s *Stream) fragFor(id frag.ID) *frag.Fragment {
-	if f, ok := s.fragMemo[id]; ok {
-		return f
-	}
-	f := s.heur.FromCode(s.prog, id)
-	s.fragMemo[id] = f
-	return f
 }
 
 // RecycleFrag returns ff to the stream's free list. The owning Unit calls
@@ -294,7 +289,7 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	if pred.Valid && pred.ID.StartPC == trueStart.PC {
 		id = pred.ID
 	}
-	f := s.fragFor(id)
+	f := s.frags.Get(id)
 	if f.Len() == 0 {
 		return nil, fmt.Errorf("core: empty fragment at true PC %#x", trueStart.PC)
 	}
@@ -398,7 +393,7 @@ func (s *Stream) nextWrongPath() (*FetchedFrag, error) {
 	default:
 		return nil, ErrNoFragment
 	}
-	f := s.fragFor(id)
+	f := s.frags.Get(id)
 	if f.Len() == 0 {
 		return nil, ErrNoFragment
 	}
@@ -444,7 +439,7 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int, ckpt *writers) *Fe
 	ff.Frag = f
 	ff.Ops = ff.opsPtrs[:f.Len()]
 	ff.WrongFrom = wrongFrom
-	for i, in := range f.Insts {
+	for i := range f.Decode {
 		if i == wrongFrom && ckpt != nil {
 			*ckpt = s.lastWriter
 		}
@@ -454,7 +449,7 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int, ckpt *writers) *Fe
 		op := ff.Ops[i]
 		op.Seq = s.nextSeq
 		op.PC = f.PCs[i]
-		op.Inst = in
+		op.Inst = f.Insts[i]
 		op.Producers = [3]uint64{}
 		op.ProdOps = [3]*backend.Op{}
 		op.NProd = 0
@@ -463,20 +458,21 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int, ckpt *writers) *Fe
 		op.MispredictPoint = false
 		op.ResetExec()
 		s.nextSeq++
-		// Dependence edges from the speculative last-writer table.
-		var srcs [3]isa.Reg
-		for _, src := range in.Sources(srcs[:0]) {
+		// Dependence edges from the speculative last-writer table, read
+		// through the decode FromCode stored.
+		d := &f.Decode[i]
+		for _, src := range d.Src[:d.NSrc] {
 			if w := s.lastWriter.seq[src]; w != 0 {
 				op.Producers[op.NProd] = w - 1
 				op.ProdOps[op.NProd] = s.lastWriter.op[src]
 				op.NProd++
 			}
 		}
-		if rd, ok := in.Dest(); ok {
-			s.lastWriter.seq[rd] = op.Seq + 1
-			s.lastWriter.op[rd] = op
+		if d.HasDest {
+			s.lastWriter.seq[d.Dest] = op.Seq + 1
+			s.lastWriter.op[d.Dest] = op
 		}
-		if in.IsMem() && !op.WrongPath {
+		if d.Mem && !op.WrongPath {
 			// A correct-path op is in the lookahead, which starts at
 			// trueCursor.
 			if j := s.head + i; j < s.end {

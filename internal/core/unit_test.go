@@ -19,6 +19,7 @@ import (
 // behaviour (redirect truncation, drain, barrier maintenance) is directly
 // observable.
 type unitRig struct {
+	prog   *program.Program
 	unit   *Unit
 	be     *backend.Backend
 	stream *Stream
@@ -33,14 +34,14 @@ func newUnitRig(t *testing.T, cfg Config) *unitRig {
 		t.Fatal(err)
 	}
 	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	stream := NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.Heuristics{}, nil)
+	stream := NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.Heuristics{}, nil, nil)
 	be := backend.New(backend.DefaultConfig(), hier.L1D)
 	ic := &ICache{L1I: hier.L1I, Banks: hier.IBanks}
 	unit, err := NewUnit(cfg, stream, ic, be)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &unitRig{unit: unit, be: be, stream: stream}
+	return &unitRig{prog: p, unit: unit, be: be, stream: stream}
 }
 
 // runCycles advances the rig like the simulator would.
@@ -223,11 +224,12 @@ func TestUnitSwitchOnMiss(t *testing.T) {
 // other culprit, and the machine recovers onto the true path. The true path
 // never diverges at offset 0 on its own (a true-path fragment starts at the
 // oracle's PC), so the test plants, under the id the stream is about to
-// predict, a fragment that starts one instruction late.
+// predict, a fragment that starts one instruction late: for that cycle the
+// stream builds through a memo that holds the planted fragment.
 func TestUnitFlagsCulpritAlreadyInWindow(t *testing.T) {
 	rig := newUnitRig(t, pfConfig())
 	s := rig.stream
-	oracle := emu.New(s.prog)
+	oracle := emu.New(rig.prog)
 	var mismatch error
 	rig.be.CommitHook = func(op *backend.Op) {
 		d, err := oracle.Step()
@@ -239,9 +241,7 @@ func TestUnitFlagsCulpritAlreadyInWindow(t *testing.T) {
 	resolvedAt := uint64(0)
 	for now := uint64(0); now < 20_000 && (resolvedAt == 0 || now < resolvedAt+2000); now++ {
 		prev := s.prevLastOp
-		var id frag.ID
-		var saved *frag.Fragment
-		var had, planted bool
+		var saved *frag.Memo
 		oldest, any := rig.be.OldestSeq()
 		if culprit == nil && s.onTrue && s.pending == nil && prev != nil && prev.Issued() && any && oldest <= prev.Seq {
 			var d frag.Dyn // the true instruction at the cursor
@@ -250,23 +250,19 @@ func TestUnitFlagsCulpritAlreadyInWindow(t *testing.T) {
 			if ok {
 				d = s.look[i]
 			}
-			if _, code := s.prog.InstAt(d.PC + isa.InstBytes); ok && code {
-				id = frag.ID{StartPC: d.PC}
+			if _, code := rig.prog.InstAt(d.PC + isa.InstBytes); ok && code {
+				id := frag.ID{StartPC: d.PC}
 				if p := s.pred.Predict(&s.specHist); p.Valid && p.ID.StartPC == d.PC {
 					id = p.ID
 				}
-				saved, had = s.fragMemo[id]
-				s.fragMemo[id] = s.heur.FromCode(s.prog, frag.ID{StartPC: d.PC + isa.InstBytes})
-				planted = true
+				saved = s.frags
+				s.frags = frag.NewMemo(rig.prog, s.heur)
+				s.frags.Put(id, s.heur.FromCode(rig.prog, frag.ID{StartPC: d.PC + isa.InstBytes}))
 			}
 		}
 		rig.unit.Cycle(now)
-		if planted {
-			if had {
-				s.fragMemo[id] = saved
-			} else {
-				delete(s.fragMemo, id)
-			}
+		if saved != nil {
+			s.frags = saved
 			if pend := s.Pending(); pend != nil && pend.Culprit == prev {
 				culprit = prev
 			}

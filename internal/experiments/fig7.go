@@ -81,7 +81,7 @@ func runFig7(o Options) (fmt.Stringer, error) {
 			actual := rename.ComputeLiveOuts(insts)
 			for key, lp := range preds {
 				if pred, ok := lp.Predict(id); ok &&
-					rename.CheckPrediction(pred, insts) == rename.PredictionCorrect {
+					rename.CheckLiveOuts(pred, actual, insts) == rename.PredictionCorrect {
 					correct[key]++
 				}
 				lp.Train(id, actual)

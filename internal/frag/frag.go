@@ -10,6 +10,7 @@ package frag
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
@@ -100,12 +101,72 @@ func (id ID) String() string {
 	return fmt.Sprintf("frag{%#x %s}", id.StartPC, dirs.String())
 }
 
-// Fragment is a materialized fragment: its identity plus the instructions
-// (and their addresses) it contains.
+// Fragment is a materialized fragment: its identity, the instructions (and
+// their addresses) it contains, and the static facts fetch and rename read
+// from them on every use. FromCode computes those facts once: each
+// instruction's register decode and the fragment's live-outs (§4.1: "the
+// first time a fragment is seen, the live-outs are recorded").
 type Fragment struct {
-	ID    ID
-	PCs   []uint64
-	Insts []isa.Inst
+	ID       ID
+	PCs      []uint64
+	Insts    []isa.Inst
+	Decode   []Decoded // parallel to Insts
+	LiveOuts LiveOuts
+}
+
+// Decoded is one instruction's register decode: what isa's Sources, Dest
+// and IsMem report for it, stored so the simulator does not switch on the
+// opcode again each time the fragment is fetched.
+type Decoded struct {
+	Src     [2]isa.Reg // Sources, in order; Src[:NSrc] are valid
+	NSrc    uint8
+	Dest    isa.Reg // valid when HasDest
+	HasDest bool
+	Mem     bool // IsMem
+}
+
+func decode(in isa.Inst) Decoded {
+	var d Decoded
+	d.NSrc = uint8(len(in.Sources(d.Src[:0])))
+	d.Dest, d.HasDest = in.Dest()
+	d.Mem = in.IsMem()
+	return d
+}
+
+// LiveOuts describes a fragment's register writes the way the live-out
+// predictor stores them (§4.1): a 64-bit bitmap of registers written by the
+// fragment ("live-outs"), and a bitmap marking which instruction positions
+// perform the last write to some live-out register.
+type LiveOuts struct {
+	RegMask   uint64
+	LastWrite uint32
+}
+
+// NumRegs returns the number of live-out registers (phase-1 allocations).
+func (lo LiveOuts) NumRegs() int { return bits.OnesCount64(lo.RegMask) }
+
+// LiveOutsOf scans an instruction sequence for its true live-outs. It is
+// the simulator's one live-out scan: FromCode stores its result in every
+// Fragment, and the rename package and the trace-driven live-out study call
+// it for sequences they split themselves.
+func LiveOutsOf(insts []isa.Inst) LiveOuts {
+	var lo LiveOuts
+	var last [isa.NumRegs]int8
+	for i := range last {
+		last[i] = -1
+	}
+	for i, in := range insts {
+		if rd, ok := in.Dest(); ok {
+			lo.RegMask |= 1 << rd
+			last[rd] = int8(i)
+		}
+	}
+	for _, i := range last {
+		if i >= 0 {
+			lo.LastWrite |= 1 << i
+		}
+	}
+	return lo
 }
 
 // Len returns the fragment length in instructions.
@@ -167,7 +228,10 @@ type CodeReader interface {
 // The returned fragment's ID is canonicalized: NumBr is the number of
 // conditional branches actually walked and BrMask holds exactly the
 // direction bits consumed (including the terminating branch's), so the ID
-// matches what Split would produce for the same instruction sequence.
+// matches what Split would produce for the same instruction sequence. The
+// fragment carries each instruction's decode and its live-outs, computed
+// here once; every Fragment the simulator fetches, warms or restores comes
+// from FromCode, through a Memo.
 func FromCode(code CodeReader, id ID) *Fragment {
 	return DefaultHeuristics().FromCode(code, id)
 }
@@ -176,6 +240,10 @@ func FromCode(code CodeReader, id ID) *Fragment {
 // FromCode.
 func (h Heuristics) FromCode(code CodeReader, id ID) *Fragment {
 	h = h.Normalize()
+	// Walk into stack buffers, then size the fragment's slices once.
+	var pcs [AbsMaxLen]uint64
+	var insts [AbsMaxLen]isa.Inst
+	n := 0
 	f := &Fragment{ID: ID{StartPC: id.StartPC}}
 	pc := id.StartPC
 	br := 0
@@ -184,8 +252,8 @@ func (h Heuristics) FromCode(code CodeReader, id ID) *Fragment {
 		if !ok {
 			break
 		}
-		f.PCs = append(f.PCs, pc)
-		f.Insts = append(f.Insts, in)
+		pcs[n], insts[n] = pc, in
+		n++
 		taken := false
 		if in.IsCondBranch() {
 			taken = br < int(id.NumBr) && id.BrMask&(1<<br) != 0
@@ -211,8 +279,61 @@ func (h Heuristics) FromCode(code CodeReader, id ID) *Fragment {
 		}
 	}
 	f.ID.NumBr = uint8(br)
+	f.PCs = make([]uint64, n)
+	copy(f.PCs, pcs[:n])
+	f.Insts = make([]isa.Inst, n)
+	copy(f.Insts, insts[:n])
+	f.Decode = make([]Decoded, n)
+	for i, in := range f.Insts {
+		f.Decode[i] = decode(in)
+	}
+	f.LiveOuts = LiveOutsOf(f.Insts)
 	return f
 }
+
+// Memo builds each fragment of one program under one set of heuristics
+// once. FromCode is pure and Fragments are immutable, so every consumer
+// that shares a memo shares its fragments: a detailed run's fetch stream, a
+// functional warmer's prediction loop and the trace-cache lines it
+// restores, and, in a sampled cell, the warmer and every detailed window
+// (sim.Config.Frags). A Memo is not safe for concurrent use.
+type Memo struct {
+	code  CodeReader
+	heur  Heuristics
+	frags map[ID]*Fragment
+}
+
+// NewMemo returns an empty memo over code under h (normalized).
+func NewMemo(code CodeReader, h Heuristics) *Memo {
+	return &Memo{code: code, heur: h.Normalize(), frags: make(map[ID]*Fragment, 256)}
+}
+
+// Get returns the fragment for id, building it with FromCode on first use.
+func (m *Memo) Get(id ID) *Fragment {
+	if f, ok := m.frags[id]; ok {
+		return f
+	}
+	f := m.heur.FromCode(m.code, id)
+	m.frags[id] = f
+	return f
+}
+
+// Put makes id resolve to f from now on, in place of what FromCode builds.
+// The simulator never calls it; a test plants a fragment the code would not
+// produce to force a divergence the true path never shows.
+func (m *Memo) Put(id ID, f *Fragment) { m.frags[id] = f }
+
+// Heuristics returns the normalized heuristics the memo builds under.
+func (m *Memo) Heuristics() Heuristics { return m.heur }
+
+// For reports whether the memo builds code's fragments under h.
+func (m *Memo) For(code CodeReader, h Heuristics) bool {
+	return m.code == code && m.heur == h.Normalize()
+}
+
+// Len returns how many fragments the memo holds: one build per distinct ID
+// asked for.
+func (m *Memo) Len() int { return len(m.frags) }
 
 // DirectionOf returns the canonical direction bit (bit index i for the i-th
 // conditional branch) consumed for the branch at instruction index idx, and

@@ -18,8 +18,8 @@ package rename
 
 import (
 	"fmt"
-	"math/bits"
 
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 )
 
@@ -129,47 +129,20 @@ func renameAgainst(in isa.Inst, mt *MapTable, fl *FreeList, preallocated *PhysRe
 }
 
 // LiveOuts describes a fragment's register writes the way the live-out
-// predictor stores them (§4.1): a 64-bit bitmap of registers written by the
-// fragment ("live-outs"), and a 16-bit bitmap marking which instruction
-// positions perform the last write to some live-out register.
-type LiveOuts struct {
-	RegMask   uint64
-	LastWrite uint32
-}
-
-// NumRegs returns the number of live-out registers (phase-1 allocations).
-func (lo LiveOuts) NumRegs() int { return bits.OnesCount64(lo.RegMask) }
+// predictor stores them (§4.1). The frag package defines it, so a Fragment
+// can carry its own.
+type LiveOuts = frag.LiveOuts
 
 // Insts is the minimal fragment view this package needs: the instruction
 // sequence. frag.Fragment.Insts satisfies it directly.
 type Insts []isa.Inst
 
-// ComputeLiveOuts scans a fragment's instructions and returns its true
-// live-out description. The fill path of the live-out predictor uses this
-// on the committed stream; misprediction detection compares it against the
-// prediction.
-func ComputeLiveOuts(insts Insts) LiveOuts {
-	// Called once per fragment on the simulator's hot path: the per-register
-	// last-write positions live in a stack array indexed by isa.Reg rather
-	// than a map.
-	var lo LiveOuts
-	var last [isa.NumRegs]int8
-	for i := range last {
-		last[i] = -1
-	}
-	for i, in := range insts {
-		if rd, ok := in.Dest(); ok {
-			lo.RegMask |= 1 << rd
-			last[rd] = int8(i)
-		}
-	}
-	for _, i := range last {
-		if i >= 0 {
-			lo.LastWrite |= 1 << i
-		}
-	}
-	return lo
-}
+// ComputeLiveOuts returns the true live-out description of a fragment's
+// instructions: frag.LiveOutsOf, the one live-out scan. A Fragment built by
+// frag.FromCode already carries the result (Fragment.LiveOuts); this is for
+// instruction sequences split by the caller, such as the trace-driven
+// live-out study and this package's functional renamers.
+func ComputeLiveOuts(insts Insts) LiveOuts { return frag.LiveOutsOf(insts) }
 
 // MispredictKind enumerates §4.3's four live-out misprediction conditions.
 type MispredictKind int
@@ -212,10 +185,19 @@ func (k MispredictKind) String() string {
 // offending instruction), condition 4 after the fragment completes, and
 // condition 2 is superseded by 4.
 func CheckPrediction(pred LiveOuts, insts Insts) MispredictKind {
-	actual := ComputeLiveOuts(insts)
+	return CheckLiveOuts(pred, ComputeLiveOuts(insts), insts)
+}
+
+// CheckLiveOuts is CheckPrediction for a caller that already holds the
+// fragment's actual live-outs (Fragment.LiveOuts), so they are not scanned
+// again. A prediction equal to them is correct: every write is to a
+// predicted register and no register is written after its last write.
+func CheckLiveOuts(pred, actual LiveOuts, insts Insts) MispredictKind {
+	if pred == actual {
+		return PredictionCorrect
+	}
 	// During rename: walk instructions in order. seenLast is a bitmask over
-	// the 64 logical registers (isa.NumRegs fits a uint64), not a map —
-	// this runs once per fragment on the hot path.
+	// the 64 logical registers (isa.NumRegs fits a uint64), not a map.
 	var seenLast uint64
 	for i, in := range insts {
 		rd, ok := in.Dest()

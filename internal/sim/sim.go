@@ -14,6 +14,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/bpred"
 	"github.com/parallel-frontend/pfe/internal/core"
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/metrics"
 	"github.com/parallel-frontend/pfe/internal/obs"
@@ -115,6 +116,14 @@ type Config struct {
 	// front-end self-contained.
 	LiveOut *rename.LiveOutPredictor
 	TC      *tcache.Cache
+
+	// Frags, if non-nil, is the fragment memo the run's fetch stream
+	// builds fragments through instead of a fresh one: the seam through
+	// which a sampled run's functional warmer and every one of its
+	// detailed windows build each fragment once. It must have been made
+	// for the run's program under FrontEnd.FragHeuristics (New rejects
+	// any other) and must not be shared with a concurrent run.
+	Frags *frag.Memo
 }
 
 // Result is one simulation's measurements (post-warmup).
@@ -206,6 +215,9 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 	if cfg.MeasureInsts <= 0 {
 		return nil, fmt.Errorf("sim: MeasureInsts must be positive")
 	}
+	if cfg.Frags != nil && !cfg.Frags.For(p, cfg.FrontEnd.FragHeuristics) {
+		return nil, fmt.Errorf("sim: fragment memo was made for another program or fragment heuristics")
+	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = uint64(cfg.WarmupInsts+cfg.MeasureInsts)*40 + 1_000_000
 	}
@@ -250,7 +262,7 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 	if pred == nil {
 		pred = bpred.New(cfg.FrontEnd.Predictor)
 	}
-	stream := core.NewStream(p, pred, cfg.FrontEnd.FragHeuristics, cfg.Oracle)
+	stream := core.NewStream(p, pred, cfg.FrontEnd.FragHeuristics, cfg.Oracle, cfg.Frags)
 	be := backend.New(cfg.Backend, hier.L1D)
 	be.CommitHook = cfg.CommitHook
 	be.Sink = cfg.Events

@@ -49,6 +49,11 @@ func (s SampleSpec) validate() error {
 	return nil
 }
 
+// runDetailed runs one sampling window or time-parallel slice in detail. It
+// is a variable so the package's tests can inspect the configuration every
+// detailed run receives (which fragment memo it builds through).
+var runDetailed = sim.Run
+
 // measuredSpan returns how many instructions of the measured stream are
 // actually available: the configured budget, clamped to the recording when
 // the program halts before the budget is reached.
@@ -91,7 +96,9 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	// predictor, live-out predictor, trace cache — whichever the machine
 	// has) live across the whole run: the reader alternates between feeding
 	// detailed windows and functionally warming the gaps, so the long-lived
-	// state carries the full stream history into every window.
+	// state carries the full stream history into every window. The set's
+	// fragment memo is shared the same way, so the cell builds each
+	// fragment once for its warmer and all its windows.
 	rd := tape.NewReader()
 	wm := newWarmSet(rd, p, []Machine{m})
 	parts := make([]*sim.Result, 0, len(windows))
@@ -167,7 +174,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 		ws := opts.Spans.Phase(opts.SpanParent, "window")
 		ws.Int("window", int64(len(parts)))
 		ws.Int("start_inst", int64(absStart))
-		wr, err := sim.Run(p, cfg)
+		wr, err := runDetailed(p, cfg)
 		if err != nil {
 			ws.Str("error", firstLine(err.Error()))
 			ws.End()

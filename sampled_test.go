@@ -3,6 +3,10 @@ package pfe
 import (
 	"math"
 	"testing"
+
+	"github.com/parallel-frontend/pfe/internal/frag"
+	"github.com/parallel-frontend/pfe/internal/program"
+	"github.com/parallel-frontend/pfe/internal/sim"
 )
 
 // TestSampledRun exercises the systematic-sampling mode end to end: the
@@ -93,5 +97,67 @@ func TestSampleSpecValidate(t *testing.T) {
 		if _, err := Run("gcc", Preset(W16), opts); err == nil {
 			t.Errorf("Run accepted invalid sample spec %+v", spec)
 		}
+	}
+}
+
+// TestSampledBuildsEachFragmentOnce pins the fragment memo a sampled cell
+// shares: its functional warmer and every one of its detailed windows build
+// fragments through one memo, so each distinct fragment ID is built once
+// per cell rather than once per window. Every window must receive the same
+// memo (a nil one would make the window's stream build its own), the
+// warmer must have built into it before the first window, and the windows
+// must keep building into it. The memo's size then counts the cell's
+// builds. The cells are the sampled golden configuration's gcc PR-2x8w
+// machines, with the paper's heuristics and with (32, 16).
+func TestSampledBuildsEachFragmentOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    Machine
+	}{
+		{"PR-2x8w", Preset(PR2x8w)},
+		{"PR-2x8w/frag32-16", Preset(PR2x8w).WithFragmentHeuristics(32, 16)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var memos []*frag.Memo
+			var sizes []int // each window's memo size when it starts
+			run := runDetailed
+			defer func() { runDetailed = run }()
+			runDetailed = func(p *program.Program, cfg sim.Config) (*sim.Result, error) {
+				memos = append(memos, cfg.Frags)
+				if cfg.Frags != nil {
+					sizes = append(sizes, cfg.Frags.Len())
+				}
+				return run(p, cfg)
+			}
+			r, err := Run("gcc", c.m, RunOptions{
+				WarmupInsts:  300_000,
+				MeasureInsts: 60_000,
+				Sample:       &SampleSpec{Unit: 1_000, Period: 5_000, Warmup: 1_500},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(memos) != r.Sampling.Windows || len(memos) < 2 {
+				t.Fatalf("%d detailed runs for %d windows", len(memos), r.Sampling.Windows)
+			}
+			memo := memos[0]
+			for i, m := range memos {
+				if m == nil || m != memo {
+					t.Fatalf("window %d builds through memo %p, window 0 through %p", i, m, memo)
+				}
+			}
+			if sizes[0] == 0 {
+				t.Fatal("the warmer built no fragment into the windows' memo")
+			}
+			for i := 1; i < len(sizes); i++ {
+				if sizes[i] < sizes[i-1] {
+					t.Fatalf("memo shrank from %d to %d fragments at window %d", sizes[i-1], sizes[i], i)
+				}
+			}
+			if memo.Len() <= sizes[0] {
+				t.Errorf("windows built no fragment of their own (%d before, %d after)", sizes[0], memo.Len())
+			}
+			t.Logf("%d fragments built once for the warmer and %d windows (%d by the warmer)", memo.Len(), len(memos), sizes[0])
+		})
 	}
 }

@@ -87,7 +87,8 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			// detailed warmup — leaving the reader exactly at the
 			// detailed-warmup boundary. Slice 0 (and so K=1) builds
 			// everything inside the simulator, keeping the serial path
-			// untouched.
+			// untouched. Each slice's warm set, fragment memo included,
+			// is its own: slices run concurrently.
 			sw := ss.Child(span.KindPhase, "slice-warm")
 			sw.Int("warm_insts", sj-warm)
 			wm := newWarmSet(rd, p, []Machine{m})
@@ -114,7 +115,7 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			cfg.SelfProfile = opts.SelfProfile
 		}
 		sr := ss.Child(span.KindPhase, "slice-sim")
-		r, err := sim.Run(p, cfg)
+		r, err := runDetailed(p, cfg)
 		if err != nil {
 			sr.Str("error", firstLine(err.Error()))
 			sr.End()

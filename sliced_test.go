@@ -3,7 +3,12 @@ package pfe
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
+
+	"github.com/parallel-frontend/pfe/internal/frag"
+	"github.com/parallel-frontend/pfe/internal/program"
+	"github.com/parallel-frontend/pfe/internal/sim"
 )
 
 // TestSlicedRunDeterministic extends the determinism golden suite to the
@@ -102,5 +107,41 @@ func TestSlicedMoreSlicesThanInstructions(t *testing.T) {
 	}
 	if len(got.Slices) != 4 {
 		t.Fatalf("K clamped to %d slices, want 4 (one per instruction)", len(got.Slices))
+	}
+}
+
+// TestSlicedKeepsOneMemoPerSlice: slices run concurrently, so each interior
+// slice builds its fragments through its own warm set's memo, and slice 0's
+// stream makes its own. Two slices sharing a memo would write one map from
+// two goroutines.
+func TestSlicedKeepsOneMemoPerSlice(t *testing.T) {
+	const k = 4
+	var mu sync.Mutex
+	memos := map[*frag.Memo]int{}
+	run := runDetailed
+	defer func() { runDetailed = run }()
+	runDetailed = func(p *program.Program, cfg sim.Config) (*sim.Result, error) {
+		mu.Lock()
+		memos[cfg.Frags]++
+		mu.Unlock()
+		return run(p, cfg)
+	}
+	opts := Quick()
+	opts.Slices = k
+	opts.SliceWorkers = k
+	if _, err := Run("gcc", Preset(PR2x8w), opts); err != nil {
+		t.Fatal(err)
+	}
+	if memos[nil] != 1 {
+		t.Errorf("%d slices left their stream to make a memo, want 1 (slice 0)", memos[nil])
+	}
+	delete(memos, nil)
+	for m, n := range memos {
+		if n != 1 {
+			t.Errorf("%d slices share memo %p", n, m)
+		}
+	}
+	if len(memos) != k-1 {
+		t.Errorf("%d distinct memos for %d interior slices", len(memos), k-1)
 	}
 }

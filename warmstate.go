@@ -260,7 +260,7 @@ func decodeWarmState(s *warmSet, data []byte) error {
 		}
 	}
 	if mb.tc != nil {
-		if b, err = mb.tc.LoadState(b, mb.loop.fragOf); err != nil {
+		if b, err = mb.tc.LoadState(b, mb.loop.frags.Get); err != nil {
 			return err
 		}
 	}
@@ -351,10 +351,12 @@ type warmTC struct {
 }
 
 // warmLoop is one true-path prediction loop, mirroring core.Stream's: a
-// fragment predictor, its path history, and an anchor into the set's
-// lookahead — plus the live-out predictors and trace caches trained from
-// its fetched-fragment sequence. Distinct predictor configs or fragment
-// heuristics produce distinct fetched sequences, hence distinct loops.
+// fragment predictor, its path history, a fragment memo, and an anchor
+// into the set's lookahead — plus the live-out predictors and trace caches
+// trained from its fetched-fragment sequence. Distinct predictor configs or
+// fragment heuristics produce distinct fetched sequences, hence distinct
+// loops. A solo set's memo goes on to serve the detailed runs that inherit
+// its state (config), so a sampled cell builds each fragment once.
 //
 // One history serves as both the stream's speculative and its retirement
 // history: on the true path the two are always equal. Both start empty;
@@ -362,25 +364,13 @@ type warmTC struct {
 // the speculative one either pushes the same ID (a correct prediction) or
 // is restored from the retirement history (a divergence).
 type warmLoop struct {
-	key      string
-	pred     *bpred.TracePredictor
-	hist     bpred.History
-	heur     frag.Heuristics
-	prog     *program.Program
-	fragMemo map[frag.ID]*frag.Fragment  // FromCode is pure; memoized as in core.Stream
-	loMemo   map[frag.ID]rename.LiveOuts // ComputeLiveOuts is pure per fragment
-	los      []*warmLO
-	tcs      []*warmTC
-	off      int // the loop's anchor: where its next fragment starts in the set's lookahead
-}
-
-func (l *warmLoop) fragOf(id frag.ID) *frag.Fragment {
-	f, ok := l.fragMemo[id]
-	if !ok {
-		f = l.heur.FromCode(l.prog, id)
-		l.fragMemo[id] = f
-	}
-	return f
+	key   string
+	pred  *bpred.TracePredictor
+	hist  bpred.History
+	frags *frag.Memo
+	los   []*warmLO
+	tcs   []*warmTC
+	off   int // the loop's anchor: where its next fragment starts in the set's lookahead
 }
 
 // train performs one iteration of the stream's true-path prediction loop
@@ -393,28 +383,21 @@ func (l *warmLoop) fragOf(id frag.ID) *frag.Fragment {
 // re-anchor). The fetched fragment also trains the live-out predictors and
 // fills the trace caches, as renaming and fetch would.
 func (l *warmLoop) train(look []frag.Dyn) int {
-	trueLen, trueID := l.heur.Split(look)
+	trueLen, trueID := l.frags.Heuristics().Split(look)
 	pred := l.pred.PredictUpdate(&l.hist, trueID)
 	id := frag.ID{StartPC: look[0].PC}
 	if pred.Valid && pred.ID.StartPC == look[0].PC {
 		id = pred.ID
 	}
-	f := l.fragOf(id)
+	f := l.frags.Get(id)
 	m := 0
 	for m < f.Len() && look[m].PC == f.PCs[m] {
 		m++
 	}
 	l.hist.Push(trueID.Key())
 	if f.Len() > 0 {
-		if len(l.los) > 0 {
-			lo, ok := l.loMemo[f.ID]
-			if !ok {
-				lo = rename.ComputeLiveOuts(f.Insts)
-				l.loMemo[f.ID] = lo
-			}
-			for _, w := range l.los {
-				w.lo.Train(f.ID, lo)
-			}
+		for _, w := range l.los {
+			w.lo.Train(f.ID, f.LiveOuts)
 		}
 		for _, w := range l.tcs {
 			w.tc.Fill(f)
@@ -502,12 +485,9 @@ func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *wa
 		}
 		if l == nil {
 			l = &warmLoop{
-				key:      lkey,
-				pred:     bpred.New(m.frontEnd.Predictor),
-				heur:     m.frontEnd.FragHeuristics,
-				prog:     p,
-				fragMemo: make(map[frag.ID]*frag.Fragment, 256),
-				loMemo:   make(map[frag.ID]rename.LiveOuts, 256),
+				key:   lkey,
+				pred:  bpred.New(m.frontEnd.Predictor),
+				frags: frag.NewMemo(p, m.frontEnd.FragHeuristics),
 			}
 			s.loops = append(s.loops, l)
 		}
@@ -603,7 +583,9 @@ func (s *warmSet) resync() {
 
 // config installs a solo set's warmed structures into a detailed run's
 // config, with the cache statistics reset: a window's or slice's miss rates
-// describe its own detailed traffic, not the warming replay's.
+// describe its own detailed traffic, not the warming replay's. The run also
+// builds its fragments through the set's memo, which already holds every
+// fragment the warming fetched.
 func (s *warmSet) config(cfg *sim.Config) {
 	mb := &s.members[0]
 	h := mb.hier.hier
@@ -614,6 +596,7 @@ func (s *warmSet) config(cfg *sim.Config) {
 	cfg.Pred = mb.loop.pred
 	cfg.LiveOut = mb.lo
 	cfg.TC = mb.tc
+	cfg.Frags = mb.loop.frags
 }
 
 // warmThrough advances a machine's fresh solo warm set to boundary, through
