@@ -11,11 +11,12 @@
 #   make test-sample   tier 1.5: tape-acceleration suite (sampled-vs-full
 #                      statistical gate, sampled/sliced golden results,
 #                      sliced determinism across worker counts, also under
-#                      -race, warm-state packs, block recording against the
-#                      reference recorder, tape replay and block decode,
-#                      zero-alloc tape seek/replay guards, stored fragment
-#                      decode and live-outs, one fragment memo per sampled
-#                      cell and per slice)
+#                      -race, warm packs and concurrent copies from them
+#                      under -race, the warmed structures' copies, block
+#                      recording against the reference recorder, tape
+#                      replay and block decode, zero-alloc tape seek/replay
+#                      guards, stored fragment decode and live-outs, one
+#                      fragment memo per sampled cell and per slice)
 #   make test-obs      tier 1.5: observability suite (span tracer alloc guard
 #                      and ordered release, SSE /events ordering across worker
 #                      counts under -race, live scrape of accelerated runs,
@@ -77,21 +78,26 @@ test-robust:
 # Tape-acceleration tier: the statistical gate behind the sampled numbers
 # (every benchmark's sampled-vs-full error within its own 95% CI on a suite
 # subset), the sampled/sliced golden results, the sliced determinism suite
-# (bit-identical results across slice and worker counts), the warm-state
-# packs (restored and union-built state bit-identical to a replay), block
-# recording against the one-instruction reference recorder (byte-identical
-# tapes), tape replay against the live emulator through the block decoder,
-# and the zero-alloc tape seek/replay guards. TestFromCodeDecode pins every
+# (bit-identical results across slice and worker counts), the warm packs
+# (copied and union-built state bit-identical to a replay), the copies
+# behind them (each warmed structure's CopyFrom, pinned by its package's
+# State round-trip and mismatch tests), block recording against the
+# one-instruction reference recorder (byte-identical tapes), tape replay
+# against the live emulator through the block decoder, and the zero-alloc
+# tape seek/replay guards. TestFromCodeDecode pins every
 # fragment's stored register decode and live-outs, which fetch and rename
 # read instead of decoding again; TestSampledBuildsEachFragmentOnce (matched
 # by TestSampled) pins the one fragment memo a sampled cell shares across its
 # warmer and windows, and TestSlicedKeepsOneMemoPerSlice keeps concurrent
-# slices apart. The sliced tests run again under -race, since slices are the
-# one place detailed runs share a process concurrently. The full 12-benchmark
-# gate at paper budgets is `pfe-bench -validate-sampling`.
+# slices apart. The sliced tests run again under -race, since slices run
+# detailed simulations concurrently in one process, and so does
+# TestWarmStateUnionWarming, whose concurrent cells all copy from one cached
+# warm pack. The full 12-benchmark gate at paper budgets is
+# `pfe-bench -validate-sampling`.
 test-sample:
 	$(GO) test -count=1 . -run 'TestSample|TestSampled|TestSliced|TestWarmState'
-	$(GO) test -race -count=1 . -run 'TestSliced'
+	$(GO) test -race -count=1 . -run 'TestSliced|TestWarmStateUnionWarming'
+	$(GO) test -count=1 ./internal/mem/ ./internal/bpred/ ./internal/rename/ ./internal/tcache/ -run 'State(RoundTrip|SizeMismatch|GeometryMismatch)'
 	$(GO) test -count=1 ./internal/frag/ -run TestFromCodeDecode
 	$(GO) test -count=1 ./internal/experiments/ -run ValidateSampling
 	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestTapeReplay|TestTapeRecord'

@@ -166,26 +166,20 @@ func (c *Cache) TapeInfo(spec program.Spec, minInsts uint64) (*Tape, Info, error
 	return v.(*Tape), Info{Key: key, Hit: hit}, nil
 }
 
-// WarmStateInfo returns the warm-state snapshot stored under key — an
-// opaque, already-encoded byte blob owned by the caller's codec (see pfe's
-// warm-state artifacts) — building it with build on first use, with
-// cache-hit provenance.
-func (c *Cache) WarmStateInfo(key string, build func() ([]byte, error)) ([]byte, Info, error) {
+// WarmStateInfo returns the warmed state stored under key — an opaque value
+// owned by the caller (see pfe's warm-state artifacts), which every caller
+// only reads once it is built — building it with build on first use and
+// charging it at the bytes build reports, with cache-hit provenance.
+func (c *Cache) WarmStateInfo(key string, build func() (any, int64, error)) (any, Info, error) {
 	if c == nil {
-		data, err := build()
-		return data, Info{}, err
+		v, _, err := build()
+		return v, Info{}, err
 	}
-	v, hit, err := c.get(key, kindWarm, func() (any, int64, error) {
-		data, err := build()
-		if err != nil {
-			return nil, 0, err
-		}
-		return data, int64(len(data)) + 64, nil
-	})
+	v, hit, err := c.get(key, kindWarm, build)
 	if err != nil {
 		return nil, Info{Key: key}, err
 	}
-	return v.([]byte), Info{Key: key, Hit: hit}, nil
+	return v, Info{Key: key, Hit: hit}, nil
 }
 
 // GetResult returns a previously memoized cell result (see PutResult). The

@@ -124,8 +124,9 @@ func TestCacheResultRoundTrip(t *testing.T) {
 
 // TestCacheInfoProvenance pins the provenance build-phase spans are
 // annotated with: the lookup that builds an artifact is a miss under its
-// content address, every later one a hit — for programs, tapes and
-// warm-state snapshots alike — and a snapshot is built exactly once.
+// content address, every later one a hit — for programs, tapes and warm
+// state alike — and warm state is built exactly once, cached as the value
+// its builder returned and charged at the bytes it reported.
 func TestCacheInfoProvenance(t *testing.T) {
 	spec := gccSpec(t)
 	c := New(0)
@@ -138,17 +139,23 @@ func TestCacheInfoProvenance(t *testing.T) {
 		}
 	}
 
-	snapshot := []byte("warmed front-end state, opaque to the cache")
+	type warmed struct{ tables []uint64 }
+	state := &warmed{tables: make([]uint64, 512)}
+	const stateBytes = 512 * 8
+	before := c.Stats().Bytes
 	builds := 0
-	build := func() ([]byte, error) { builds++; return snapshot, nil }
+	build := func() (any, int64, error) { builds++; return state, stateBytes, nil }
 	for i, wantHit := range []bool{false, true} {
-		got, info, err := c.WarmStateInfo("ws1:k", build)
-		if err != nil || string(got) != string(snapshot) || info.Hit != wantHit || info.Key != "ws1:k" {
-			t.Fatalf("warm lookup %d = (%q, %+v, %v)", i, got, info, err)
+		got, info, err := c.WarmStateInfo("wp:k", build)
+		if err != nil || got != any(state) || info.Hit != wantHit || info.Key != "wp:k" {
+			t.Fatalf("warm lookup %d = (%p, %+v, %v)", i, got, info, err)
 		}
 	}
 	if builds != 1 {
-		t.Fatalf("snapshot built %d times, want exactly once", builds)
+		t.Fatalf("warm state built %d times, want exactly once", builds)
+	}
+	if got := c.Stats().Bytes - before; got != stateBytes {
+		t.Fatalf("warm state charged %d bytes, want %d", got, stateBytes)
 	}
 }
 

@@ -1,7 +1,7 @@
 package bpred
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
@@ -139,7 +139,7 @@ func TestPredictUpdateEqualsPredictThenUpdate(t *testing.T) {
 		ha.Push(id.Key())
 		hb.Push(id.Key())
 	}
-	if !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("tables or counters differ")
 	}
 }

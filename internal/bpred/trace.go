@@ -14,6 +14,7 @@ package bpred
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
@@ -104,11 +105,21 @@ func DefaultConfig() Config {
 }
 
 // entry is one tagless table entry: a predicted next-fragment ID and a
-// 2-bit replacement/confidence counter.
+// 2-bit replacement/confidence counter. The ID's fields are stored beside
+// the counter, so an entry packs into 16 bytes where a frag.ID field would
+// pad it to 24.
 type entry struct {
-	id  frag.ID
-	ctr uint8
+	pc   uint64
+	mask uint32
+	nbr  uint8
+	ctr  uint8
 }
+
+// id returns the entry's predicted fragment ID.
+func (e entry) id() frag.ID { return frag.ID{StartPC: e.pc, BrMask: e.mask, NumBr: e.nbr} }
+
+// zero reports whether the entry holds the zero ID: it was never trained.
+func (e entry) zero() bool { return e.pc == 0 && e.mask == 0 && e.nbr == 0 }
 
 // TracePredictor is the two-level path-based next-trace predictor.
 type TracePredictor struct {
@@ -221,16 +232,16 @@ type Prediction struct {
 func (p *TracePredictor) Predict(h *History) Prediction {
 	p.predicts++
 	pe := p.primary[p.primaryIndex(h)]
-	if pe.ctr >= 2 && !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	if pe.ctr >= 2 && !pe.zero() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
 	se := p.secondary[p.secondaryIndex(h)]
-	if !se.id.Zero() {
+	if !se.zero() {
 		p.fromSec++
-		return Prediction{ID: se.id, Valid: true, FromSecondary: true}
+		return Prediction{ID: se.id(), Valid: true, FromSecondary: true}
 	}
-	if !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	if !pe.zero() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
 	return Prediction{}
 }
@@ -274,7 +285,7 @@ func (p *TracePredictor) score(pred Prediction, actual frag.ID) {
 // train moves both tables' entries at the given indices toward actual.
 func (p *TracePredictor) train(pi, si int, actual frag.ID) {
 	train := func(e *entry) {
-		if e.id == actual {
+		if e.id() == actual {
 			if e.ctr < 3 {
 				e.ctr++
 			}
@@ -284,8 +295,7 @@ func (p *TracePredictor) train(pi, si int, actual frag.ID) {
 			e.ctr--
 			return
 		}
-		e.id = actual
-		e.ctr = 1
+		e.pc, e.mask, e.nbr, e.ctr = actual.StartPC, actual.BrMask, actual.NumBr, 1
 	}
 	train(&p.primary[pi])
 	train(&p.secondary[si])
@@ -295,17 +305,34 @@ func (p *TracePredictor) train(pi, si int, actual frag.ID) {
 // used for accuracy accounting inside Update.
 func (p *TracePredictor) peekAt(pi, si int) Prediction {
 	pe := p.primary[pi]
-	if pe.ctr >= 2 && !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	if pe.ctr >= 2 && !pe.zero() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
 	se := p.secondary[si]
-	if !se.id.Zero() {
-		return Prediction{ID: se.id, Valid: true, FromSecondary: true}
+	if !se.zero() {
+		return Prediction{ID: se.id(), Valid: true, FromSecondary: true}
 	}
-	if !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	if !pe.zero() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
 	return Prediction{}
+}
+
+// CopyFrom makes p's tables and counters an exact copy of src's, allocating
+// nothing. src must be configured as p is; a mismatch is a bug and panics.
+// A History is a value: assignment copies it.
+func (p *TracePredictor) CopyFrom(src *TracePredictor) {
+	if p.cfg != src.cfg {
+		panic(fmt.Sprintf("bpred: copy from a predictor configured %+v into one configured %+v", src.cfg, p.cfg))
+	}
+	copy(p.primary, src.primary)
+	copy(p.secondary, src.secondary)
+	p.predicts, p.updates, p.correct, p.fromSec = src.predicts, src.updates, src.correct, src.fromSec
+}
+
+// Bytes is the footprint of the two tables.
+func (p *TracePredictor) Bytes() int64 {
+	return int64(len(p.primary)+len(p.secondary)) * int64(unsafe.Sizeof(entry{}))
 }
 
 // Accuracy returns the fraction of Update calls whose fragment the

@@ -53,6 +53,18 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
+// CopyFrom copies src's three caches and its DRAM access count into h, which
+// must be configured identically.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.L1I.CopyFrom(src.L1I)
+	h.L1D.CopyFrom(src.L1D)
+	h.L2.CopyFrom(src.L2)
+	h.Memory.Accesses = src.Memory.Accesses
+}
+
+// Bytes is the footprint of the three caches' arrays.
+func (h *Hierarchy) Bytes() int64 { return h.L1I.Bytes() + h.L1D.Bytes() + h.L2.Bytes() }
+
 // IBankOf returns the instruction-cache bank serving addr: consecutive
 // blocks map to consecutive banks, so parallel sequencers working on
 // different fragments rarely collide while a single fragment streams

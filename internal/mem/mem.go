@@ -188,6 +188,23 @@ func (c *Cache) Reset() {
 // warming replay's.
 func (c *Cache) ResetStats() { c.accesses, c.misses = 0, 0 }
 
+// CopyFrom makes c's contents and counters (tags, valid bits, LRU stamps,
+// access statistics) an exact copy of src's, allocating nothing, so one
+// functionally warmed cache can seed any number of identically shaped ones.
+// A src of another geometry is a bug and panics.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.sets != src.sets || c.ways != src.ways || c.blockBits != src.blockBits {
+		panic("mem: " + c.name + ": copy from a cache of another geometry")
+	}
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+	copy(c.lru, src.lru)
+	c.stamp, c.accesses, c.misses = src.stamp, src.accesses, src.misses
+}
+
+// Bytes is the footprint of the cache's tag, valid and LRU arrays.
+func (c *Cache) Bytes() int64 { return int64(len(c.tags)) * (8 + 1 + 8) }
+
 // AddTo dumps the cache's counters into a stats set under its name.
 func (c *Cache) AddTo(s *stats.Set) {
 	s.Add(c.name+".accesses", c.accesses)

@@ -1,87 +1,121 @@
 package mem
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 )
 
-func warmCache(t *testing.T) *Cache {
-	t.Helper()
-	c := NewCache("l1t", CacheGeometry{SizeBytes: 4096, Ways: 2, BlockBytes: 64, HitLatency: 1}, nil)
-	for i := 0; i < 500; i++ {
-		c.Access(uint64(i)*88+13, i%3 == 0, uint64(i))
+var stateGeom = CacheGeometry{SizeBytes: 4096, Ways: 2, BlockBytes: 64, HitLatency: 1}
+
+func touchCache(c *Cache, n, seed int) {
+	for i := 0; i < n; i++ {
+		c.Access(uint64(i*seed)*88+13, i%3 == 0, uint64(i))
 	}
-	return c
 }
 
-func TestCacheStateRoundTrip(t *testing.T) {
-	c := warmCache(t)
-	snap := c.AppendState(nil)
+func touchHierarchy(h *Hierarchy, n, seed int) {
+	for i := 0; i < n; i++ {
+		h.L1I.Access(uint64(i*seed)*64, false, uint64(i))
+		h.L1D.Access(uint64(i*seed)*96+1<<20, i%4 == 0, uint64(i))
+	}
+}
 
-	fresh := NewCache("l1t", CacheGeometry{SizeBytes: 4096, Ways: 2, BlockBytes: 64, HitLatency: 1}, nil)
-	rest, err := fresh.LoadState(snap)
-	if err != nil {
-		t.Fatalf("LoadState: %v", err)
+// TestCacheStateRoundTrip: a copied cache holds exactly its source's tags,
+// valid bits, LRU stamps and counters, in arrays of its own — traffic on
+// either side leaves the other as it was — and answers later traffic as its
+// source would.
+func TestCacheStateRoundTrip(t *testing.T) {
+	// trained returns what src is, and must still be, after its training.
+	trained := func() *Cache {
+		c := NewCache("l1t", stateGeom, nil)
+		touchCache(c, 500, 1)
+		return c
 	}
-	if len(rest) != 0 {
-		t.Fatalf("LoadState left %d bytes", len(rest))
+	src := trained()
+	cp := NewCache("l1t", stateGeom, nil)
+	cp.CopyFrom(src)
+	if !reflect.DeepEqual(cp, src) {
+		t.Fatal("copy differs from its source")
 	}
-	if !bytes.Equal(fresh.AppendState(nil), snap) {
-		t.Fatal("re-snapshot differs from original")
+	if cp.Accesses() == 0 || cp.Misses() == 0 {
+		t.Fatal("source was never trained")
 	}
-	if fresh.Accesses() != c.Accesses() || fresh.Misses() != c.Misses() {
-		t.Fatalf("counters differ: %d/%d vs %d/%d", fresh.Accesses(), fresh.Misses(), c.Accesses(), c.Misses())
-	}
-	// Restored cache must behave identically going forward.
+	ref := trained()
 	for i := 0; i < 200; i++ {
 		addr := uint64(i)*72 + 7
-		a := c.Access(addr, false, uint64(500+i))
-		b := fresh.Access(addr, false, uint64(500+i))
-		if a != b {
-			t.Fatalf("post-restore latency diverges at %d: %d vs %d", i, a, b)
+		if a, b := ref.Access(addr, false, uint64(500+i)), cp.Access(addr, false, uint64(500+i)); a != b {
+			t.Fatalf("copy's latency diverges at %d: %d vs %d", i, b, a)
 		}
+	}
+	if !reflect.DeepEqual(cp, ref) {
+		t.Fatal("copy and source diverged under the same traffic")
+	}
+	if !reflect.DeepEqual(src, trained()) {
+		t.Fatal("traffic on the copy changed its source")
+	}
+
+	back := NewCache("l1t", stateGeom, nil)
+	back.CopyFrom(src)
+	touchCache(src, 300, 5)
+	if !reflect.DeepEqual(back, trained()) {
+		t.Fatal("traffic on the source changed its copy")
 	}
 }
 
+// TestCacheStateGeometryMismatch: copying a cache or a hierarchy from one of
+// another geometry is a bug and panics.
 func TestCacheStateGeometryMismatch(t *testing.T) {
-	snap := warmCache(t).AppendState(nil)
-	other := NewCache("l1t", CacheGeometry{SizeBytes: 8192, Ways: 2, BlockBytes: 64, HitLatency: 1}, nil)
-	if _, err := other.LoadState(snap); err == nil {
-		t.Fatal("expected error loading snapshot into differently shaped cache")
-	}
+	src := NewCache("l1t", stateGeom, nil)
+	touchCache(src, 500, 1)
+	big := stateGeom
+	big.SizeBytes *= 2
+	mustPanic(t, "cache", func() { NewCache("l1t", big, nil).CopyFrom(src) })
+
+	cfg := DefaultHierarchyConfig()
+	hs := NewHierarchy(cfg)
+	touchHierarchy(hs, 1000, 1)
+	other := cfg
+	other.L2.SizeBytes *= 2
+	mustPanic(t, "hierarchy", func() { NewHierarchy(other).CopyFrom(hs) })
 }
 
-func TestCacheStateTruncated(t *testing.T) {
-	snap := warmCache(t).AppendState(nil)
-	fresh := NewCache("l1t", CacheGeometry{SizeBytes: 4096, Ways: 2, BlockBytes: 64, HitLatency: 1}, nil)
-	for _, n := range []int{0, 10, len(snap) / 2, len(snap) - 1} {
-		if _, err := fresh.LoadState(snap[:n]); err == nil {
-			t.Fatalf("expected error at truncation %d", n)
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s copy across geometries did not panic", what)
 		}
-	}
+	}()
+	f()
 }
 
+// TestHierarchyStateRoundTrip: a copied hierarchy holds exactly its source's
+// three caches and DRAM access count, in arrays of its own — traffic on
+// either side leaves the other as it was.
 func TestHierarchyStateRoundTrip(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
-	h := NewHierarchy(cfg)
-	for i := 0; i < 1000; i++ {
-		h.L1I.Access(uint64(i)*64, false, uint64(i))
-		h.L1D.Access(uint64(i)*96+1<<20, i%4 == 0, uint64(i))
-	}
-	snap := h.AppendState(nil)
+	// ref is trained as src is, so it is what src must still hold.
+	src, ref := NewHierarchy(cfg), NewHierarchy(cfg)
+	touchHierarchy(src, 1000, 1)
+	touchHierarchy(ref, 1000, 1)
 
-	fresh := NewHierarchy(cfg)
-	rest, err := fresh.LoadState(snap)
-	if err != nil {
-		t.Fatalf("LoadState: %v", err)
+	cp := NewHierarchy(cfg)
+	cp.CopyFrom(src)
+	if !reflect.DeepEqual(cp, src) {
+		t.Fatal("copy differs from its source")
 	}
-	if len(rest) != 0 {
-		t.Fatalf("LoadState left %d bytes", len(rest))
+	if cp.Memory.Accesses == 0 || cp.L2.Accesses() == 0 {
+		t.Fatal("source was never trained")
 	}
-	if !bytes.Equal(fresh.AppendState(nil), snap) {
-		t.Fatal("re-snapshot differs from original")
+	touchHierarchy(cp, 500, 3)
+	if !reflect.DeepEqual(src, ref) {
+		t.Fatal("traffic on the copy changed its source")
 	}
-	if fresh.Memory.Accesses != h.Memory.Accesses {
-		t.Fatalf("DRAM accesses differ: %d vs %d", fresh.Memory.Accesses, h.Memory.Accesses)
+
+	back := NewHierarchy(cfg)
+	back.CopyFrom(src)
+	touchHierarchy(src, 500, 5)
+	if !reflect.DeepEqual(back, ref) {
+		t.Fatal("traffic on the source changed its copy")
 	}
 }

@@ -2,6 +2,7 @@ package rename
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
@@ -134,6 +135,22 @@ func (lp *LiveOutPredictor) Train(id frag.ID, lo LiveOuts) {
 		}
 	}
 	lp.entries[victim] = loEntry{valid: true, tag: tag, lo: lo, lru: lp.stamp}
+}
+
+// CopyFrom makes lp's entries, stamp and counters an exact copy of src's,
+// allocating nothing. src must be shaped as lp is; a mismatch is a bug and
+// panics.
+func (lp *LiveOutPredictor) CopyFrom(src *LiveOutPredictor) {
+	if lp.sets != src.sets || lp.ways != src.ways || lp.tagBits != src.tagBits {
+		panic("rename: copy from a live-out predictor of another shape")
+	}
+	copy(lp.entries, src.entries)
+	lp.stamp, lp.lookups, lp.hits = src.stamp, src.lookups, src.hits
+}
+
+// Bytes is the footprint of the predictor's table.
+func (lp *LiveOutPredictor) Bytes() int64 {
+	return int64(len(lp.entries)) * int64(unsafe.Sizeof(loEntry{}))
 }
 
 // HitRate returns table hits / lookups (not prediction correctness, which

@@ -1,60 +1,62 @@
 package rename
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
-func warmLiveOut(t *testing.T) *LiveOutPredictor {
-	t.Helper()
-	lp := NewLiveOutPredictor(LiveOutPredictorConfig{Entries: 256, Ways: 2, TagBits: 4})
-	for i := 0; i < 1500; i++ {
-		id := frag.ID{StartPC: uint64(i%61) * 24, BrMask: uint32(i % 9), NumBr: uint8(i % 4)}
+var stateCfg = LiveOutPredictorConfig{Entries: 256, Ways: 2, TagBits: 4}
+
+func trainLiveOut(lp *LiveOutPredictor, n, seed int) {
+	for i := 0; i < n; i++ {
+		id := frag.ID{StartPC: uint64(i*seed%61) * 24, BrMask: uint32(i % 9), NumBr: uint8(i % 4)}
 		lp.Predict(id)
-		lp.Train(id, LiveOuts{RegMask: uint64(i) * 0x9e37, LastWrite: uint32(i % 16)})
+		lp.Train(id, LiveOuts{RegMask: uint64(i*seed) * 0x9e37, LastWrite: uint32(i % 16)})
 	}
-	return lp
 }
 
+// TestLiveOutStateRoundTrip: a copied live-out predictor holds exactly its
+// source's entries, stamp and counters, in a table of its own — traffic on
+// either side leaves the other as it was.
 func TestLiveOutStateRoundTrip(t *testing.T) {
-	lp := warmLiveOut(t)
-	snap := lp.AppendState(nil)
+	cfg, train := stateCfg, trainLiveOut
+	// ref is trained as src is, so it is what src must still hold.
+	src, ref := NewLiveOutPredictor(cfg), NewLiveOutPredictor(cfg)
+	train(src, 1500, 1)
+	train(ref, 1500, 1)
 
-	fresh := NewLiveOutPredictor(LiveOutPredictorConfig{Entries: 256, Ways: 2, TagBits: 4})
-	rest, err := fresh.LoadState(snap)
-	if err != nil {
-		t.Fatalf("LoadState: %v", err)
+	cp := NewLiveOutPredictor(cfg)
+	cp.CopyFrom(src)
+	if !reflect.DeepEqual(cp, src) {
+		t.Fatal("copy differs from its source")
 	}
-	if len(rest) != 0 {
-		t.Fatalf("LoadState left %d bytes", len(rest))
+	if cp.HitRate() == 0 {
+		t.Fatal("source was never trained")
 	}
-	if !bytes.Equal(fresh.AppendState(nil), snap) {
-		t.Fatal("re-snapshot differs from original")
+	train(cp, 400, 3)
+	if !reflect.DeepEqual(src, ref) {
+		t.Fatal("training the copy changed its source")
 	}
-	// Restored predictor must answer identically going forward.
-	for i := 0; i < 400; i++ {
-		id := frag.ID{StartPC: uint64(i%53) * 24, BrMask: uint32(i % 6), NumBr: uint8(i % 3)}
-		al, aok := lp.Predict(id)
-		bl, bok := fresh.Predict(id)
-		if al != bl || aok != bok {
-			t.Fatalf("post-restore prediction diverges at %d", i)
-		}
-		lo := LiveOuts{RegMask: uint64(i), LastWrite: uint32(i % 8)}
-		lp.Train(id, lo)
-		fresh.Train(id, lo)
+
+	back := NewLiveOutPredictor(cfg)
+	back.CopyFrom(src)
+	train(src, 400, 5)
+	if !reflect.DeepEqual(back, ref) {
+		t.Fatal("training the source changed its copy")
 	}
 }
 
+// TestLiveOutStateSizeMismatch: copying a live-out predictor from one of
+// another size is a bug and panics.
 func TestLiveOutStateSizeMismatch(t *testing.T) {
-	snap := warmLiveOut(t).AppendState(nil)
-	other := NewLiveOutPredictor(LiveOutPredictorConfig{Entries: 512, Ways: 2, TagBits: 4})
-	if _, err := other.LoadState(snap); err == nil {
-		t.Fatal("expected error loading snapshot into differently sized predictor")
-	}
-	fresh := NewLiveOutPredictor(LiveOutPredictorConfig{Entries: 256, Ways: 2, TagBits: 4})
-	if _, err := fresh.LoadState(snap[:len(snap)-3]); err == nil {
-		t.Fatal("expected error on truncated snapshot")
-	}
+	src := NewLiveOutPredictor(stateCfg)
+	trainLiveOut(src, 1500, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("copy across predictor sizes did not panic")
+		}
+	}()
+	NewLiveOutPredictor(LiveOutPredictorConfig{Entries: 512, Ways: 2, TagBits: 4}).CopyFrom(src)
 }

@@ -1,12 +1,13 @@
 package tcache
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
+// testFrag builds a four-instruction trace for id, as a fill unit would.
 func testFrag(id frag.ID) *frag.Fragment {
 	f := &frag.Fragment{ID: id}
 	for j := 0; j < 4; j++ {
@@ -15,59 +16,74 @@ func testFrag(id frag.ID) *frag.Fragment {
 	return f
 }
 
-func warmTCache(t *testing.T) *Cache {
-	t.Helper()
-	c := New(Config{SizeBytes: 1 << 14, Ways: 2})
-	for i := 0; i < 800; i++ {
-		id := frag.ID{StartPC: uint64(i%97) * 32, BrMask: uint32(i % 11), NumBr: uint8(i % 4)}
+var stateCfg = Config{SizeBytes: 1 << 14, Ways: 2}
+
+func accessTCache(c *Cache, n, seed int) {
+	for i := 0; i < n; i++ {
+		id := frag.ID{StartPC: uint64(i*seed%97) * 32, BrMask: uint32(i % 11), NumBr: uint8(i % 4)}
 		if _, ok := c.Lookup(id); !ok {
 			c.Fill(testFrag(id))
 		}
 	}
-	return c
 }
 
+// TestTCacheStateRoundTrip: a copied trace cache holds exactly its source's
+// line identities, valid bits, LRU stamps and counters, with every valid
+// line's trace taken from the resolver it was given rather than shared with
+// the source, in lines of its own — traffic on either side leaves the other
+// as it was.
 func TestTCacheStateRoundTrip(t *testing.T) {
-	c := warmTCache(t)
-	snap := c.AppendState(nil)
+	cfg, access := stateCfg, accessTCache
+	// ref is filled as src is, so it is what src must still hold.
+	src, ref := New(cfg), New(cfg)
+	access(src, 800, 1)
+	access(ref, 800, 1)
 
-	fresh := New(Config{SizeBytes: 1 << 14, Ways: 2})
-	rest, err := fresh.LoadState(snap, testFrag)
-	if err != nil {
-		t.Fatalf("LoadState: %v", err)
+	resolved := map[frag.ID]*frag.Fragment{}
+	cp := New(cfg)
+	cp.CopyFrom(src, func(id frag.ID) *frag.Fragment {
+		f := testFrag(id)
+		resolved[id] = f
+		return f
+	})
+	if !reflect.DeepEqual(cp, src) {
+		t.Fatal("copy differs from its source")
 	}
-	if len(rest) != 0 {
-		t.Fatalf("LoadState left %d bytes", len(rest))
-	}
-	if !bytes.Equal(fresh.AppendState(nil), snap) {
-		t.Fatal("re-snapshot differs from original")
-	}
-	if fresh.Entries() != c.Entries() {
-		t.Fatalf("entries differ: %d vs %d", fresh.Entries(), c.Entries())
-	}
-	// Restored cache must hit/miss identically going forward, and hits must
-	// return re-materialized fragments with the right identity.
-	for i := 0; i < 300; i++ {
-		id := frag.ID{StartPC: uint64(i%89) * 32, BrMask: uint32(i % 7), NumBr: uint8(i % 3)}
-		af, aok := c.Lookup(id)
-		bf, bok := fresh.Lookup(id)
-		if aok != bok {
-			t.Fatalf("post-restore hit/miss diverges at %d", i)
+	valid := 0
+	for i, ln := range cp.lines {
+		if !ln.valid {
+			continue
 		}
-		if aok && (bf == nil || bf.ID != af.ID || len(bf.PCs) != len(af.PCs)) {
-			t.Fatalf("post-restore fragment differs at %d", i)
+		valid++
+		if ln.f != resolved[ln.id] || ln.f == src.lines[i].f {
+			t.Fatalf("line %d's trace %v did not come from the resolver", i, ln.id)
 		}
+	}
+	if valid == 0 || len(resolved) != valid {
+		t.Fatalf("%d valid lines, %d resolved traces", valid, len(resolved))
+	}
+	access(cp, 300, 3)
+	if !reflect.DeepEqual(src, ref) {
+		t.Fatal("traffic on the copy changed its source")
+	}
+
+	back := New(cfg)
+	back.CopyFrom(src, testFrag)
+	access(src, 300, 5)
+	if !reflect.DeepEqual(back, ref) {
+		t.Fatal("traffic on the source changed its copy")
 	}
 }
 
+// TestTCacheStateSizeMismatch: copying a trace cache from one of another
+// size is a bug and panics.
 func TestTCacheStateSizeMismatch(t *testing.T) {
-	snap := warmTCache(t).AppendState(nil)
-	other := New(Config{SizeBytes: 1 << 15, Ways: 2})
-	if _, err := other.LoadState(snap, testFrag); err == nil {
-		t.Fatal("expected error loading snapshot into differently sized cache")
-	}
-	fresh := New(Config{SizeBytes: 1 << 14, Ways: 2})
-	if _, err := fresh.LoadState(snap[:len(snap)-5], testFrag); err == nil {
-		t.Fatal("expected error on truncated snapshot")
-	}
+	src := New(stateCfg)
+	accessTCache(src, 800, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("copy across trace cache sizes did not panic")
+		}
+	}()
+	New(Config{SizeBytes: 1 << 15, Ways: 2}).CopyFrom(src, testFrag)
 }

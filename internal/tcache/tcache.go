@@ -9,6 +9,8 @@
 package tcache
 
 import (
+	"unsafe"
+
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
@@ -118,6 +120,27 @@ func (c *Cache) Fill(f *frag.Fragment) {
 	}
 	c.lines[victim] = line{id: f.ID, f: f, valid: true, lru: c.stamp}
 }
+
+// CopyFrom makes c's lines, stamp and counters an exact copy of src's,
+// allocating nothing but what resolve does. A line keeps only its trace's
+// identity: each valid line's fragment comes from resolve, as the fill unit
+// would build it, so the copy never shares src's fragments. src must be
+// shaped as c is; a mismatch is a bug and panics.
+func (c *Cache) CopyFrom(src *Cache, resolve func(frag.ID) *frag.Fragment) {
+	if c.sets != src.sets || c.ways != src.ways {
+		panic("tcache: copy from a trace cache of another shape")
+	}
+	for i, ln := range src.lines {
+		if ln.valid {
+			ln.f = resolve(ln.id)
+		}
+		c.lines[i] = ln
+	}
+	c.stamp, c.lookups, c.hits, c.fills = src.stamp, src.lookups, src.hits, src.fills
+}
+
+// Bytes is the footprint of the cache's lines.
+func (c *Cache) Bytes() int64 { return int64(len(c.lines)) * int64(unsafe.Sizeof(line{})) }
 
 // HitRate returns hits/lookups.
 func (c *Cache) HitRate() float64 {

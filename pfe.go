@@ -282,11 +282,11 @@ type RunOptions struct {
 	// surrounding sweep. When this run is the first to reach a warm-state
 	// boundary (see warmstate.go), it replays the skipped prefix once
 	// training the union of every distinct warm class in the roster —
-	// hierarchies, predictor, live-out predictor, trace caches — and
-	// snapshots them all, so the sweep pays one replay per boundary instead
-	// of one per class. The roster never changes any result: each snapshot
-	// is bit-identical to the one a solo warm of that class would produce.
-	// Empty means solo warming.
+	// hierarchies, predictor, live-out predictor, trace caches — and caches
+	// them all, so the sweep pays one replay per boundary instead of one per
+	// class; each cell copies its own class's structures. The roster never
+	// changes any result: each class's warmed state is bit-identical to the
+	// one a solo warm of that class would produce. Empty means solo warming.
 	WarmRoster []Machine
 }
 

@@ -108,8 +108,8 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	// The first window's prefix — the run warmup minus the detailed-warmup
 	// region — is by far the longest gap, and it is identical for every cell
 	// sharing the stream and the warm-relevant machine class. Advance through
-	// the artifact cache: restored when an earlier cell of this process
-	// snapshotted this boundary, replayed and cached otherwise.
+	// the artifact cache: the first cell of this process to reach the
+	// boundary warms and caches a warm pack, and every cell copies from it.
 	{
 		absStart := uint64(opts.WarmupInsts) + windows[0].Start
 		warm := uint64(spec.Warmup)

@@ -93,8 +93,8 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			sw.Int("warm_insts", sj-warm)
 			wm := newWarmSet(rd, p, []Machine{m})
 			// Through the artifact cache: a boundary another cell already
-			// reached restores at decode cost instead of replaying the
-			// whole prefix.
+			// reached is copied from its warm pack instead of replaying
+			// the whole prefix.
 			info, err := warmThrough(wm, pspec, m, uint64(sj-warm), opts)
 			annotArtifact(sw, info)
 			if err != nil {

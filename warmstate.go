@@ -1,10 +1,7 @@
 package pfe
 
 import (
-	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -22,27 +19,19 @@ import (
 )
 
 // Warm-state artifacts: the functionally warmed front-end state at a sampled
-// or sliced run's first detailed-warmup boundary, serialized as a
-// content-addressed blob. Functional warming replays every instruction of
+// or sliced run's first detailed-warmup boundary, held as Go values in the
+// in-process artifact cache. Functional warming replays every instruction of
 // the skipped prefix through the cache hierarchy and the trained front-end
 // structures — at 30 M-instruction warmups it dominates a sampled cell's
 // wall time, and it is identical for every cell that shares the dynamic
 // stream, the warm-relevant machine configuration, and the boundary. Caching
-// the warmed state under that triple in the in-process artifact cache means
-// a sweep pays the replay once instead of once per cell.
+// the warmed state under that triple means a sweep pays the replay once
+// instead of once per cell; each cell then copies the tables it needs.
 
-const (
-	warmStateMagic   = "PFEW"
-	warmStateVersion = 2
-
-	warmPackMagic   = "PFWP"
-	warmPackVersion = 1
-
-	// warmStateMinInsts gates snapshotting: boundaries shorter than this
-	// replay faster than a snapshot round-trips, so they always warm
-	// directly.
-	warmStateMinInsts = 1 << 18
-)
+// warmStateMinInsts gates the cache: a cell warms a boundary below it
+// itself. So short a replay costs little, while caching it would keep a
+// warmed set's tables for every benchmark and boundary.
+const warmStateMinInsts = 1 << 18
 
 // warmClassHash digests the warm-relevant machine configuration: everything
 // that shapes the warmer's structures or their training decisions — the
@@ -52,7 +41,7 @@ const (
 // themselves are NOT part of the class: functional warming replays the
 // true-path stream identically whatever engine later consumes the state, so
 // e.g. W16, PF-2x8w and PF-4x4w — which differ only in detailed-simulation
-// shape — all share one snapshot per benchmark.
+// shape — all share one warmed state per benchmark.
 func warmClassHash(m Machine) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mem:%+v|pred:%+v|frag:%+v", m.memory, m.frontEnd.Predictor, m.frontEnd.FragHeuristics)
@@ -66,8 +55,7 @@ func warmClassHash(m Machine) string {
 }
 
 // warmClasses reduces a machine roster to its sorted, distinct warm class
-// hashes — the set of snapshots one union replay of the shared prefix
-// produces.
+// hashes — the classes one union replay of the shared prefix trains.
 func warmClasses(machines []Machine) []string {
 	var classes []string
 	seen := map[string]bool{}
@@ -83,7 +71,7 @@ func warmClasses(machines []Machine) []string {
 
 // warmPackKey is the content address of one warm pack: the dynamic stream
 // (spec), the sorted set of warm classes the pack carries, and the boundary
-// the warmer stopped at. Keying the whole class set — rather than one blob
+// the warmer stopped at. Keying the whole class set — rather than one entry
 // per class — is what makes union warming single-flight: every cell of a
 // sweep, whatever its class, asks the cache for the same key, so the first
 // one replays the prefix for the whole roster and the rest wait for its
@@ -96,182 +84,7 @@ func warmPackKey(spec program.Spec, classes []string, boundary uint64) string {
 		io.WriteString(h, c)
 		h.Write([]byte{0})
 	}
-	return fmt.Sprintf("wp%d:%s:%s:%d", warmPackVersion, artifact.SpecHash(spec), hex.EncodeToString(h.Sum(nil))[:16], boundary)
-}
-
-// packSection is one class's snapshot inside a warm pack.
-type packSection struct {
-	class string
-	data  []byte
-}
-
-// encodeWarmPack frames class snapshots into one blob: magic, version,
-// section count, a (class hash, length) directory, then the payloads.
-// Sections are sorted by class so the pack's bytes do not depend on which
-// cell of the sweep happened to build it.
-func encodeWarmPack(sections []packSection) []byte {
-	sort.Slice(sections, func(i, j int) bool { return sections[i].class < sections[j].class })
-	n := len(warmPackMagic) + 1 + 4
-	for _, s := range sections {
-		n += len(s.class) + 1 + 8 + len(s.data)
-	}
-	out := make([]byte, 0, n)
-	out = append(out, warmPackMagic...)
-	out = append(out, warmPackVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sections)))
-	for _, s := range sections {
-		out = append(out, byte(len(s.class)))
-		out = append(out, s.class...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.data)))
-	}
-	for _, s := range sections {
-		out = append(out, s.data...)
-	}
-	return out
-}
-
-// warmPackSection extracts one class's snapshot from a pack. A malformed
-// pack or an absent class is an error.
-func warmPackSection(pack []byte, class string) ([]byte, error) {
-	if len(pack) < len(warmPackMagic)+1+4 || string(pack[:len(warmPackMagic)]) != warmPackMagic {
-		return nil, fmt.Errorf("pfe: warm pack: bad magic")
-	}
-	if v := pack[len(warmPackMagic)]; v != warmPackVersion {
-		return nil, fmt.Errorf("pfe: warm pack: version %d, want %d", v, warmPackVersion)
-	}
-	b := pack[len(warmPackMagic)+1:]
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	type dirent struct {
-		class string
-		size  uint64
-	}
-	dir := make([]dirent, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < 1 || len(b) < 1+int(b[0])+8 {
-			return nil, fmt.Errorf("pfe: warm pack: truncated directory")
-		}
-		cl := int(b[0])
-		dir = append(dir, dirent{class: string(b[1 : 1+cl]), size: binary.LittleEndian.Uint64(b[1+cl:])})
-		b = b[1+cl+8:]
-	}
-	for _, d := range dir {
-		if uint64(len(b)) < d.size {
-			return nil, fmt.Errorf("pfe: warm pack: truncated section %s", d.class)
-		}
-		if d.class == class {
-			return b[:d.size], nil
-		}
-		b = b[d.size:]
-	}
-	return nil, fmt.Errorf("pfe: warm pack: no section for class %s", class)
-}
-
-// encodeWarmState serializes one member of a warm set that has just
-// finished warmTo: reader position, the L1I block-elision cursor, the path
-// history, the hierarchy, and the trained structures the class has. The
-// pending lookahead is not serialized — every consumer resyncs (drops it)
-// before the next training step, so the post-restore state is exactly the
-// post-resync state. The payload is gzip-compressed: cold table regions are
-// long runs of zeros.
-func encodeWarmState(s *warmSet, mb *warmMember) ([]byte, error) {
-	raw := make([]byte, 0, 1<<20)
-	raw = binary.LittleEndian.AppendUint64(raw, s.rd.Pos())
-	raw = binary.LittleEndian.AppendUint64(raw, mb.hier.lastIBlk)
-	var flags byte
-	if mb.lo != nil {
-		flags |= 1
-	}
-	if mb.tc != nil {
-		flags |= 2
-	}
-	raw = append(raw, flags)
-	raw = mb.loop.hist.AppendState(raw)
-	raw = mb.hier.hier.AppendState(raw)
-	raw = mb.loop.pred.AppendState(raw)
-	if mb.lo != nil {
-		raw = mb.lo.AppendState(raw)
-	}
-	if mb.tc != nil {
-		raw = mb.tc.AppendState(raw)
-	}
-
-	var buf bytes.Buffer
-	buf.WriteString(warmStateMagic)
-	buf.WriteByte(warmStateVersion)
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeWarmState restores a snapshot into a freshly built solo warm set
-// for the same machine class and seeks its reader to the snapshot boundary.
-// Any mismatch (foreign flags, wrong table geometry, trailing bytes) is an
-// error.
-func decodeWarmState(s *warmSet, data []byte) error {
-	if len(data) < len(warmStateMagic)+1 || string(data[:len(warmStateMagic)]) != warmStateMagic {
-		return fmt.Errorf("pfe: warm state: bad magic")
-	}
-	if v := data[len(warmStateMagic)]; v != warmStateVersion {
-		return fmt.Errorf("pfe: warm state: version %d, want %d", v, warmStateVersion)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(data[len(warmStateMagic)+1:]))
-	if err != nil {
-		return fmt.Errorf("pfe: warm state: %w", err)
-	}
-	raw, err := io.ReadAll(zr)
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("pfe: warm state: %w", err)
-	}
-	if len(raw) < 8+8+1 {
-		return fmt.Errorf("pfe: warm state: truncated header")
-	}
-	mb := &s.members[0]
-	pos := binary.LittleEndian.Uint64(raw)
-	lastIBlk := binary.LittleEndian.Uint64(raw[8:])
-	flags := raw[16]
-	if (flags&1 != 0) != (mb.lo != nil) || (flags&2 != 0) != (mb.tc != nil) {
-		return fmt.Errorf("pfe: warm state: structure flags %#x do not match machine", flags)
-	}
-	b := raw[17:]
-	if b, err = mb.loop.hist.LoadState(b); err != nil {
-		return err
-	}
-	if b, err = mb.hier.hier.LoadState(b); err != nil {
-		return err
-	}
-	if b, err = mb.loop.pred.LoadState(b); err != nil {
-		return err
-	}
-	if mb.lo != nil {
-		if b, err = mb.lo.LoadState(b); err != nil {
-			return err
-		}
-	}
-	if mb.tc != nil {
-		if b, err = mb.tc.LoadState(b, mb.loop.frags.Get); err != nil {
-			return err
-		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("pfe: warm state: %d trailing bytes", len(b))
-	}
-	if err := s.rd.Seek(pos); err != nil {
-		return err
-	}
-	mb.hier.lastIBlk = lastIBlk
-	return nil
+	return fmt.Sprintf("wp:%s:%s:%d", artifact.SpecHash(spec), hex.EncodeToString(h.Sum(nil))[:16], boundary)
 }
 
 // Functional warming replays the skipped stream through the long-lived
@@ -412,13 +225,29 @@ func (l *warmLoop) train(look []frag.Dyn) int {
 }
 
 // warmMember is one distinct warm class of the set: the components its
-// snapshot is assembled from, and that its detailed runs inherit.
+// detailed runs inherit, or that a cell of its class copies out of a pack.
 type warmMember struct {
 	class string
 	hier  *warmHier
 	loop  *warmLoop
 	lo    *rename.LiveOutPredictor // nil: class has no live-out predictor
 	tc    *tcache.Cache            // nil: class has no trace cache
+}
+
+// copyFrom makes mb's structures exact copies of src's, a member of the
+// same warm class in another set. Trace-cache lines resolve their fragments
+// through mb's own memo.
+func (mb *warmMember) copyFrom(src *warmMember) {
+	mb.hier.hier.CopyFrom(src.hier.hier)
+	mb.hier.lastIBlk = src.hier.lastIBlk
+	mb.loop.pred.CopyFrom(src.loop.pred)
+	mb.loop.hist = src.loop.hist
+	if mb.lo != nil {
+		mb.lo.CopyFrom(src.lo)
+	}
+	if mb.tc != nil {
+		mb.tc.CopyFrom(src.tc, mb.loop.frags.Get)
+	}
 }
 
 // warmSet trains every distinct warm class of a machine roster in one
@@ -581,11 +410,29 @@ func (s *warmSet) resync() {
 	}
 }
 
+// bytes is the footprint of the set's trained tables.
+func (s *warmSet) bytes() int64 {
+	var n int64
+	for _, h := range s.hiers {
+		n += h.hier.Bytes()
+	}
+	for _, l := range s.loops {
+		n += l.pred.Bytes()
+		for _, w := range l.los {
+			n += w.lo.Bytes()
+		}
+		for _, w := range l.tcs {
+			n += w.tc.Bytes()
+		}
+	}
+	return n
+}
+
 // config installs a solo set's warmed structures into a detailed run's
 // config, with the cache statistics reset: a window's or slice's miss rates
 // describe its own detailed traffic, not the warming replay's. The run also
 // builds its fragments through the set's memo, which already holds every
-// fragment the warming fetched.
+// fragment the set's own warming fetched and its trace cache holds.
 func (s *warmSet) config(cfg *sim.Config) {
 	mb := &s.members[0]
 	h := mb.hier.hier
@@ -599,52 +446,47 @@ func (s *warmSet) config(cfg *sim.Config) {
 	cfg.Frags = mb.loop.frags
 }
 
+// warmPack is a union-warmed set as the artifact cache holds it: every warm
+// class's trained structures at the boundary, and the reader position the
+// replay stopped at (the boundary, or an earlier halt). It keeps no reader
+// and no fragment memo, only the trained structures, and nothing writes to
+// it once cached: cells copy out of it concurrently.
+type warmPack struct {
+	members []warmMember
+	pos     uint64
+}
+
 // warmThrough advances a machine's fresh solo warm set to boundary, through
 // the artifact cache when one is attached: the first cell of a sweep to
 // reach a boundary replays the prefix once — training every distinct warm
-// class of the roster side by side — and snapshots the results into one
-// warm pack; every later cell of the process, whatever its class, restores
-// its section at decode cost. Packs never leave the process, so a decode
-// error is a bug and is returned, not papered over.
+// class of the roster side by side in a fresh set — and caches the result
+// as a warm pack; every cell of the process, the builder included, then
+// copies its own class's structures out of the pack into its set.
 func warmThrough(ws *warmSet, spec program.Spec, m Machine, boundary uint64, opts RunOptions) (artifact.Info, error) {
 	if opts.Artifacts == nil || boundary < warmStateMinInsts {
 		return artifact.Info{}, ws.warmTo(boundary)
 	}
 	machines := append([]Machine{m}, opts.WarmRoster...)
-	classes := warmClasses(machines)
-	built := false
-	data, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, classes, boundary), func() ([]byte, error) {
-		// This cell runs the build. A roster of this cell's class alone
-		// warms the cell's own set.
-		set := ws
-		if len(classes) > 1 {
-			set = newWarmSet(ws.rd, ws.prog, machines)
-		} else {
-			built = true
-		}
+	v, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() (any, int64, error) {
+		set := newWarmSet(ws.rd, ws.prog, machines)
 		if err := set.warmTo(boundary); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		sections := make([]packSection, 0, len(set.members))
-		for i := range set.members {
-			mb := &set.members[i]
-			b, err := encodeWarmState(set, mb)
-			if err != nil {
-				return nil, err
-			}
-			sections = append(sections, packSection{class: mb.class, data: b})
+		for _, l := range set.loops {
+			l.frags = nil // each cell resolves fragments through its own memo
 		}
-		return encodeWarmPack(sections), nil
+		return &warmPack{members: set.members, pos: ws.rd.Pos()}, set.bytes(), nil
 	})
 	if err != nil {
 		return info, err
 	}
-	if built {
-		return info, nil // this cell warmed its own set
+	pack := v.(*warmPack)
+	class := warmClassHash(m)
+	for i := range pack.members {
+		if src := &pack.members[i]; src.class == class {
+			ws.members[0].copyFrom(src)
+			return info, ws.rd.Seek(pack.pos)
+		}
 	}
-	section, err := warmPackSection(data, warmClassHash(m))
-	if err != nil {
-		return info, err
-	}
-	return info, decodeWarmState(ws, section)
+	panic("pfe: warm pack lacks the class its key names")
 }

@@ -1,8 +1,8 @@
 package pfe
 
 import (
-	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/artifact"
@@ -10,7 +10,7 @@ import (
 )
 
 // warmStateOpts is a sampled plan whose first-window boundary clears
-// warmStateMinInsts, so the run snapshots (or restores) warm state whenever
+// warmStateMinInsts, so the run builds (or copies from) a warm pack whenever
 // an artifact cache is attached.
 func warmStateOpts() RunOptions {
 	return RunOptions{
@@ -21,8 +21,8 @@ func warmStateOpts() RunOptions {
 }
 
 // TestWarmStateSampledBitIdentical is the warm-state determinism guarantee
-// for sampled runs: a cell that restores the functionally warmed front-end
-// state from a cached snapshot is bit-identical to the cell that replayed
+// for sampled runs: a cell that copies the functionally warmed front-end
+// state from a cached warm pack is bit-identical to the cell that replayed
 // the whole prefix. Covers a plain machine and one with every optional
 // trained structure (live-out predictor and trace cache).
 func TestWarmStateSampledBitIdentical(t *testing.T) {
@@ -43,19 +43,19 @@ func TestWarmStateSampledBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(baseline, built) {
-				t.Fatalf("snapshot-building run diverged from plain run:\n plain: %+v\n built: %+v", baseline, built)
+				t.Fatalf("pack-building run diverged from plain run:\n plain: %+v\n built: %+v", baseline, built)
 			}
 			if s := cold.Stats(); s.WarmMisses != 1 || s.WarmHits != 0 {
 				t.Fatalf("cold run warm traffic: %d hits / %d misses, want 0 / 1", s.WarmHits, s.WarmMisses)
 			}
 
-			// Same process, same cache: restores from memory.
+			// Same process, same cache: copies from the cached pack.
 			mem, err := Run("gcc", m, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(baseline, mem) {
-				t.Fatal("memory-restored run diverged from plain run")
+				t.Fatal("pack-copying run diverged from plain run")
 			}
 			if s := cold.Stats(); s.WarmHits != 1 {
 				t.Fatalf("warm hits = %d after re-run, want 1", s.WarmHits)
@@ -66,7 +66,7 @@ func TestWarmStateSampledBitIdentical(t *testing.T) {
 
 // TestWarmStateSharedAcrossWidths pins the class hash's point: machines
 // differing only in width / parallelism (not in any warm-relevant structure)
-// share one snapshot, so a width sweep warms each benchmark once.
+// share one warm pack, so a width sweep warms each benchmark once.
 func TestWarmStateSharedAcrossWidths(t *testing.T) {
 	cache := artifact.New(0)
 	opts := warmStateOpts()
@@ -79,7 +79,7 @@ func TestWarmStateSharedAcrossWidths(t *testing.T) {
 	}
 	s := cache.Stats()
 	if s.WarmMisses != 1 || s.WarmHits != 1 {
-		t.Fatalf("warm traffic across widths: %d hits / %d misses, want 1 / 1 (shared snapshot)", s.WarmHits, s.WarmMisses)
+		t.Fatalf("warm traffic across widths: %d hits / %d misses, want 1 / 1 (shared pack)", s.WarmHits, s.WarmMisses)
 	}
 	// A warm-relevant change (different predictor tables via a different
 	// fetch engine) must NOT share.
@@ -105,10 +105,12 @@ func TestWarmStateSharedAcrossWidths(t *testing.T) {
 
 // TestWarmStateUnionWarming pins union (matrix) warming: with the sweep
 // roster attached, the first cell to reach the boundary replays the prefix
-// once, training every distinct warm class side by side, and every later
-// cell of the sweep restores — one warm miss for the whole grid. Results
-// stay bit-identical to solo runs, and the union-built snapshots are
-// byte-for-byte the snapshots solo warming writes.
+// once, training every distinct warm class side by side, and every other
+// cell of the sweep copies from its pack — one warm miss for the whole
+// grid. The cells run concurrently, as a sweep's do, so they read the one
+// cached pack at the same time (run it under -race). Results stay
+// bit-identical to solo runs, and the union-built structures equal the ones
+// solo warming builds.
 func TestWarmStateUnionWarming(t *testing.T) {
 	fes := []FrontEnd{W16, TC, TC2x, PF2x8w, PF4x4w, PR2x8w, PR4x4w}
 	roster := make([]Machine, len(fes))
@@ -129,24 +131,36 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	opts := warmStateOpts()
 	opts.Artifacts = artifact.New(0)
 	opts.WarmRoster = roster
+	got := make([]*Result, len(fes))
+	errs := make([]error, len(fes))
+	var wg sync.WaitGroup
 	for i, fe := range fes {
-		got, err := Run("gzip", Preset(fe), opts)
-		if err != nil {
-			t.Fatal(err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Run("gzip", Preset(fe), opts)
+		}()
+	}
+	wg.Wait()
+	for i, fe := range fes {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", fe, errs[i])
 		}
-		if !reflect.DeepEqual(base[i], got) {
+		if !reflect.DeepEqual(base[i], got[i]) {
 			t.Fatalf("%s: union-warmed run diverged from solo run", fe)
 		}
 	}
 	// 7 cells, 4 warm classes ({W16,PF*}, {TC}, {TC2x}, {PR*}) — the first
-	// cell's union build covers all of them, every other cell restores.
+	// cell's union build covers all of them; every other cell waits for it
+	// or finds it built, and both count as hits.
 	if s := opts.Artifacts.Stats(); s.WarmMisses != 1 || s.WarmHits != 6 {
 		t.Fatalf("union warm traffic: %d hits / %d misses, want 6 / 1", s.WarmHits, s.WarmMisses)
 	}
 
-	// Byte-identity of a sibling snapshot: solo-warm the trace-cache class
-	// in its own cache and compare blobs. Both packs are read back from the
-	// caches that built them; a build here means a run left no pack.
+	// Equality of a sibling class: solo-warm the trace-cache class in its
+	// own cache and compare its structures with the union pack's. Both
+	// packs are read back from the caches that built them; a build here
+	// means a run left no pack.
 	solo := warmStateOpts()
 	solo.Artifacts = artifact.New(0)
 	if _, err := Run("gzip", Preset(TC), solo); err != nil {
@@ -158,34 +172,47 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	}
 	boundary := uint64(solo.WarmupInsts - solo.Sample.Warmup)
 	class := warmClassHash(Preset(TC))
-	cachedPack := func(c *artifact.Cache, machines []Machine) []byte {
+	cachedMember := func(c *artifact.Cache, machines []Machine) (*warmMember, uint64) {
 		t.Helper()
-		pack, _, err := c.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() ([]byte, error) {
+		v, _, err := c.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() (any, int64, error) {
 			t.Fatal("run left no warm pack in its cache")
-			return nil, nil
+			return nil, 0, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pack
+		pack := v.(*warmPack)
+		for i := range pack.members {
+			if pack.members[i].class == class {
+				return &pack.members[i], pack.pos
+			}
+		}
+		t.Fatalf("pack holds no %s class", TC)
+		return nil, 0
 	}
-	soloPack := cachedPack(solo.Artifacts, []Machine{Preset(TC)})
-	unionPack := cachedPack(opts.Artifacts, roster)
-	want, err := warmPackSection(soloPack, class)
-	if err != nil {
-		t.Fatal(err)
+	want, wantPos := cachedMember(solo.Artifacts, []Machine{Preset(TC)})
+	union, unionPos := cachedMember(opts.Artifacts, roster)
+	if unionPos != wantPos || wantPos != boundary {
+		t.Fatalf("union pack stopped at %d, solo pack at %d, boundary %d", unionPos, wantPos, boundary)
 	}
-	gotBytes, err := warmPackSection(unionPack, class)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, gotBytes) {
-		t.Fatalf("union-built snapshot differs from solo-built snapshot (%d vs %d bytes)", len(gotBytes), len(want))
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{
+		{"hierarchy", union.hier.hier, want.hier.hier},
+		{"L1I cursor", union.hier.lastIBlk, want.hier.lastIBlk},
+		{"predictor", union.loop.pred, want.loop.pred},
+		{"history", union.loop.hist, want.loop.hist},
+		{"trace cache", union.tc, want.tc},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("union-built %s differs from the solo-built one", c.what)
+		}
 	}
 }
 
 // TestWarmStateSlicedBitIdentical is the same guarantee for time-parallel
-// runs: interior slices restoring their boundary snapshots produce the
+// runs: interior slices copying from their boundaries' warm packs produce the
 // exact result of slices that replayed their prefixes.
 func TestWarmStateSlicedBitIdentical(t *testing.T) {
 	m := Preset(PR2x8w)
@@ -202,19 +229,19 @@ func TestWarmStateSlicedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(baseline, built) {
-		t.Fatal("snapshot-building sliced run diverged from plain run")
+		t.Fatal("pack-building sliced run diverged from plain run")
 	}
 	if s := cache.Stats(); s.WarmMisses != 2 {
 		t.Fatalf("warm misses = %d, want 2 (one per interior slice past the gate)", s.WarmMisses)
 	}
 
-	// Same cache: every interior slice restores its snapshot from memory.
+	// Same cache: every interior slice copies from its boundary's pack.
 	restored, err := Run("gcc", m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(baseline, restored) {
-		t.Fatal("memory-restored sliced run diverged from plain run")
+		t.Fatal("pack-copying sliced run diverged from plain run")
 	}
 	if s := cache.Stats(); s.WarmMisses != 2 || s.WarmHits != 2 {
 		t.Fatalf("warm traffic after re-run: %d hits / %d misses, want 2 / 2", s.WarmHits, s.WarmMisses)
