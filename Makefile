@@ -13,7 +13,9 @@
 #                      sliced determinism across worker counts, also under
 #                      -race, warm packs and concurrent copies from them
 #                      under -race, the warmed structures' copies, block
-#                      recording against the reference recorder, tape
+#                      recording against the reference recorder, its fault,
+#                      panic and goroutine-leak checks and the cache's
+#                      panicking build, also under -race, tape
 #                      replay and block decode, zero-alloc tape seek/replay
 #                      guards, stored fragment decode and live-outs, one
 #                      fragment memo per sampled cell and per slice)
@@ -92,8 +94,10 @@ test-robust:
 # slices apart. The sliced tests run again under -race, since slices run
 # detailed simulations concurrently in one process, and so does
 # TestWarmStateUnionWarming, whose concurrent cells all copy from one cached
-# warm pack. The full 12-benchmark gate at paper budgets is
-# `pfe-bench -validate-sampling`.
+# warm pack. The recorder's tests and the cache's panicking build run under
+# -race too: Record's emulator and encoder run on two goroutines, and a
+# build's single-flight waiters on others. The full 12-benchmark gate at
+# paper budgets is `pfe-bench -validate-sampling`.
 test-sample:
 	$(GO) test -count=1 . -run 'TestSample|TestSampled|TestSliced|TestWarmState'
 	$(GO) test -race -count=1 . -run 'TestSliced|TestWarmStateUnionWarming'
@@ -101,6 +105,7 @@ test-sample:
 	$(GO) test -count=1 ./internal/frag/ -run TestFromCodeDecode
 	$(GO) test -count=1 ./internal/experiments/ -run ValidateSampling
 	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestTapeReplay|TestTapeRecord'
+	$(GO) test -race -count=1 ./internal/artifact/ -run 'TestTapeRecord|TestCacheBuildPanic'
 	$(GO) test -count=1 ./internal/stats/ -run 'TestSummarize|TestSampleWindows|TestTCrit95'
 
 # Observability tier: the sweep span tracer (nil-tracer alloc guard, ordered
@@ -139,7 +144,8 @@ bench:
 # bench-stat emits benchstat-ready samples of the hot-path suite (ns/op,
 # allocs/op, ns/sim-cycle per front-end config), of the functional-warming
 # kernel (ns/inst, union and solo), of tape recording (ns per recorded
-# instruction) and of a sampled cell's detailed windows alone (ns per
+# instruction, at one and two CPUs: the recorder's two stages overlap only
+# on a second core) and of a sampled cell's detailed windows alone (ns per
 # detailed instruction, without its warming). Record before and after a
 # perf change, then `benchstat old.txt new.txt`:
 #
@@ -150,7 +156,7 @@ BENCH_COUNT ?= 10
 bench-stat:
 	$(GO) test ./internal/sim -run='^$$' -bench BenchmarkHotSim -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run='^$$' -bench 'BenchmarkFunctionalWarming|BenchmarkSampledWindows' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeRecord -benchmem -count=$(BENCH_COUNT)
+	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeRecord -benchmem -cpu 1,2 -count=$(BENCH_COUNT)
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS

@@ -135,8 +135,10 @@ func (c *Cache) ProgramInfo(spec program.Spec) (*program.Program, Info, error) {
 }
 
 // Tape returns a recording of spec's dynamic stream covering at least
-// minInsts instructions (or to halt), recording it on first use. The shared
-// program image comes from the same cache.
+// minInsts instructions (or to halt), recording it on first use with
+// Record, which emulates on a second goroutine while the caller encodes and
+// returns only once both are done. The shared program image comes from the
+// same cache.
 func (c *Cache) Tape(spec program.Spec, minInsts uint64) (*Tape, error) {
 	t, _, err := c.TapeInfo(spec, minInsts)
 	return t, err
@@ -223,7 +225,9 @@ var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); retu
 // under concurrent callers (waiters block until the builder finishes and
 // count as hits — they shared the one build). The second return reports
 // whether the lookup was a hit. Build errors are returned to every waiter
-// but not cached.
+// but not cached. A build that panics fails the same way, with an error
+// naming the key and the panic value, and the panic goes on to the builder's
+// caller.
 func (c *Cache) get(key string, kind int, build func() (any, int64, error)) (any, bool, error) {
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
@@ -240,18 +244,30 @@ func (c *Cache) get(key string, kind int, build func() (any, int64, error)) (any
 	c.misses[kind]++
 	c.mu.Unlock()
 
+	defer func() {
+		if v := recover(); v != nil {
+			c.settle(e, nil, 0, fmt.Errorf("artifact: building %s panicked: %v", key, v))
+			panic(v)
+		}
+	}()
 	val, bytes, err := build()
+	c.settle(e, val, bytes, err)
+	return val, false, err
+}
 
+// settle completes the pending entry e with its build's outcome and wakes
+// its waiters. A failed build leaves the cache, so the next caller of its key
+// builds afresh.
+func (c *Cache) settle(e *entry, val any, bytes int64, err error) {
 	c.mu.Lock()
 	e.val, e.err, e.bytes = val, err, bytes
 	if err != nil {
-		delete(c.entries, key)
+		delete(c.entries, e.key)
 	} else {
 		c.insertReadyLocked(e)
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return val, false, err
 }
 
 // insertReadyLocked accounts a completed entry and applies the byte cap.

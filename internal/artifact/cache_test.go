@@ -1,10 +1,13 @@
 package artifact
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/program"
@@ -156,6 +159,52 @@ func TestCacheInfoProvenance(t *testing.T) {
 	}
 	if got := c.Stats().Bytes - before; got != stateBytes {
 		t.Fatalf("warm state charged %d bytes, want %d", got, stateBytes)
+	}
+}
+
+// TestCacheBuildPanicReleasesKey panics in a warm-state build while a second
+// caller waits on its key: the panic reaches the builder's caller, the
+// waiter returns an error naming the key and the panic value instead of
+// blocking, and a later call for the key builds afresh.
+func TestCacheBuildPanicReleasesKey(t *testing.T) {
+	c := New(0)
+	const key = "wp:panics"
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.WarmStateInfo(key, func() (any, int64, error) {
+			close(started)
+			<-release
+			panic("warm build fault")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		_, _, err := c.WarmStateInfo(key, func() (any, int64, error) {
+			return nil, 0, errors.New("a second build ran while the first was pending")
+		})
+		waited <- err
+	}()
+	for c.Stats().WarmHits == 0 { // the waiter has found the pending entry
+		runtime.Gosched()
+	}
+	close(release)
+	if v := <-panicked; fmt.Sprint(v) != "warm build fault" {
+		t.Fatalf("the builder's caller recovered %v, want the build's panic", v)
+	}
+	select {
+	case err := <-waited:
+		if err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "warm build fault") {
+			t.Fatalf("waiter got %v, want an error naming %s and the panic", err, key)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked 5 s after the build panicked")
+	}
+	v, info, err := c.WarmStateInfo(key, func() (any, int64, error) { return "rebuilt", 8, nil })
+	if err != nil || v != "rebuilt" || info.Hit {
+		t.Fatalf("later call = (%v, %+v, %v), want a fresh build", v, info, err)
 	}
 }
 

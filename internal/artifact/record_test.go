@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
@@ -60,10 +64,13 @@ func recordRef(p *program.Program, maxInsts uint64) (*Tape, error) {
 // TestTapeRecordMatchesReference records every suite benchmark and the
 // halting test program with Record and with the one-instruction reference
 // recorder, and requires byte-identical taken bits, aux stream and index,
-// and the same count and halt flag. The budgets are not multiples of the
+// and the same count and halt flag. Most budgets are not multiples of the
 // record block or of IndexStride, so recordings end mid-block and
-// mid-stride; IndexStride itself ends one exactly on a stride.
+// mid-stride; IndexStride and 2*IndexStride end exactly on a stride, and
+// IndexStride-1 and 2*IndexStride+1 one short of and one past it. Record's
+// emulator goroutine must be gone once it returns.
 func TestTapeRecordMatchesReference(t *testing.T) {
+	before := runtime.NumGoroutine()
 	specs := []program.Spec{program.TestSpec()}
 	for _, name := range program.SuiteNames() {
 		spec, err := program.SpecByName(name)
@@ -78,7 +85,7 @@ func TestTapeRecordMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, budget := range []uint64{1, 255, IndexStride, 4_097, 20_011} {
+		for _, budget := range []uint64{1, 255, IndexStride - 1, IndexStride, 4_097, 2 * IndexStride, 2*IndexStride + 1, 20_011} {
 			got, err := Record(p, budget)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", p.Name, budget, err)
@@ -106,11 +113,85 @@ func TestTapeRecordMatchesReference(t *testing.T) {
 	if !halted {
 		t.Fatal("no recording reached OpHalt; the test program should halt within the largest budget")
 	}
+	checkGoroutines(t, before)
 }
 
-// BenchmarkTapeRecord records a fixed gcc prefix and reports the cost per
-// recorded instruction (ns/inst), the serial set-up cost of every sampled
-// or sliced sweep.
+// loopThen hand-builds a program that counts r1 down from 10,000 in a
+// two-instruction loop, 20,001 instructions over several of Record's blocks,
+// and then executes last.
+func loopThen(name string, last isa.Inst) *program.Program {
+	return &program.Program{
+		Name: name,
+		Code: []isa.Inst{
+			{Op: isa.OpAddi, Rd: 1, Imm: 10_000},
+			{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: -1},
+			{Op: isa.OpBne, Rs1: 1, Rs2: isa.RegZero, Imm: -2},
+			last,
+		},
+		EntryPC: program.CodeBase,
+	}
+}
+
+// checkGoroutines fails the test unless the goroutine count falls back to
+// want: Record waits for its emulator goroutine to finish, which leaves only
+// that goroutine's own exit outstanding when Record returns.
+func checkGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Record, %d before: its emulator goroutine outlived it",
+				runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestTapeRecordFault records a program whose jump leaves the code image
+// after several full blocks: Record drops the recording and returns the
+// emulator's fault, with the reference recorder's error text.
+func TestTapeRecordFault(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := loopThen("fault", isa.Inst{Op: isa.OpJ, Imm: 0x400000 / isa.InstBytes})
+	const want = "artifact: recording fault: emu: PC 0x400000 outside code image"
+	tape, err := Record(p, 100_000)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Record = %v, %v; want the error %q", tape, err, want)
+	}
+	if _, err := recordRef(p, 100_000); err == nil || err.Error() != want {
+		t.Fatalf("reference recorder: %v; want the error %q", err, want)
+	}
+	checkGoroutines(t, before)
+}
+
+// TestTapeRecordPanic records a program whose FP add writes integer
+// register 1, which panics in the emulator after several full blocks: the
+// panic must reach Record's caller, carrying the emulator goroutine's stack,
+// rather than end the process from the emulator goroutine.
+func TestTapeRecordPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := loopThen("panic", isa.Inst{Op: isa.OpFadd, Rd: 1, Rs1: isa.FPBase, Rs2: isa.FPBase + 1})
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		tape, err := Record(p, 100_000)
+		t.Errorf("Record = %v, %v; want a panic", tape, err)
+		return nil
+	}()
+	msg := fmt.Sprint(v)
+	for _, want := range []string{"index out of range [225] with length 32", "emu.(*Machine).ReadBlock"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic value lacks %q:\n%s", want, msg)
+		}
+	}
+	checkGoroutines(t, before)
+}
+
+// BenchmarkTapeRecord records gcc prefixes and reports the cost per
+// recorded instruction (ns/inst), the set-up cost of every sampled or sliced
+// sweep: a 1M-instruction prefix, and the tape of a sampled cell with 10M
+// warmup and 1M sampled instructions (with TapeSlack), the length perfbench's
+// sampled-warm records. Run it at -cpu 1,2 as well: the recorder's two stages
+// overlap only where a second core is free.
 func BenchmarkTapeRecord(b *testing.B) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {
@@ -120,13 +201,15 @@ func BenchmarkTapeRecord(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const budget = 1_000_000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if _, err := Record(p, budget); err != nil {
-			b.Fatal(err)
-		}
+	for _, budget := range []uint64{1_000_000, 10_000_000 + 1_000_000 + TapeSlack} {
+		b.Run(fmt.Sprintf("insts=%d", budget), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := Record(p, budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*budget), "ns/inst")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*budget), "ns/inst")
 }

@@ -9,6 +9,7 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
@@ -42,10 +43,28 @@ type seekPoint struct {
 	prevEA uint64 // last memory effective address seen
 }
 
-// recordBlock is how many instructions Record asks the emulator for at a
-// time. It divides IndexStride, so a block starts an index stride exactly
-// when the count it starts at is a multiple of IndexStride.
-const recordBlock = 512
+// recordBlock is how many instructions each block of Record's ring holds.
+// It divides IndexStride, so a block starts an index stride exactly when the
+// count it starts at is a multiple of IndexStride, and every stride gets its
+// seek point.
+const recordBlock = IndexStride
+
+// recordDepth is how many blocks Record's ring holds. With two, the emulator
+// and the encoder wait on each other at nearly every block; with four,
+// either stage can run ahead over the other's slower blocks (EXPERIMENTS.md,
+// "Tapes recorded on two cores").
+const recordDepth = 4
+
+// recordedBlock is one slot of Record's ring: a run of the true stream the
+// emulator executed, with what the encoder needs of the machine after it.
+type recordedBlock struct {
+	dyn    []emu.Dyn
+	ea     []uint64
+	n      int    // instructions filled
+	pc     uint64 // the machine's PC after the block: the target of an indirect jump that ends it
+	halted bool   // the block ends at OpHalt
+	err    error  // the emulator's fault, which ends the recording
+}
 
 // The tape classes: what a recording stores for an instruction.
 const (
@@ -83,8 +102,9 @@ var tapeClass = func() (c [256]uint8) {
 // Everything else — opcodes, immediates, fall-through and direct-jump
 // targets — replays from the shared Program, so the typical instruction
 // costs zero tape bytes and the stream averages well under one byte per
-// instruction. Tapes are immutable after Record and safe to share across
-// any number of concurrent Readers.
+// instruction. Record encodes a tape on its calling goroutine alone, while
+// its emulator goroutine only fills blocks, so tapes are immutable once
+// Record returns and safe to share across any number of concurrent Readers.
 type Tape struct {
 	prog    *program.Program
 	startPC uint64
@@ -108,22 +128,44 @@ type Tape struct {
 }
 
 // Record executes p on a fresh emulator for up to maxInsts instructions (or
-// until halt) and returns the recording. It runs the emulator a block at a
-// time and encodes each block after it executes.
+// until halt) and returns the recording. It is a two-stage pipeline over a
+// ring of recordDepth blocks: an emulator goroutine fills each free block
+// with emu.Machine.ReadBlock and hands it on, while the calling goroutine
+// encodes the filled blocks in order and hands each one back. The two stages
+// overlap on two cores, and the tape is the same byte for byte as encoding
+// each block right after executing it. A fault ends the recording with the
+// emulator's error, and a panic on the emulator goroutine is raised again
+// here with that goroutine's stack. No goroutine outlives Record.
 func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
+	// The channels hold every block of the ring, so handing a block on
+	// never blocks; the emulator waits only for a free block.
+	free := make(chan *recordedBlock, recordDepth)
+	full := make(chan *recordedBlock, recordDepth)
+	size := min(maxInsts, recordBlock)
+	for range recordDepth {
+		free <- &recordedBlock{dyn: make([]emu.Dyn, size), ea: make([]uint64, size)}
+	}
+	done := make(chan struct{})
+	var crash any // the emulator's panic, set before it closes full
+	go emulate(p, maxInsts, free, full, done, &crash)
+	defer func() {
+		// Stop the emulator and wait until it has closed full, so that it
+		// outlives Record on no return path, a panic included.
+		close(done)
+		for range full {
+		}
+	}()
+
 	t := &Tape{prog: p, startPC: p.EntryPC}
-	m := emu.New(p)
-	dyn := make([]emu.Dyn, recordBlock)
-	ea := make([]uint64, recordBlock)
 	var bitBuf byte
 	var bitN uint
 	var bits uint64 // total taken bits recorded
 	var prevEA uint64
-	for t.count < maxInsts && !m.Halted() {
-		n, err := m.ReadBlock(dyn[:min(maxInsts-t.count, recordBlock)], ea)
-		if err != nil {
-			return nil, fmt.Errorf("artifact: recording %s: %w", p.Name, err)
+	for blk := range full {
+		if blk.err != nil {
+			return nil, fmt.Errorf("artifact: recording %s: %w", p.Name, blk.err)
 		}
+		dyn, ea, n := blk.dyn, blk.ea, blk.n
 		if t.count%IndexStride == 0 {
 			t.index = append(t.index, seekPoint{
 				pc: dyn[0].PC, bitPos: bits, auxOff: len(t.aux), prevEA: prevEA,
@@ -146,7 +188,7 @@ func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 			case classIndirect:
 				// The target is the next instruction's PC; the block's
 				// last instruction is followed by the machine's PC.
-				next := m.PC()
+				next := blk.pc
 				if j+1 < n {
 					next = dyn[j+1].PC
 				}
@@ -157,12 +199,47 @@ func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 			}
 		}
 		t.count += uint64(n)
+		t.halted = blk.halted
+		free <- blk
+	}
+	if crash != nil {
+		panic(crash)
 	}
 	if bitN > 0 {
 		t.taken = append(t.taken, bitBuf)
 	}
-	t.halted = m.Halted()
 	return t, nil
+}
+
+// emulate is Record's emulator stage. It runs p on a fresh emulator for up
+// to maxInsts instructions (or until halt), filling each block it takes
+// from free and passing it on full, and closes full when it stops: at the
+// budget, after the halt, after the block that faulted, or once done
+// closes. A panic is recovered into *crash, with this goroutine's stack,
+// for Record to raise again.
+func emulate(p *program.Program, maxInsts uint64, free <-chan *recordedBlock, full chan<- *recordedBlock, done <-chan struct{}, crash *any) {
+	defer close(full)
+	defer func() {
+		if v := recover(); v != nil {
+			*crash = fmt.Sprintf("%v\n\ntape-recording emulator goroutine:\n%s", v, debug.Stack())
+		}
+	}()
+	m := emu.New(p)
+	for count := uint64(0); count < maxInsts && !m.Halted(); {
+		var b *recordedBlock
+		select {
+		case b = <-free:
+		case <-done:
+			return
+		}
+		b.n, b.err = m.ReadBlock(b.dyn[:min(maxInsts-count, uint64(len(b.dyn)))], b.ea)
+		b.pc, b.halted = m.PC(), m.Halted()
+		full <- b
+		if b.err != nil {
+			return
+		}
+		count += uint64(b.n)
+	}
 }
 
 // Len returns the number of recorded instructions.

@@ -151,6 +151,43 @@ func TestStreamDivergenceBookkeeping(t *testing.T) {
 	t.Fatal("no divergence observed in 5000 fragments")
 }
 
+// TestStreamTrueHistoriesAgree checks the premise of nextTruePath's single
+// PredictUpdate on the speculative history: whenever the stream generates a
+// fragment on the true path, its speculative and retirement histories are
+// equal. The run lets wrong-path fragments pile up before some redirects and
+// must take redirects for the check to mean anything.
+func TestStreamTrueHistoriesAgree(t *testing.T) {
+	p := testProgram(t)
+	s := newTestStream(t, p)
+	trueCalls, redirects := 0, 0
+	for i := 0; i < 20000 && !s.Done(); i++ {
+		if s.onTrue && !s.doneTrue {
+			trueCalls++
+			if s.specHist != s.retireHist {
+				t.Fatalf("fragment %d: speculative and retirement histories differ on the true path", i)
+			}
+		}
+		_, err := s.Next()
+		if errors.Is(err, ErrNoFragment) {
+			if s.ApplyRedirect() == nil {
+				break
+			}
+			redirects++
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pending() != nil && i%3 == 0 {
+			s.ApplyRedirect()
+			redirects++
+		}
+	}
+	if trueCalls == 0 || redirects == 0 {
+		t.Fatalf("%d true-path fragments and %d redirects; the check needs both", trueCalls, redirects)
+	}
+}
+
 func TestStreamEndsAfterHalt(t *testing.T) {
 	spec := program.TestSpec() // tiny: runs to halt quickly
 	p, err := program.Build(spec)

@@ -282,9 +282,15 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	}
 	trueStart := &look[0]
 
+	// Determine the true fragment at this position, then predict and train
+	// from one hash of the history. On the true path the speculative and
+	// retirement histories are equal: a correct fragment pushes the same ID
+	// onto both, and a redirect restores both from one checkpoint.
+	trueLen, trueID := s.splitTrue(look)
+	pred := s.pred.PredictUpdate(&s.specHist, trueID)
+
 	// Choose the predicted ID: the predictor's if it agrees on the start
 	// PC, otherwise a not-taken walk from the known start.
-	pred := s.pred.Predict(&s.specHist)
 	id := frag.ID{StartPC: trueStart.PC}
 	if pred.Valid && pred.ID.StartPC == trueStart.PC {
 		id = pred.ID
@@ -301,11 +307,6 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 			break
 		}
 	}
-
-	// Determine the true fragment at this position for training and
-	// retirement history.
-	trueLen, trueID := s.splitTrue(look)
-	s.pred.Update(&s.retireHist, trueID)
 
 	if m == f.Len() && f.ID == trueID {
 		// Fully correct fragment (boundary and directions included).
