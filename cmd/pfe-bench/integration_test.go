@@ -161,28 +161,93 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestInjectedFaultsStayUnderBudget is the degraded-mode acceptance test: a
-// sweep with one panicking and one genuinely deadlocking (watchdog-tripped)
-// cell must still exit 0 under a failure budget of two, with both failures
-// in the report's failures block and the stall's diagnostic dump on disk.
-func TestInjectedFaultsStayUnderBudget(t *testing.T) {
+// tableCells parses the table titled title from pfe-bench's stdout into
+// row label → column header → printed cell.
+func tableCells(t *testing.T, stdout, title string) map[string]map[string]string {
+	t.Helper()
+	_, body, ok := strings.Cut(stdout, "== "+title+" ==\n")
+	if !ok {
+		t.Fatalf("stdout has no %q table:\n%s", title, stdout)
+	}
+	lines := strings.Split(body, "\n")
+	header := strings.Fields(lines[0])
+	cells := map[string]map[string]string{}
+	for _, ln := range lines[2:] { // lines[1] is the rule under the header
+		f := strings.Fields(ln)
+		if len(f) != len(header) {
+			break // the note below the table
+		}
+		cells[f[0]] = map[string]string{}
+		for i := 1; i < len(f); i++ {
+			cells[f[0]][header[i]] = f[i]
+		}
+	}
+	return cells
+}
+
+// TestInjectedFaultsPrintGapsAndExit1 is the degraded-mode acceptance test:
+// a two-experiment sweep with one panicking and one genuinely deadlocking
+// (watchdog-tripped) cell still prints both tables, with FAIL at each failed
+// cell, at every speedup over a failed baseline and at every mean over a
+// gap, and every other cell as in a healthy run. It lists both failures on
+// stderr and in the report's failures block, leaves the stall's diagnostic
+// dump on disk, and exits 1.
+func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	pb := bin(t)
 	dir := t.TempDir()
 	jsonOut := filepath.Join(dir, "faulty.json")
+	exps := []string{"-exp", "fig4,fig8"}
 
-	var stderr bytes.Buffer
-	cmd := exec.Command(pb, benchArgs(
+	healthy, err := exec.Command(pb, benchArgs(exps...)...).Output()
+	if err != nil {
+		t.Fatalf("healthy sweep: %v", err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(pb, benchArgs(append(exps,
 		"-json", jsonOut,
 		"-inject", "gzip/W16=panic,mcf/TC=stall",
-		"-max-retries", "1", "-fail-budget", "2",
 		"-dump-dir", dir,
-	)...)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("faulty sweep did not exit 0: %v\n%s", err, stderr.String())
+	)...)...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("faulty sweep exit = %v, want 1\n%s", err, stderr.String())
+	}
+
+	// gzip/W16 fails in both experiments and mcf/TC in both: Fig 8's
+	// speedups are over W16, so gzip's whole row is a gap there.
+	gaps := map[string][]string{
+		"Figure 4: Fetch Slot Utilization": {"gzip/W16", "mcf/TC", "MEAN/W16", "MEAN/TC"},
+		"Figure 8: Performance (% speedup over W16)": {
+			"gzip/TC", "gzip/TC2x", "gzip/PF-2x8w", "gzip/PR-2x8w", "gzip/PF-4x4w", "gzip/PR-4x4w",
+			"mcf/TC", "MEAN/TC", "MEAN/TC2x", "MEAN/PF-2x8w", "MEAN/PR-2x8w", "MEAN/PF-4x4w", "MEAN/PR-4x4w",
+		},
+	}
+	for title, want := range gaps {
+		isGap := map[string]bool{}
+		for _, g := range want {
+			isGap[g] = true
+		}
+		ref, got := tableCells(t, string(healthy), title), tableCells(t, stdout.String(), title)
+		if len(got) != len(ref) || len(ref) != 5 { // four benchmarks and MEAN
+			t.Fatalf("%s: %d rows, healthy %d, want 5:\n%s", title, len(got), len(ref), stdout.String())
+		}
+		for row, cols := range ref {
+			for col, v := range cols {
+				switch g := got[row][col]; {
+				case isGap[row+"/"+col] && g != "FAIL":
+					t.Errorf("%s: %s/%s = %q, want FAIL", title, row, col, g)
+				case !isGap[row+"/"+col] && g != v:
+					t.Errorf("%s: %s/%s = %q, want the healthy %q", title, row, col, g, v)
+				}
+			}
+		}
+	}
+	if n := strings.Count(stderr.String(), "cell failed: "); n != 4 {
+		t.Errorf("stderr lists %d failed cells, want 4:\n%s", n, stderr.String())
 	}
 
 	rep, err := obs.ReadReportFile(jsonOut)
@@ -192,18 +257,18 @@ func TestInjectedFaultsStayUnderBudget(t *testing.T) {
 	if !rep.Partial {
 		t.Error("report with failures not marked partial")
 	}
-	if len(rep.Failures) != 2 {
-		t.Fatalf("report has %d failures, want 2:\n%+v", len(rep.Failures), rep.Failures)
+	if len(rep.Failures) != 4 {
+		t.Fatalf("report has %d failures, want 4:\n%+v", len(rep.Failures), rep.Failures)
 	}
 	byKey := map[string]obs.CellFailure{}
 	for _, f := range rep.Failures {
-		byKey[f.Bench+"/"+f.Key] = f
+		byKey[f.Experiment+" "+f.Bench+"/"+f.Key] = f
 	}
-	p := byKey["gzip/W16"]
-	if !p.Panic || p.Attempts != 2 || !strings.Contains(p.Error, "injected") {
+	p := byKey["fig8 gzip/W16"]
+	if !p.Panic || !strings.Contains(p.Error, "injected") {
 		t.Errorf("panic failure record = %+v", p)
 	}
-	s := byKey["mcf/TC"]
+	s := byKey["fig4 mcf/TC"]
 	if s.Panic || !strings.Contains(s.Error, "no commit") {
 		t.Errorf("stall failure record = %+v", s)
 	}
@@ -238,8 +303,9 @@ func TestSampleSlicesUsageError(t *testing.T) {
 }
 
 // TestFlagValidation pins the CLI's usage-error contract: an unknown
-// -inject mode, and every option of the removed distributed-sweep path,
-// exits 2 with an explanation instead of silently running something else.
+// -inject mode, every option of the removed distributed-sweep path, and the
+// removed retry and failure-budget flags exit 2 with an explanation instead
+// of silently running something else.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -256,6 +322,8 @@ func TestFlagValidation(t *testing.T) {
 		{"local fleet", benchArgs("-local", "2"), "flag provided but not defined: -local"},
 		{"coordinator", benchArgs("-coordinator", ":0"), "flag provided but not defined: -coordinator"},
 		{"worker", benchArgs("-worker", "http://127.0.0.1:1"), "flag provided but not defined: -worker"},
+		{"max retries", benchArgs("-max-retries", "1"), "flag provided but not defined: -max-retries"},
+		{"fail budget", benchArgs("-fail-budget", "2"), "flag provided but not defined: -fail-budget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // pfe-bench regenerates the paper's tables and figures, with opt-in live
 // telemetry, machine-readable provenance reports, a perf-regression
 // comparator, and a fault-tolerant sweep harness (crash-safe journal,
-// resume, retries, failure budget, graceful shutdown).
+// resume, failed cells as gaps, graceful shutdown).
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	pfe-bench -exp fig8 -json out.json          # provenance-stamped report
 //	pfe-bench -exp all -journal run.wal         # crash-safe result journal
 //	pfe-bench -exp all -resume run.wal          # replay it after a crash/kill
-//	pfe-bench -exp fig8 -max-retries 2 -fail-budget 3
+//	pfe-bench -exp fig8 -inject gcc/W16=panic   # drill: the cell prints FAIL, exit 1
 //	pfe-bench -tol 0.5 -compare old.json new.json
 //	pfe-bench -exp fig8 -sample                 # systematic sampling (IPC ± CI)
 //	pfe-bench -exp fig8 -slices 8               # time-parallel slicing
@@ -32,6 +32,11 @@
 // -compare exits 0 when every matched benchmark row is within tolerance
 // (improvements included), 1 on an IPC or throughput regression, 2 on a
 // usage or decoding error.
+//
+// A cell runs once. A failed cell (panic, error or watchdog stall) prints as
+// FAIL, and so does every number derived from it: a speedup over it, a mean
+// over its column. The run still finishes every experiment, prints a
+// "cell failed:" line per failure on stderr, and exits 1.
 //
 // SIGINT/SIGTERM drain the sweep: in-flight simulations finish, the journal
 // is flushed, a -json report is still written (marked "partial": true), the
@@ -80,8 +85,6 @@ func run() int {
 
 		journalPath = flag.String("journal", "", "append every completed cell to this crash-safe journal (fsynced JSONL WAL)")
 		resumePath  = flag.String("resume", "", "replay completed cells from this journal, run the rest, and append to it")
-		maxRetries  = flag.Int("max-retries", 1, "re-run a failed cell (panic/error/stall) this many times before it counts as failed")
-		failBudget  = flag.Int("fail-budget", 0, "cells allowed to fail (after retries) before an experiment aborts; failures under budget degrade to partial results")
 		dumpDir     = flag.String("dump-dir", "", "directory for watchdog stall diagnostics (default: OS temp dir)")
 		stallCycles = flag.Uint64("stall-cycles", 0, "watchdog threshold: fail a simulation after this many cycles without a commit (0 = simulator default)")
 		flightRec   = flag.Int("flight-recorder", 0, "keep the last N pipeline events per simulation for stall diagnostics (0 = off)")
@@ -122,8 +125,7 @@ func run() int {
 
 	opts := experiments.Options{
 		Warmup: *warmup, Measure: *measure, Workers: *workers, SelfProfile: *selfProf,
-		MaxRetries: *maxRetries, FailBudget: *failBudget, DumpDir: *dumpDir,
-		NoProgressCycles: *stallCycles, FlightRecorder: *flightRec,
+		DumpDir: *dumpDir, NoProgressCycles: *stallCycles, FlightRecorder: *flightRec,
 		Failures: &experiments.FailureLog{},
 	}
 	if *benches != "" {
@@ -319,13 +321,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "events: %d event(s) dropped by slow subscribers\n", n)
 	}
 
-	// Failures under budget do not abort the run, but they are never
-	// silent: each becomes a record in the report's failures block and a
-	// stderr line.
+	// A failed cell does not stop the run, but it is never silent: it
+	// prints as FAIL in its table, becomes a stderr line and a record in
+	// the report's failures block, and the run exits 1.
 	fails := opts.Failures.All()
 	for _, f := range fails {
-		fmt.Fprintf(os.Stderr, "cell failed: %s %s/%s after %d attempt(s): %s\n",
-			f.Experiment, f.Bench, f.Key, f.Attempts, firstLine(f.Error))
+		fmt.Fprintf(os.Stderr, "cell failed: %s %s/%s: %s\n",
+			f.Experiment, f.Bench, f.Key, firstLine(f.Error))
 		if f.DumpPath != "" {
 			fmt.Fprintf(os.Stderr, "  diagnostic: %s\n", f.DumpPath)
 		}
@@ -397,8 +399,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "report: %s (%d sims, %.1fs, git %s%s)\n",
 			*jsonOut, rep.TotalSims, rep.WallSeconds, shortSHA(rep.Provenance.GitSHA), partial)
 	}
-	if interrupted && exit == 0 {
+	switch {
+	case exit != 0:
+	case interrupted:
 		exit = 130 // conventional "terminated by SIGINT" code; the drain above kept state consistent
+	case len(fails) > 0:
+		exit = 1
 	}
 	if *selfProf && opts.Sim != nil {
 		fmt.Fprintf(os.Stderr, "simulator stage wall time (sampled):\n%s",

@@ -223,11 +223,11 @@ var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); retu
 
 // get returns the artifact for key, running build exactly once per key even
 // under concurrent callers (waiters block until the builder finishes and
-// count as hits — they shared the one build). The second return reports
-// whether the lookup was a hit. Build errors are returned to every waiter
-// but not cached. A build that panics fails the same way, with an error
-// naming the key and the panic value, and the panic goes on to the builder's
-// caller.
+// count as hits — they shared the one build — unless the build fails and
+// serves them nothing). The second return reports whether the lookup was a
+// hit. Build errors are returned to every waiter but not cached. A build
+// that panics fails the same way, with an error naming the key and the
+// panic value, and the panic goes on to the builder's caller.
 func (c *Cache) get(key string, kind int, build func() (any, int64, error)) (any, bool, error) {
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
@@ -237,6 +237,13 @@ func (c *Cache) get(key string, kind int, build func() (any, int64, error)) (any
 		c.hits[kind]++
 		c.mu.Unlock()
 		<-e.ready
+		if e.err != nil {
+			// The build this waiter joined failed: it was served nothing,
+			// so its hit is taken back.
+			c.mu.Lock()
+			c.hits[kind]--
+			c.mu.Unlock()
+		}
 		return e.val, true, e.err
 	}
 	e := &entry{kind: kind, key: key, ready: make(chan struct{})}

@@ -165,7 +165,8 @@ func TestCacheInfoProvenance(t *testing.T) {
 // TestCacheBuildPanicReleasesKey panics in a warm-state build while a second
 // caller waits on its key: the panic reaches the builder's caller, the
 // waiter returns an error naming the key and the panic value instead of
-// blocking, and a later call for the key builds afresh.
+// blocking and is not counted as a hit, and a later call for the key builds
+// afresh.
 func TestCacheBuildPanicReleasesKey(t *testing.T) {
 	c := New(0)
 	const key = "wp:panics"
@@ -202,9 +203,50 @@ func TestCacheBuildPanicReleasesKey(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter still blocked 5 s after the build panicked")
 	}
+	if n := c.Stats().WarmHits; n != 0 {
+		t.Errorf("a waiter on a panicked build counts as %d warm hit(s), want 0", n)
+	}
 	v, info, err := c.WarmStateInfo(key, func() (any, int64, error) { return "rebuilt", 8, nil })
 	if err != nil || v != "rebuilt" || info.Hit {
 		t.Fatalf("later call = (%v, %+v, %v), want a fresh build", v, info, err)
+	}
+}
+
+// TestCacheBuildErrorIsNoHit fails a warm-state build with an error while a
+// second caller waits on its key: both callers get the build's error, and
+// neither lookup stays counted as a hit, since neither was served anything.
+func TestCacheBuildErrorIsNoHit(t *testing.T) {
+	c := New(0)
+	const key = "wp:fails"
+	started, release := make(chan struct{}), make(chan struct{})
+	built, waited := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, _, err := c.WarmStateInfo(key, func() (any, int64, error) {
+			close(started)
+			<-release
+			return nil, 0, errors.New("warm build fault")
+		})
+		built <- err
+	}()
+	<-started
+	go func() {
+		_, _, err := c.WarmStateInfo(key, func() (any, int64, error) {
+			return nil, 0, errors.New("a second build ran while the first was pending")
+		})
+		waited <- err
+	}()
+	for c.Stats().WarmHits == 0 { // the waiter has found the pending entry
+		runtime.Gosched()
+	}
+	close(release)
+	for _, ch := range []chan error{built, waited} {
+		if err := <-ch; err == nil || err.Error() != "warm build fault" {
+			t.Fatalf("caller got %v, want the build's error", err)
+		}
+	}
+	if s := c.Stats(); s.WarmHits != 0 || s.WarmMisses != 1 || s.Hits() != 0 {
+		t.Errorf("after a failed build: %d warm hits, %d warm misses, %d hits; want 0, 1, 0",
+			s.WarmHits, s.WarmMisses, s.Hits())
 	}
 }
 

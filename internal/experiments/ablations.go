@@ -94,7 +94,7 @@ func runSwitchOnMiss(o Options) (fmt.Stringer, error) {
 		res.GainPct = append(res.GainPct, gain)
 		res.SizesKB = append(res.SizesKB, kb)
 		t.AddRow(fmt.Sprintf("%d KB", kb),
-			fmt.Sprintf("%.3f", gb), fmt.Sprintf("%.3f", gs), fmt.Sprintf("%+.2f", gain))
+			stats.Num("%.3f", gb), stats.Num("%.3f", gs), stats.Num("%+.2f", gain))
 	}
 	return res, nil
 }
@@ -156,7 +156,7 @@ func runFragSel(o Options) (fmt.Stringer, error) {
 			}
 			mi := stats.GeometricMean(ipc)
 			res.IPC[k] = mi
-			t.AddRow(k, fmt.Sprintf("%.3f", mi), fmt.Sprintf("%.3f", stats.ArithmeticMean(acc)))
+			t.AddRow(k, stats.Num("%.3f", mi), stats.Num("%.3f", stats.ArithmeticMean(acc)))
 		}
 	}
 	return res, nil

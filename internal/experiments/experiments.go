@@ -58,8 +58,8 @@ type Options struct {
 
 	// Spans, if non-nil, receives hierarchical sweep spans: one sweep span
 	// per batch of cells, a cell span per simulation (worker-attributed),
-	// attempt spans under it, and run-phase spans below those (program/tape
-	// builds, sim, sampled windows, slices). Steal events stream as they
+	// and run-phase spans under it (program/tape builds, sim, sampled
+	// windows, slices, journal appends). Steal events stream as they
 	// happen; cell-scoped events stream in deterministic cell order. Nil
 	// disables tracing at ~zero cost.
 	Spans *span.Tracer
@@ -73,23 +73,13 @@ type Options struct {
 	// completed subset alongside a context error. Nil means Background.
 	Ctx context.Context
 
-	// MaxRetries is how many times a failed cell (panic, error, or watchdog
-	// stall) is re-run before it counts against FailBudget. 0 = no retries.
-	MaxRetries int
-
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// subsequent attempt (capped at 5s). 0 means the 100ms default; negative
-	// disables backoff entirely (tests).
-	RetryBackoff time.Duration
-
-	// FailBudget is how many cells may exhaust their retries before the
-	// sweep aborts with an error. Failures at or under budget degrade the
-	// sweep to partial results: failed cells get zero-valued placeholder
-	// results (marked Failed) and structured records in Failures.
+	// FailBudget is ignored: a failed cell never aborts a sweep (see
+	// runCells). The field remains only for callers that still set it.
 	FailBudget int
 
 	// Failures, if non-nil, collects a structured obs.CellFailure for every
-	// cell that exhausted its retries.
+	// cell that failed, and lets runCells return results with gaps. Without
+	// it, a failed cell fails the whole batch with an error.
 	Failures *FailureLog
 
 	// Journal, if non-nil, receives a crash-safe record of every completed
@@ -235,12 +225,13 @@ type cell struct {
 // disjoint outcome slots, so no per-goroutine copy of a cell (or of the run
 // options, which are hoisted and invariant across the batch) is ever made.
 //
-// Fault tolerance: each cell runs behind a recover barrier with bounded
-// retries; a cell that exhausts them becomes a structured failure and a
-// zero-valued placeholder result (so downstream table/figure rendering
-// survives), unless the batch's failure count exceeds o.FailBudget, in
-// which case the whole batch errors. Cancelling o.Ctx drains workers and
-// returns the completed subset wrapped around the context error.
+// Fault tolerance: each cell runs once behind a recover barrier, and every
+// cell runs whatever the others do. A failed cell becomes a record in
+// o.Failures and a gap in the results: failedResult's placeholder, whose NaN
+// metrics make every renderer print FAIL at the cell and at every number
+// derived from it. A caller that passes no Failures log gets an error naming
+// the first failed cell instead. Cancelling o.Ctx drains workers and returns
+// the completed subset wrapped around the context error.
 func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
 	if o.Observer != nil {
 		o.Observer.Planned(len(cells))
@@ -272,22 +263,18 @@ func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
 			if firstFail == nil {
 				firstFail = outs[i].fail
 			}
-			// Placeholder keeps renderers total over the sweep's key set;
-			// the real story is in the failure log and report.
-			results[[2]string{c.bench, c.key}] = &pfe.Result{
-				Bench: c.bench, Config: c.machine.Name(), Failed: true,
-			}
-			// Neither r nor fail set: the cell was never claimed (drained
-			// by cancellation) — leave it absent.
+			results[[2]string{c.bench, c.key}] = failedResult(c.bench, c.machine.Name())
+			// Neither r nor fail set: the cell was never run (drained by
+			// cancellation) — leave it absent.
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return results, fmt.Errorf("experiments: sweep interrupted with %d/%d cells done: %w",
 			len(results), len(cells), err)
 	}
-	if failed > o.FailBudget {
-		return nil, fmt.Errorf("experiments: %d cells failed (budget %d); first: %s/%s after %d attempts: %s",
-			failed, o.FailBudget, firstFail.Bench, firstFail.Key, firstFail.Attempts, firstFail.Error)
+	if failed > 0 && o.Failures == nil {
+		return nil, fmt.Errorf("experiments: %d cell(s) failed; first: %s/%s: %s",
+			failed, firstFail.Bench, firstFail.Key, firstFail.Error)
 	}
 	return results, nil
 }

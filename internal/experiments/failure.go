@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -48,11 +49,26 @@ func (l *FailureLog) Len() int {
 }
 
 // cellOutcome is one cell's terminal state: exactly one of r (success or
-// replay), fail (retries exhausted), or neither (never claimed — the sweep
-// was cancelled first).
+// replay), fail (the run failed), or neither (never run — the sweep was
+// cancelled first).
 type cellOutcome struct {
 	r    *pfe.Result
 	fail *obs.CellFailure
+}
+
+// failedResult is the placeholder a failed cell leaves in a sweep's results:
+// marked Failed, with every float64 metric NaN, so that every number derived
+// from it (a speedup over it, a ratio to it, a mean over its column) is NaN
+// too and prints as FAIL (stats.Num).
+func failedResult(bench, config string) *pfe.Result {
+	nan := math.NaN()
+	return &pfe.Result{
+		Bench: bench, Config: config, Failed: true,
+		IPC: nan, FetchSlotUtilization: nan, FetchRate: nan, RenameRate: nan,
+		FragPredAccuracy: nan, L1IMissRate: nan, L1DMissRate: nan, TCHitRate: nan,
+		BufferReuseRate: nan, FragsConstructedEarly: nan,
+		RenamedBeforeSourceFrac: nan, SampledIPC: nan,
+	}
 }
 
 // memoResultBytes is the accounted footprint of one memoized *pfe.Result
@@ -82,17 +98,17 @@ func cellHash(c *cell, ro pfe.RunOptions) string {
 }
 
 // runCell drives one cell to a terminal outcome: resume replay if the
-// journal already has it, otherwise up to 1+MaxRetries attempts behind a
-// recover barrier, with exponential backoff between attempts. Success is
-// journaled (fsynced) before it is observable; exhaustion produces a
-// structured failure, writing the watchdog diagnostic bundle to DumpDir
-// when the error carries one.
+// journal already has it, otherwise one run behind a recover barrier. A cell
+// is a pure function of its config hash, so it runs once: a second run would
+// fail the same way. Success is journaled (fsynced) before it is observable;
+// a failure becomes a structured record, with the watchdog diagnostic bundle
+// written to DumpDir when the error carries one.
 //
 // batch, worker, and idx scope the cell's span (batch may come from a nil
 // tracer, in which case every span call is a free no-op): the cell span
-// carries the memo/resume short-circuits, retry causes and backoff, and
-// watchdog dump paths as typed annotations, with attempt spans nested under
-// it and the run's phase spans under those.
+// carries the memo/resume short-circuits, a failure's cause and error, and
+// watchdog dump paths as typed annotations, with the run's phase spans under
+// it.
 func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch span.Batch, worker, idx int) cellOutcome {
 	hash := cellHash(c, ro)
 	cs := batch.StartCell(idx, c.bench, c.key, worker)
@@ -119,7 +135,7 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 		if v, ok := o.Artifacts.GetResult(hash); ok {
 			r := v.(*pfe.Result)
 			cs.Str("source", "memo-hit")
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, r))
+			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, r))
 			if o.Observer != nil {
 				o.Observer.Completed(c.bench, c.key, 0, r)
 			}
@@ -135,69 +151,39 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 			ro.FlightRecorder = 256
 		}
 	}
-
-	var lastErr error
-	var lastPanic bool
-	var lastStack string
-	attempts := 0
-	for attempt := 1; attempt <= o.MaxRetries+1; attempt++ {
-		if ctx.Err() != nil {
-			break
-		}
-		attempts = attempt
-		cellStart := time.Now()
-		as := cs.Child(span.KindAttempt, "attempt")
-		as.Int("attempt", int64(attempt))
-		rc := ro
-		rc.SpanParent = as.ID()
-		r, err, panicked, stack := safeRun(c, rc, inject)
-		if err == nil {
-			as.End()
-			if memoize {
-				o.Artifacts.PutResult(hash, r, memoResultBytes)
-			}
-			// Journal before reporting: a record exists for every cell
-			// an observer (and thus a report) has seen complete.
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, attempt, r))
-			if attempt > 1 {
-				cs.Int("retries", int64(attempt-1))
-			}
-			if o.Observer != nil {
-				o.Observer.Completed(c.bench, c.key, time.Since(cellStart), r)
-			}
-			return cellOutcome{r: r}
-		}
-		as.Str("cause", failureCause(err, panicked))
-		as.Str("error", firstLine(err.Error()))
-		as.End()
-		lastErr, lastPanic, lastStack = err, panicked, stack
-		if attempt <= o.MaxRetries {
-			if o.Sim != nil {
-				o.Sim.CellRetries.Inc()
-			}
-			bs := cs.Child(span.KindPhase, "retry-backoff")
-			sleepBackoff(ctx, o.RetryBackoff, attempt)
-			bs.End()
-		}
-	}
-	if lastErr == nil {
-		// Cancelled before the first attempt: not a failure, just unrun.
+	if ctx.Err() != nil {
+		// Cancelled before the run: not a failure, just unrun.
 		return cellOutcome{}
+	}
+
+	cellStart := time.Now()
+	ro.SpanParent = cs.ID()
+	r, err, panicked, stack := safeRun(c, ro, inject)
+	if err == nil {
+		if memoize {
+			o.Artifacts.PutResult(hash, r, memoResultBytes)
+		}
+		// Journal before reporting: a record exists for every cell an
+		// observer (and thus a report) has seen complete.
+		o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, r))
+		if o.Observer != nil {
+			o.Observer.Completed(c.bench, c.key, time.Since(cellStart), r)
+		}
+		return cellOutcome{r: r}
 	}
 	f := &obs.CellFailure{
 		Experiment: o.ExperimentID,
 		Bench:      c.bench,
 		Key:        c.key,
-		Attempts:   attempts,
-		Error:      lastErr.Error(),
-		Panic:      lastPanic,
-		Stack:      lastStack,
+		Error:      err.Error(),
+		Panic:      panicked,
+		Stack:      stack,
 	}
 	cs.Str("outcome", "failed")
-	cs.Int("attempts", int64(attempts))
+	cs.Str("cause", failureCause(err, panicked))
+	cs.Str("error", firstLine(err.Error()))
 	var stall *sim.StallError
-	if errors.As(lastErr, &stall) && stall.Diag != nil {
-		cs.Str("cause", "watchdog-stall")
+	if errors.As(err, &stall) && stall.Diag != nil {
 		path := o.dumpPath(c)
 		if werr := stall.Diag.WriteFile(path); werr == nil {
 			f.DumpPath = path
@@ -225,7 +211,7 @@ func (o Options) journalCell(cs span.Span, rec any) {
 	js.End()
 }
 
-// failureCause classifies an attempt error for span annotation.
+// failureCause classifies a cell's error for span annotation.
 func failureCause(err error, panicked bool) string {
 	if panicked {
 		return "panic"
@@ -245,7 +231,7 @@ func firstLine(s string) string {
 	return s
 }
 
-// safeRun executes one attempt behind a recover barrier, converting a panic
+// safeRun runs one cell behind a recover barrier, converting a panic
 // anywhere in the simulator stack into an error plus the goroutine stack at
 // the point of the panic.
 func safeRun(c *cell, ro pfe.RunOptions, inject string) (r *pfe.Result, err error, panicked bool, stack string) {
@@ -306,27 +292,6 @@ func ParseInject(s string) (map[string]string, error) {
 		return nil, fmt.Errorf("-inject %q: no injections parsed", s)
 	}
 	return cells, nil
-}
-
-// sleepBackoff waits base<<(attempt-1), capped at 5s, or until ctx is
-// cancelled. base 0 means the 100ms default; negative disables the wait.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) {
-	if base < 0 {
-		return
-	}
-	if base == 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if d > 5*time.Second || d <= 0 {
-		d = 5 * time.Second
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // dumpPath names a stall diagnostic file uniquely per cell within DumpDir

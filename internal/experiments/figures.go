@@ -33,13 +33,13 @@ func (r *SweepResult) String() string {
 	for _, b := range r.Benches {
 		row := []string{b}
 		for _, k := range r.Keys {
-			row = append(row, fmt.Sprintf("%.2f", r.Value(b, k)))
+			row = append(row, stats.Num("%.2f", r.Value(b, k)))
 		}
 		t.AddRow(row...)
 	}
 	srow := []string{"MEAN"}
 	for _, k := range r.Keys {
-		srow = append(srow, fmt.Sprintf("%.2f", r.Summary[k]))
+		srow = append(srow, stats.Num("%.2f", r.Summary[k]))
 	}
 	t.AddRow(srow...)
 	var b strings.Builder
@@ -146,7 +146,7 @@ func (r *Fig5Result) String() string {
 	t := stats.NewTable("Figure 5: Instructions Fetched and Renamed per Cycle (incl. wrong path)",
 		"Mechanism", "Fetch/cyc", "Rename/cyc")
 	for _, k := range r.Keys {
-		t.AddRow(k, fmt.Sprintf("%.2f", r.Fetch[k]), fmt.Sprintf("%.2f", r.Rename[k]))
+		t.AddRow(k, stats.Num("%.2f", r.Fetch[k]), stats.Num("%.2f", r.Rename[k]))
 	}
 	return t.String() +
 		"paper: PF fetch ~7/cyc (+20% vs TC, +49% vs W16); PR rename ~= PF rename +13%\n"
@@ -303,7 +303,7 @@ func (r *Fig9Result) String() string {
 		ys := make([]float64, 0, len(r.Sizes))
 		for _, kb := range r.Sizes {
 			v := r.At(fe, kb)
-			row = append(row, fmt.Sprintf("%.3f", v))
+			row = append(row, stats.Num("%.3f", v))
 			ys = append(ys, v)
 		}
 		t.AddRow(row...)
@@ -385,7 +385,7 @@ func (r *Fig10Result) String() string {
 		ys := make([]float64, 0, len(r.Entries))
 		for _, e := range r.Entries {
 			v := r.At(fe, e)
-			row = append(row, fmt.Sprintf("%.3f", v))
+			row = append(row, stats.Num("%.3f", v))
 			ys = append(ys, v)
 		}
 		t.AddRow(row...)
@@ -414,17 +414,17 @@ func runConstruction(o Options) (fmt.Stringer, error) {
 		pf := results[[2]string{b, "PF-2x8w"}]
 		tc := results[[2]string{b, "TC"}]
 		t.AddRow(b,
-			fmt.Sprintf("%.2f", pf.BufferReuseRate),
-			fmt.Sprintf("%.2f", pf.FragsConstructedEarly),
-			fmt.Sprintf("%.2f", tc.TCHitRate))
+			stats.Num("%.2f", pf.BufferReuseRate),
+			stats.Num("%.2f", pf.FragsConstructedEarly),
+			stats.Num("%.2f", tc.TCHitRate))
 		reuse = append(reuse, pf.BufferReuseRate)
 		early = append(early, pf.FragsConstructedEarly)
 		tchit = append(tchit, tc.TCHitRate)
 	}
 	t.AddRow("MEAN",
-		fmt.Sprintf("%.2f", stats.ArithmeticMean(reuse)),
-		fmt.Sprintf("%.2f", stats.ArithmeticMean(early)),
-		fmt.Sprintf("%.2f", stats.ArithmeticMean(tchit)))
+		stats.Num("%.2f", stats.ArithmeticMean(reuse)),
+		stats.Num("%.2f", stats.ArithmeticMean(early)),
+		stats.Num("%.2f", stats.ArithmeticMean(tchit)))
 	return stringerString(t.String() +
 		"paper: reuse 20-70%; 84% of fragments complete before rename; TC hit rate ~87%\n"), nil
 }

@@ -16,12 +16,11 @@ import (
 // to the one that was journaled — that is what makes `-resume` produce the
 // same report as an uninterrupted run.
 type cellRecord struct {
-	Exp      string     `json:"exp"`
-	Bench    string     `json:"bench"`
-	Key      string     `json:"key"`
-	Hash     string     `json:"hash"`
-	Attempts int        `json:"attempts,omitempty"`
-	Result   cellResult `json:"result"`
+	Exp    string     `json:"exp"`
+	Bench  string     `json:"bench"`
+	Key    string     `json:"key"`
+	Hash   string     `json:"hash"`
+	Result cellResult `json:"result"`
 }
 
 // cellResult mirrors every scalar field of pfe.Result. The Pipeline
@@ -64,14 +63,13 @@ type cellResult struct {
 	Slices     []pfe.SliceInfo   `json:"slices,omitempty"`
 }
 
-func newCellRecord(exp string, c *cell, hash string, attempts int, r *pfe.Result) cellRecord {
+func newCellRecord(exp string, c *cell, hash string, r *pfe.Result) cellRecord {
 	return cellRecord{
-		Exp:      exp,
-		Bench:    c.bench,
-		Key:      c.key,
-		Hash:     hash,
-		Attempts: attempts,
-		Result:   toCellResult(r),
+		Exp:    exp,
+		Bench:  c.bench,
+		Key:    c.key,
+		Hash:   hash,
+		Result: toCellResult(r),
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,71 +22,44 @@ func fakeResult(bench, config string, ipc float64) *pfe.Result {
 	return &pfe.Result{Bench: bench, Config: config, IPC: ipc, Cycles: 1000, Committed: int64(ipc * 1000)}
 }
 
-// TestRunCellsRetriesPanickingCell pins panic isolation plus bounded retry:
-// a cell that panics on its first two attempts and succeeds on the third
-// must deliver its result when MaxRetries >= 2, with the retries counted on
-// the pfe_cell_retries_total counter and nothing recorded as a failure.
-func TestRunCellsRetriesPanickingCell(t *testing.T) {
+// TestRunCellsFailedCellRunsOnceAsGap pins the failure policy at the
+// scheduler layer: a failing cell runs exactly once, every other cell still
+// runs, and the failed cell comes back as a Failed placeholder whose every
+// float64 field is NaN, with a structured record in the Failures log. A
+// caller that passes no log gets an error naming the failed cell instead.
+func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 	var calls atomic.Int32
-	cells := []cell{{
-		bench: "gzip", machine: pfe.Preset(pfe.W16), key: "flaky",
-		run: func() (*pfe.Result, error) {
-			if calls.Add(1) <= 2 {
-				panic("transient fault")
-			}
-			return fakeResult("gzip", "W16", 2.5), nil
-		},
-	}}
-	sc := obs.NewSimCounters(nil)
-	log := &FailureLog{}
-	o := Options{Workers: 1, MaxRetries: 2, RetryBackoff: -1, Sim: sc, Failures: log}
-	got, err := runCells(o, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := got[[2]string{"gzip", "flaky"}]
-	if r == nil || r.Failed || r.IPC != 2.5 {
-		t.Fatalf("result = %+v, want the third attempt's success", r)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("cell ran %d times, want 3", calls.Load())
-	}
-	if v := sc.CellRetries.Value(); v != 2 {
-		t.Errorf("pfe_cell_retries_total = %d, want 2", v)
-	}
-	if sc.CellFailures.Value() != 0 || log.Len() != 0 {
-		t.Errorf("recovered cell still recorded as a failure (%d counted, %d logged)",
-			sc.CellFailures.Value(), log.Len())
-	}
-}
-
-// TestRunCellsFailureBudget pins the degraded mode: a cell that exhausts
-// its retries becomes a placeholder result plus a structured failure record
-// when the budget allows it, and aborts the batch when it does not.
-func TestRunCellsFailureBudget(t *testing.T) {
 	mk := func() []cell {
 		return []cell{
+			{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "doomed",
+				run: func() (*pfe.Result, error) { calls.Add(1); panic("hard fault") }},
 			{bench: "gzip", machine: pfe.Preset(pfe.W16), key: "ok",
 				run: func() (*pfe.Result, error) { return fakeResult("gzip", "W16", 2.0), nil }},
-			{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "doomed",
-				run: func() (*pfe.Result, error) { panic("hard fault") }},
 		}
 	}
 
 	sc := obs.NewSimCounters(nil)
 	log := &FailureLog{}
-	o := Options{Workers: 1, MaxRetries: 1, RetryBackoff: -1, FailBudget: 1,
-		Sim: sc, Failures: log, ExperimentID: "exp1"}
+	o := Options{Workers: 1, Sim: sc, Failures: log, ExperimentID: "exp1"}
 	got, err := runCells(o, mk())
 	if err != nil {
-		t.Fatalf("under-budget failure aborted the batch: %v", err)
+		t.Fatalf("a failed cell with a Failures log aborted the batch: %v", err)
 	}
-	if r := got[[2]string{"gzip", "ok"}]; r == nil || r.Failed {
+	if n := calls.Load(); n != 1 {
+		t.Errorf("failing cell ran %d times, want exactly 1", n)
+	}
+	if r := got[[2]string{"gzip", "ok"}]; r == nil || r.Failed || r.IPC != 2.0 {
 		t.Errorf("healthy cell result = %+v", r)
 	}
 	ph := got[[2]string{"mcf", "doomed"}]
-	if ph == nil || !ph.Failed {
-		t.Fatalf("failed cell placeholder = %+v, want Failed=true", ph)
+	if ph == nil || !ph.Failed || ph.Bench != "mcf" || ph.Config != "W16" {
+		t.Fatalf("failed cell placeholder = %+v, want Failed=true for mcf/W16", ph)
+	}
+	v := reflect.ValueOf(*ph)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && !math.IsNaN(f.Float()) {
+			t.Errorf("placeholder %s = %v, want NaN", v.Type().Field(i).Name, f.Float())
+		}
 	}
 	if sc.CellFailures.Value() != 1 {
 		t.Errorf("pfe_cell_failures_total = %d, want 1", sc.CellFailures.Value())
@@ -97,18 +72,98 @@ func TestRunCellsFailureBudget(t *testing.T) {
 	if f.Experiment != "exp1" || f.Bench != "mcf" || f.Key != "doomed" {
 		t.Errorf("failure identity = %+v", f)
 	}
-	if f.Attempts != 2 || !f.Panic || !strings.Contains(f.Error, "hard fault") {
-		t.Errorf("failure detail = %+v, want 2 attempts, panic, 'hard fault'", f)
+	if !f.Panic || !strings.Contains(f.Error, "hard fault") {
+		t.Errorf("failure detail = %+v, want panic, 'hard fault'", f)
 	}
 	if !strings.Contains(f.Stack, "runCell") && !strings.Contains(f.Stack, "safeRun") {
 		t.Errorf("failure stack does not show the cell frame:\n%s", f.Stack)
 	}
 
-	// Same cells, zero budget: the batch must abort with a descriptive error.
-	o.FailBudget = 0
-	o.Failures = &FailureLog{}
-	if _, err := runCells(o, mk()); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("over-budget batch returned %v, want a budget error", err)
+	// Same cells, no log: the batch errors, naming the failed cell.
+	calls.Store(0)
+	o.Failures = nil
+	if _, err := runCells(o, mk()); err == nil || !strings.Contains(err.Error(), "mcf/doomed") ||
+		!strings.Contains(err.Error(), "hard fault") {
+		t.Fatalf("batch without a Failures log returned %v, want an error naming mcf/doomed", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("failing cell ran %d times without a log, want exactly 1", n)
+	}
+}
+
+// TestDegradedSweepsPrintGaps runs degraded sweeps through Options.Inject
+// on gcc and gzip and compares each printed table with the healthy run's
+// table with the expected gaps marked: FAIL at the failed cell, at every
+// cell computed over its result (a speedup over a failed W16 baseline) and
+// at every mean over a column with a gap, and every other cell exactly as
+// in the healthy run. No NaN, Inf, -100.00 or 0.00 stands in for a gap.
+func TestDegradedSweepsPrintGaps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	base := Options{Warmup: 1_000, Measure: 4_000, Benchmarks: []string{"gcc", "gzip"}}
+	nan := math.NaN()
+	// gapsIn marks bench's cells under keys, and the keys' means, as gaps.
+	gapsIn := func(bench string, keys ...string) func(fmt.Stringer) {
+		return func(s fmt.Stringer) {
+			r := s.(*SweepResult)
+			for _, k := range keys {
+				r.Values[[2]string{bench, k}] = nan
+				r.Summary[k] = nan
+			}
+		}
+	}
+	cases := []struct {
+		exp, inject string
+		gaps        func(fmt.Stringer)
+		fails       int // FAIL cells in the printed table
+	}{
+		{"fig8", "gcc/PR-2x8w=panic", gapsIn("gcc", "PR-2x8w"), 2},
+		{"fig8", "gcc/W16=error", gapsIn("gcc", "TC", "TC2x", "PF-2x8w", "PR-2x8w", "PF-4x4w", "PR-4x4w"), 12},
+		{"fig4", "gcc/W16=error", gapsIn("gcc", "W16"), 2},
+		{"fig9", "gcc/W16@64KB=error", func(s fmt.Stringer) {
+			// Every Fig 9 mean is over gcc's ratios to its failed baseline.
+			for k := range s.(*Fig9Result).Speedup {
+				s.(*Fig9Result).Speedup[k] = nan
+			}
+		}, 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.exp+"/"+tc.inject, func(t *testing.T) {
+			e, err := ByID(tc.exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Run(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inject, err := ParseInject(tc.inject)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := base
+			o.Inject, o.Failures = inject, &FailureLog{}
+			got, err := e.Run(o)
+			if err != nil {
+				t.Fatalf("degraded sweep returned %v, want its table", err)
+			}
+			if n := o.Failures.Len(); n != 1 {
+				t.Errorf("%d failures logged, want 1", n)
+			}
+			tc.gaps(want)
+			if got.String() != want.String() {
+				t.Errorf("degraded table:\n%s\nwant:\n%s", got, want)
+			}
+			if n := strings.Count(got.String(), "FAIL"); n != tc.fails {
+				t.Errorf("table prints FAIL %d times, want %d:\n%s", n, tc.fails, got)
+			}
+			for _, bad := range []string{"NaN", "Inf", "-100.00"} {
+				if strings.Contains(got.String(), bad) {
+					t.Errorf("table prints %q:\n%s", bad, got)
+				}
+			}
+		})
 	}
 }
 
@@ -246,7 +301,6 @@ func TestInjectStallProducesDiagnosticDump(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1_000, Measure: 2_000, Workers: 1,
-		RetryBackoff: -1, FailBudget: 1,
 		Failures: log, DumpDir: dir, ExperimentID: "inj",
 		Inject: map[string]string{"gzip/W16": "stall"},
 	}
@@ -282,13 +336,12 @@ func TestInjectStallProducesDiagnosticDump(t *testing.T) {
 }
 
 // TestInjectPanicAndErrorModes covers the two remaining injection modes
-// through a real cell config: both must fail without retries (budget 2) and
-// be distinguishable in their records.
+// through a real cell config: both must fail and be distinguishable in
+// their records.
 func TestInjectPanicAndErrorModes(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1_000, Measure: 2_000, Workers: 2,
-		RetryBackoff: -1, FailBudget: 2,
 		Failures: log, ExperimentID: "inj2",
 		Inject: map[string]string{
 			"gzip/a": "panic",
@@ -322,7 +375,6 @@ func TestInProcessInjectRejectsUnknownAndKill(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1000, Measure: 2000, Workers: 1,
-		RetryBackoff: -1, FailBudget: 2,
 		Failures: log, ExperimentID: "inj3",
 		Inject: map[string]string{
 			"gzip/a": "kill",

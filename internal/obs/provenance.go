@@ -110,7 +110,7 @@ type Row struct {
 // worker; build covers program-build and tape-build/replay phases; sim covers
 // the detailed simulation (including sampled windows, gap warming, and
 // time-parallel slices); overhead is the remainder (scheduling, journaling,
-// memo lookups, retry backoff).
+// memo lookups).
 type RowTiming struct {
 	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
 	BuildSeconds     float64 `json:"build_seconds"`
@@ -118,16 +118,15 @@ type RowTiming struct {
 	OverheadSeconds  float64 `json:"overhead_seconds"`
 }
 
-// CellFailure is one experiment cell that exhausted its retries: the
-// structured failure record the harness reports instead of aborting the
-// sweep. DumpPath, when set, references the stall diagnostic bundle
-// (flight-recorder events, per-stage occupancy, predictor state) written
-// for a watchdog trip.
+// CellFailure is one experiment cell whose single run failed (panic, error
+// or watchdog stall): the structured failure record the harness reports
+// while its table prints the cell as FAIL. DumpPath, when set, references
+// the stall diagnostic bundle (flight-recorder events, per-stage occupancy,
+// predictor state) written for a watchdog trip.
 type CellFailure struct {
 	Experiment string `json:"experiment"`
 	Bench      string `json:"bench"`
 	Key        string `json:"config"`
-	Attempts   int    `json:"attempts"`
 	Error      string `json:"error"`
 	Panic      bool   `json:"panic,omitempty"`
 	Stack      string `json:"stack,omitempty"`
@@ -198,7 +197,7 @@ type Report struct {
 	// bases and comparator inputs for the rows they do contain.
 	Partial bool `json:"partial,omitempty"`
 
-	// Failures lists the cells that failed under the failure budget.
+	// Failures lists the cells that failed; their tables print them as FAIL.
 	Failures []CellFailure `json:"failures,omitempty"`
 
 	// StageSeconds is the aggregate simulator self-profile (present only

@@ -41,9 +41,7 @@ type SimCounters struct {
 	// livelocked or MaxCycles-exhausted runs).
 	WatchdogTrips *Counter
 
-	// CellRetries and CellFailures count experiment-harness cell retry
-	// attempts and cells that exhausted their retries.
-	CellRetries  *Counter
+	// CellFailures counts experiment-harness cells that failed.
 	CellFailures *Counter
 
 	// JournalFsync observes the crash-safe journal's per-record fsync
@@ -99,8 +97,8 @@ func (s *SimCounters) PoolReuseRatio() float64 {
 //	pfe_redirects_total, pfe_sims_started_total, pfe_sims_completed_total,
 //	pfe_pool_gets_total, pfe_pool_misses_total, pfe_pool_reuse_ratio,
 //	pfe_running_ipc, pfe_stage_seconds_total{stage=...},
-//	pfe_watchdog_trips_total, pfe_cell_retries_total,
-//	pfe_cell_failures_total, pfe_journal_fsync_seconds,
+//	pfe_watchdog_trips_total, pfe_cell_failures_total,
+//	pfe_journal_fsync_seconds,
 //	pfe_sample_windows_total, pfe_sample_gap_instructions_total,
 //	pfe_sample_fallback_steps_total, pfe_sample_ci_halfwidth,
 //	pfe_slice_slices_total, pfe_slice_seam_cycles_total,
@@ -117,7 +115,6 @@ func NewSimCounters(r *Registry) *SimCounters {
 		s.PoolGets = NewCounter()
 		s.PoolMisses = NewCounter()
 		s.WatchdogTrips = NewCounter()
-		s.CellRetries = NewCounter()
 		s.CellFailures = NewCounter()
 		s.JournalFsync = NewHistogram(journalFsyncBounds)
 		s.SampleWindows = NewCounter()
@@ -138,8 +135,7 @@ func NewSimCounters(r *Registry) *SimCounters {
 	s.PoolGets = r.Counter("pfe_pool_gets_total", "Free-list gets across all runs (simulator object recycling).")
 	s.PoolMisses = r.Counter("pfe_pool_misses_total", "Free-list gets that had to allocate (no recycled object available).")
 	s.WatchdogTrips = r.Counter("pfe_watchdog_trips_total", "Forward-progress watchdog trips (deadlocked, livelocked or MaxCycles-exhausted runs).")
-	s.CellRetries = r.Counter("pfe_cell_retries_total", "Experiment cell retry attempts after a failed or panicked run.")
-	s.CellFailures = r.Counter("pfe_cell_failures_total", "Experiment cells that exhausted their retries and were recorded as failures.")
+	s.CellFailures = r.Counter("pfe_cell_failures_total", "Experiment cells that failed (panic, error or watchdog stall) and were recorded as failures.")
 	s.JournalFsync = r.Histogram("pfe_journal_fsync_seconds", "Crash-safe journal per-record fsync latency.", journalFsyncBounds)
 	s.SampleWindows = r.Counter("pfe_sample_windows_total", "Detailed windows simulated by sampled runs.")
 	s.SampleGapInsts = r.Counter("pfe_sample_gap_instructions_total", "Gap instructions fast-forwarded through functional warming in sampled runs.")

@@ -125,8 +125,7 @@ func WriteNDJSON(w io.Writer, recs []Record) error {
 
 // CellTiming is the per-cell wall-clock breakdown derived from a sweep's
 // spans: where cell time went between scheduler queue wait, artifact builds,
-// simulation proper, and harness overhead (retry backoff, journal appends,
-// bookkeeping).
+// simulation proper, and harness overhead (journal appends, bookkeeping).
 type CellTiming struct {
 	Batch string `json:"batch,omitempty"`
 	Cell  int    `json:"cell"`

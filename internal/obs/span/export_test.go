@@ -15,23 +15,19 @@ func buildTrace(t *testing.T) *Tracer {
 	b := tr.StartBatch("fig8", 2)
 
 	c0 := b.StartCell(0, "gzip", "PF-4x4w", 0)
-	a0 := c0.Child(KindAttempt, "attempt")
-	pb := a0.Child(KindPhase, "program-build")
+	pb := c0.Child(KindPhase, "program-build")
 	pb.Str("artifact", "miss")
 	pb.End()
-	sim := a0.Child(KindPhase, "sim")
+	sim := c0.Child(KindPhase, "sim")
 	sim.Int("cycles", 4000)
 	sim.End()
-	a0.End()
 	c0.End()
 
 	c1 := b.StartCell(1, "mcf", "TR-16x4w", 1)
-	a1 := c1.Child(KindAttempt, "attempt")
-	tb := a1.Child(KindPhase, "tape-build")
+	tb := c1.Child(KindPhase, "tape-build")
 	tb.Str("artifact", "hit")
 	tb.End()
-	a1.Child(KindPhase, "sim").End()
-	a1.End()
+	c1.Child(KindPhase, "sim").End()
 	c1.End()
 
 	b.Steal(1, 0, 1)
@@ -72,9 +68,9 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			t.Fatalf("unexpected phase %v", ev["ph"])
 		}
 	}
-	// 2 cells + 2 attempts + 4 phases + 1 sweep = 9 duration events.
-	if xEvents != 9 {
-		t.Fatalf("got %d X events, want 9", xEvents)
+	// 2 cells + 4 phases + 1 sweep = 7 duration events.
+	if xEvents != 7 {
+		t.Fatalf("got %d X events, want 7", xEvents)
 	}
 	if meta == 0 {
 		t.Fatal("no process/thread name metadata")

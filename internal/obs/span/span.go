@@ -1,8 +1,8 @@
 // Package span is the sweep-level tracing layer: a low-overhead hierarchical
-// span tracer for the experiment harness (sweep → cell → attempt → phase).
+// span tracer for the experiment harness (sweep → cell → phase).
 // It complements internal/trace, which records per-cycle events *inside* one
 // simulation; span records where wall-clock goes *across* a sweep — scheduler
-// queue time, artifact builds, retries, sampled windows — with explicit
+// queue time, artifact builds, journal appends, sampled windows — with explicit
 // parent/child IDs, monotonic timestamps, and typed annotations.
 //
 // A nil *Tracer is a valid no-op sink: every method on Tracer, Batch, and
@@ -29,10 +29,9 @@ type ID uint64
 
 // Span kinds. Kind is informational — the hierarchy is carried by Parent IDs.
 const (
-	KindSweep   = "sweep"
-	KindCell    = "cell"
-	KindAttempt = "attempt"
-	KindPhase   = "phase"
+	KindSweep = "sweep"
+	KindCell  = "cell"
+	KindPhase = "phase"
 )
 
 // Annot is one typed key/value annotation on a span. Exactly one of the value

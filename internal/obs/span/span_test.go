@@ -13,19 +13,19 @@ func TestNilTracerAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		b := tr.StartBatch("sweep", 8)
 		cs := b.StartCell(3, "gzip", "PF-4x4w", 1)
-		as := cs.Child(KindAttempt, "attempt")
-		ps := as.Child(KindPhase, "sim")
+		ss := cs.Child(KindPhase, "slice")
+		ps := ss.Child(KindPhase, "slice-sim")
 		ps.Str("source", "memo")
 		ps.Int("cycles", 123)
 		ps.Float("ipc", 1.5)
 		ps.End()
-		tr.Phase(as.ID(), "journal-append").End()
+		tr.Phase(cs.ID(), "journal-append").End()
 		tr.SpanFor(cs.ID()).Int("x", 1)
-		as.End()
+		ss.End()
 		cs.End()
 		b.Steal(1, 0, 4)
 		b.End()
-		if cs.OK() || as.ID() != 0 {
+		if cs.OK() || ss.ID() != 0 {
 			t.Fatal("nil tracer handed out a live span")
 		}
 	})
@@ -93,10 +93,10 @@ func TestCellTimelineOrdering(t *testing.T) {
 
 	b := tr.StartBatch("s", 1)
 	cs := b.StartCell(0, "mcf", "cfg", 0)
-	as := cs.Child(KindAttempt, "attempt")
-	ph := as.Child(KindPhase, "sim")
+	ss := cs.Child(KindPhase, "slice")
+	ph := ss.Child(KindPhase, "slice-sim")
 	ph.End()
-	as.End()
+	ss.End()
 	cs.End()
 	b.End()
 	tr.Close()
@@ -163,11 +163,11 @@ func TestChildInheritsScope(t *testing.T) {
 	tr := New()
 	b := tr.StartBatch("fig4", 2)
 	cs := b.StartCell(1, "twolf", "TR-16x4w", 3)
-	as := cs.Child(KindAttempt, "attempt")
-	ph := as.Child(KindPhase, "tape-build")
+	ss := cs.Child(KindPhase, "slice")
+	ph := ss.Child(KindPhase, "tape-build")
 	ph.Str("artifact", "hit")
 	ph.End()
-	as.End()
+	ss.End()
 	cs.End()
 	b.End()
 

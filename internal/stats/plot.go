@@ -53,12 +53,19 @@ func (p *Plot) String() string {
 		h = 4
 	}
 
+	// The y range spans the finite points only: a NaN (a failed cell) or an
+	// infinity is a gap in its series, with no marker and no dots to it.
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range p.series {
-		for _, y := range s.ys {
-			ymin = math.Min(ymin, y)
-			ymax = math.Max(ymax, y)
+		for i, y := range s.ys {
+			if i < len(p.xs) && finite(y) {
+				ymin = math.Min(ymin, y)
+				ymax = math.Max(ymax, y)
+			}
 		}
+	}
+	if ymin > ymax {
+		return "(empty plot)\n"
 	}
 	if ymax == ymin {
 		ymax = ymin + 1
@@ -93,6 +100,9 @@ func (p *Plot) String() string {
 	// the data points on top.
 	for _, s := range p.series {
 		for i := 0; i+1 < len(s.ys) && i+1 < len(p.xs); i++ {
+			if !finite(s.ys[i]) || !finite(s.ys[i+1]) {
+				continue
+			}
 			c0, r0 := col(p.xs[i]), row(s.ys[i])
 			c1, r1 := col(p.xs[i+1]), row(s.ys[i+1])
 			steps := max(abs(c1-c0), abs(r1-r0))
@@ -109,6 +119,9 @@ func (p *Plot) String() string {
 		for i, y := range s.ys {
 			if i >= len(p.xs) {
 				break
+			}
+			if !finite(y) {
+				continue
 			}
 			grid[row(y)][col(p.xs[i])] = s.marker
 		}
@@ -158,6 +171,8 @@ func (p *Plot) String() string {
 	fmt.Fprintf(&b, "%*s  legend: %s\n", labelW, "", strings.Join(legend, "   "))
 	return b.String()
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%.3f", v)

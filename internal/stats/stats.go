@@ -72,6 +72,9 @@ func (s *Set) String() string {
 	return b.String()
 }
 
+// The means and Speedup pass a NaN through (NaN <= 0 is false): a failed
+// experiment cell is NaN, so every number derived from it is a gap too.
+
 // HarmonicMean returns the harmonic mean of xs. Non-positive values make a
 // harmonic mean undefined; they are rejected with a zero result, matching the
 // paper's use of harmonic means over strictly positive rates.
@@ -123,4 +126,14 @@ func Speedup(base, new float64) float64 {
 		return 0
 	}
 	return 100 * (new/base - 1)
+}
+
+// Num formats v with format (such as "%.2f"), or as FAIL when v is NaN: the
+// gap a failed experiment cell, and every number derived from it, leaves in
+// a table.
+func Num(format string, v float64) string {
+	if math.IsNaN(v) {
+		return "FAIL"
+	}
+	return fmt.Sprintf(format, v)
 }

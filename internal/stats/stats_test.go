@@ -109,6 +109,40 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
+// TestGapsPropagate pins the rule that makes a failed cell a gap in every
+// table: a NaN input turns each mean and a speedup on either side into NaN
+// (never into the 0 a non-positive input gives), and Num prints it as FAIL.
+func TestGapsPropagate(t *testing.T) {
+	nan := math.NaN()
+	gap := []float64{1.5, nan, 2}
+	for name, got := range map[string]float64{
+		"harmonic":      HarmonicMean(gap),
+		"geometric":     GeometricMean(gap),
+		"arithmetic":    ArithmeticMean(gap),
+		"speedup base":  Speedup(nan, 2),
+		"speedup value": Speedup(2, nan),
+	} {
+		if !math.IsNaN(got) {
+			t.Errorf("%s over a gap = %v, want NaN", name, got)
+		}
+	}
+	for _, c := range []struct {
+		format string
+		v      float64
+		want   string
+	}{
+		{"%.2f", nan, "FAIL"},
+		{"%+.2f", nan, "FAIL"},
+		{"%.3f", 1.23456, "1.235"},
+		{"%+.2f", 4.5, "+4.50"},
+		{"%.2f", 0, "0.00"},
+	} {
+		if got := Num(c.format, c.v); got != c.want {
+			t.Errorf("Num(%q, %v) = %q, want %q", c.format, c.v, got, c.want)
+		}
+	}
+}
+
 // TestMeanInequality: for positive inputs, harmonic <= geometric <=
 // arithmetic — the classical inequality, checked property-style.
 func TestMeanInequality(t *testing.T) {

@@ -263,7 +263,7 @@ type RunOptions struct {
 	// phase boundary and never perturbs results.
 	Spans *span.Tracer
 
-	// SpanParent is the span (typically an attempt span from the experiment
+	// SpanParent is the span (typically a cell span from the experiment
 	// harness) that phase spans of this run attach to. 0 parents them at the
 	// tracer root.
 	SpanParent span.ID

@@ -13,10 +13,10 @@ type Result struct {
 	Bench  string
 	Config string
 
-	// Failed marks a zero-valued placeholder standing in for a cell that
-	// exhausted its retries under the experiment harness's failure budget.
-	// Renderers print its metrics as zeros; the structured failure record
-	// lives in the run report's failures block.
+	// Failed marks the placeholder the experiment harness leaves for a
+	// cell whose run failed. Every float64 metric of it is NaN, so tables
+	// print the cell, and every number derived from it, as FAIL; the
+	// structured failure record lives in the run report's failures block.
 	Failed bool
 
 	Cycles    uint64
