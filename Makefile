@@ -4,11 +4,11 @@
 #                      includes the golden determinism suite) + the
 #                      perfbench module's own tests
 #   make test-alloc    tier 1.5: allocation guards (zero-alloc cycle loop,
-#                      bounded /metrics scrape) run verbosely on their own
+#                      zero-alloc free-list reuse) run verbosely on their own
 #   make test-robust   tier 1.5: fault-tolerance suite under -race (panic
 #                      isolation, failed cells as gaps, exit 1, watchdog,
-#                      journal/resume, SIGKILL + resume round trip, graceful
-#                      shutdown)
+#                      journal/resume, SIGKILL + resume round trip, SIGINT
+#                      drain)
 #   make test-sample   tier 1.5: tape-acceleration suite (sampled-vs-full
 #                      statistical gate, sampled/sliced golden results,
 #                      sliced determinism across worker counts, also under
@@ -20,11 +20,9 @@
 #                      replay and block decode, zero-alloc tape seek/replay
 #                      guards, stored fragment decode and live-outs, one
 #                      fragment memo per sampled cell and per slice)
-#   make test-obs      tier 1.5: observability suite (span tracer alloc guard
-#                      and ordered release, SSE /events ordering across worker
-#                      counts under -race, live scrape of accelerated runs,
-#                      Chrome trace round-trip + merge, traced-vs-untraced
-#                      determinism)
+#   make test-obs      tier 1.5: observability suite (span tracer alloc guard,
+#                      nesting and concurrent cells under -race, Chrome trace
+#                      round-trip + merge, traced-vs-untraced determinism)
 #   make vet           static hygiene: go vet + gofmt -l (fails on diff);
 #                      runs as part of `make test`
 #   make race          tier 2: vet + race detector over the short suite
@@ -78,7 +76,6 @@ test-robust:
 	$(GO) test -race -count=1 ./internal/journal/ ./cmd/pfe-bench/ \
 		./internal/experiments/ -run 'Robust|Gap|Cancel|Resume|Inject|Kill|Sigint|Journal'
 	$(GO) test -race -count=1 ./internal/sim/ -run 'Watchdog|Stall'
-	$(GO) test -race -count=1 ./internal/obs/ -run 'Shutdown|Close'
 
 # Tape-acceleration tier: the statistical gate behind the sampled numbers
 # (every benchmark's sampled-vs-full error within its own 95% CI on a suite
@@ -112,23 +109,22 @@ test-sample:
 	$(GO) test -race -count=1 ./internal/artifact/ -run 'TestTapeRecord|TestCacheBuild'
 	$(GO) test -count=1 ./internal/stats/ -run 'TestSummarize|TestSampleWindows|TestTCrit95'
 
-# Observability tier: the sweep span tracer (nil-tracer alloc guard, ordered
-# head/tail release, Chrome/NDJSON round-trips), the /events SSE stream
-# (deterministic cell order across worker counts, under -race), the /metrics +
-# /status scrape of sampled and sliced runs under -race, the sweep/cycle trace
-# merge in pfe-trace, and the traced-vs-untraced bit-identity gate.
+# Observability tier: the sweep span tracer (nil-tracer alloc guard, nesting
+# by parent and time, concurrent cells under -race, Chrome/NDJSON
+# round-trips), the sweep/cycle trace merge in pfe-trace, and the
+# traced-vs-untraced bit-identity gate.
 test-obs:
 	$(GO) test -race -count=1 ./internal/obs/span/
-	$(GO) test -race -count=1 ./internal/obs/ -run 'TestEventsStream|TestLiveScrape'
 	$(GO) test -count=1 ./cmd/pfe-trace/ -run TestMerge
 	$(GO) test -count=1 ./cmd/pfe-bench/ -run 'TestTracing|TestSweepTrace'
 
 # Allocation guards, run on their own so a perf PR can iterate on just
-# them: the steady-state cycle loop must not allocate at all, and a
-# /metrics scrape must stay bounded. Both also run as part of `make test`.
+# them: the steady-state cycle loop must not allocate at all, and neither
+# may a free list's steady-state Get/Put. Both also run as part of
+# `make test`.
 test-alloc:
 	$(GO) test ./internal/sim/ -run TestStepZeroAllocSteadyState -count=1 -v
-	$(GO) test ./internal/pool/ ./internal/obs/ -run 'Alloc|Scrape' -count=1 -v
+	$(GO) test ./internal/pool/ -run Alloc -count=1 -v
 
 race:
 	$(GO) vet ./...

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/experiments"
@@ -100,5 +101,26 @@ func TestAccelFlagsApplyStamp(t *testing.T) {
 		spec.SampleUnit != 0 || spec.SamplePeriod != 0 || spec.SampleWarmup != 0 ||
 		spec.Slices != 0 || spec.SliceWarmup != 0 {
 		t.Errorf("inactive modes leaked: opts %+v spec %+v", opts, spec)
+	}
+}
+
+// TestStageTotalsCountSimulatedCellsOnce pins the -selfprofile sum behind
+// both the stderr summary and the -json report: a completion with wall 0 (a
+// memo hit or a resume replay, carrying the profile of the run it repeats)
+// adds nothing, and every cell that simulated adds its stage times once.
+func TestStageTotalsCountSimulatedCellsOnce(t *testing.T) {
+	stages := &stageTotals{}
+	c := &cellObserver{id: "fig8", tracker: obs.NewTracker(), stages: stages}
+	r := &pfe.Result{StageSeconds: map[string]float64{"fetch": 0.5, "backend": 0.25}}
+	c.Completed("gcc", "W16", 0, r)
+	if got := stages.sum(); len(got) != 0 {
+		t.Fatalf("a wall-0 completion added %v, want nothing", got)
+	}
+	c.Completed("gcc", "W16", time.Millisecond, r)
+	c.Completed("gzip", "W16", time.Millisecond, r)
+	c.Completed("gzip", "W16", 0, r)
+	got := stages.sum()
+	if len(got) != 2 || got["fetch"] != 1.0 || got["backend"] != 0.5 {
+		t.Errorf("stage sum = %v, want fetch 1 and backend 0.5 (two simulated cells)", got)
 	}
 }

@@ -185,13 +185,17 @@ func tableCells(t *testing.T, stdout, title string) map[string]map[string]string
 	return cells
 }
 
+// progressLine matches one stderr progress line: experiment, completed and
+// planned cells.
+var progressLine = regexp.MustCompile(`\[(\w+)\] (\d+)/(\d+) sims[^\n]*`)
+
 // TestInjectedFaultsPrintGapsAndExit1 is the degraded-mode acceptance test:
 // a two-experiment sweep with one panicking and one genuinely deadlocking
 // (watchdog-tripped) cell still prints both tables, with FAIL at each failed
 // cell, at every speedup over a failed baseline and at every mean over a
 // gap, and every other cell as in a healthy run. It lists both failures on
-// stderr and in the report's failures block, leaves the stall's diagnostic
-// dump on disk, and exits 1.
+// stderr and in the report's failures block, counts them as done in the
+// progress lines, leaves the stall's diagnostic dump on disk, and exits 1.
 func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -210,6 +214,7 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 		"-json", jsonOut,
 		"-inject", "gzip/W16=panic,mcf/TC=stall",
 		"-dump-dir", dir,
+		"-progress",
 	)...)...)
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err = cmd.Run()
@@ -248,6 +253,18 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), "cell failed: "); n != 4 {
 		t.Errorf("stderr lists %d failed cells, want 4:\n%s", n, stderr.String())
+	}
+	// A failed cell is done: each experiment's progress ends at its planned
+	// total and names its two failures.
+	last := map[string]string{}
+	for _, m := range progressLine.FindAllStringSubmatch(stderr.String(), -1) {
+		last[m[1]] = m[0]
+	}
+	for _, id := range []string{"fig4", "fig8"} {
+		m := progressLine.FindStringSubmatch(last[id])
+		if m == nil || m[2] != m[3] || !strings.Contains(last[id], "(2 failed)") {
+			t.Errorf("%s: last progress line %q, want N/N sims with (2 failed)", id, last[id])
+		}
 	}
 
 	rep, err := obs.ReadReportFile(jsonOut)
@@ -303,9 +320,10 @@ func TestSampleSlicesUsageError(t *testing.T) {
 }
 
 // TestFlagValidation pins the CLI's usage-error contract: an unknown
-// -inject mode, every option of the removed distributed-sweep path, and the
-// removed retry and failure-budget flags exit 2 with an explanation instead
-// of silently running something else.
+// -inject mode, every option of the removed distributed-sweep path, the
+// removed retry and failure-budget flags, and the removed live-telemetry
+// flags exit 2 with an explanation instead of silently running something
+// else.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -324,6 +342,8 @@ func TestFlagValidation(t *testing.T) {
 		{"worker", benchArgs("-worker", "http://127.0.0.1:1"), "flag provided but not defined: -worker"},
 		{"max retries", benchArgs("-max-retries", "1"), "flag provided but not defined: -max-retries"},
 		{"fail budget", benchArgs("-fail-budget", "2"), "flag provided but not defined: -fail-budget"},
+		{"http", benchArgs("-http", ":0"), "flag provided but not defined: -http"},
+		{"events", benchArgs("-events"), "flag provided but not defined: -events"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,5 +1,5 @@
-// pfe-bench regenerates the paper's tables and figures, with opt-in live
-// telemetry, machine-readable provenance reports, a perf-regression
+// pfe-bench regenerates the paper's tables and figures, with progress lines
+// on stderr, machine-readable provenance reports, a perf-regression
 // comparator, and a fault-tolerant sweep harness (crash-safe journal,
 // resume, failed cells as gaps, graceful shutdown).
 //
@@ -9,7 +9,6 @@
 //	pfe-bench -exp fig8
 //	pfe-bench -exp all -warmup 100000 -measure 300000
 //	pfe-bench -exp fig9 -benches gcc,gzip
-//	pfe-bench -exp all -http :6060              # /metrics, /status, /debug/pprof
 //	pfe-bench -exp fig8 -json out.json          # provenance-stamped report
 //	pfe-bench -exp all -journal run.wal         # crash-safe result journal
 //	pfe-bench -exp all -resume run.wal          # replay it after a crash/kill
@@ -19,7 +18,7 @@
 //	pfe-bench -exp fig8 -slices 8               # time-parallel slicing
 //	pfe-bench -validate-sampling                # sampled-vs-full error gate
 //	pfe-bench -exp fig8 -sweep-trace sweep.json # Perfetto-loadable sweep trace
-//	pfe-bench -exp all -events                  # live /events SSE stream
+//	pfe-bench -exp fig8 -selfprofile            # simulator time per pipeline stage
 //
 // -sample and -slices accelerate every simulation of a sweep by replaying
 // oracle tapes: sampling simulates detailed windows (-sample-unit every
@@ -38,9 +37,16 @@
 // over its column. The run still finishes every experiment, prints a
 // "cell failed:" line per failure on stderr, and exits 1.
 //
+// A sweep is reported after it ends. While it runs, only progress lines with
+// an ETA go to stderr (at most one a second, and each batch's last); they
+// count memoized and failed cells as done. Once it is done, -json,
+// -sweep-trace and -selfprofile describe it. -selfprofile sums the stage
+// times of the cells that simulated; a memoized or replayed cell adds
+// nothing.
+//
 // SIGINT/SIGTERM drain the sweep: in-flight simulations finish, the journal
-// is flushed, a -json report is still written (marked "partial": true), the
-// telemetry server shuts down gracefully, and the process exits 130.
+// is flushed, a -json report is still written (marked "partial": true), and
+// the process exits 130.
 package main
 
 import (
@@ -52,6 +58,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -74,7 +81,6 @@ func run() int {
 		benches = flag.String("benches", "", "comma-separated benchmark subset (default: all twelve)")
 		workers = flag.Int("workers", 0, "concurrent simulations (default GOMAXPROCS)")
 
-		httpAddr = flag.String("http", "", "serve live telemetry on this address (/metrics, /status, /debug/pprof)")
 		jsonOut  = flag.String("json", "", "write a provenance-stamped JSON benchmark report to this file")
 		selfProf = flag.Bool("selfprofile", false, "attribute the simulator's own wall time per pipeline stage (sampled)")
 		progress = flag.Bool("progress", true, "print per-experiment progress lines with ETA to stderr")
@@ -94,7 +100,6 @@ func run() int {
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")
 
 		sweepTrace = flag.String("sweep-trace", "", "write the sweep's span trace to this file: Chrome trace_event JSON (load in Perfetto/chrome://tracing), or NDJSON when the name ends in .ndjson/.jsonl")
-		events     = flag.Bool("events", false, "serve the live sweep event stream at /events (SSE, deterministic cell order); implies -http localhost:0 when -http is unset")
 	)
 	var accel accelFlags
 	ds := pfe.DefaultSampleSpec()
@@ -172,33 +177,16 @@ func run() int {
 		}
 	}
 
-	// Sweep span tracing: created only when something consumes it (-sweep-trace
-	// file, the /events live stream, or the per-cell timing breakdown of a
-	// -json report). A nil tracer costs nothing on the hot path.
-	if *events && *httpAddr == "" {
-		*httpAddr = "localhost:0"
-	}
+	// Sweep span tracing: created only when something consumes it (the
+	// -sweep-trace file or the per-cell timing breakdown of a -json report).
+	// A nil tracer costs nothing on the hot path.
 	var spans *span.Tracer
-	if *sweepTrace != "" || *events || *jsonOut != "" {
+	if *sweepTrace != "" || *jsonOut != "" {
 		spans = span.New()
 	}
 	opts.Spans = spans
 
-	// Telemetry: the tracker always exists (it backs the progress lines);
-	// the registry, live sim counters and HTTP server are pay-for-use.
-	// -selfprofile needs the shared counters too (per-run profiles merge
-	// into Sim.Prof) so the stage-time summary prints even without -http.
-	var reg *obs.Registry
-	if *httpAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *httpAddr != "" || *selfProf {
-		opts.Sim = obs.NewSimCounters(reg)
-	}
-	if reg != nil && opts.Artifacts != nil {
-		opts.Artifacts.Register(reg)
-	}
-	tracker := obs.NewTracker(reg)
+	tracker := obs.NewTracker()
 	if w := *workers; w > 0 {
 		tracker.SetWorkers(w)
 	} else {
@@ -206,24 +194,6 @@ func run() int {
 	}
 	if *progress {
 		tracker.SetLog(os.Stderr, time.Second)
-	}
-	if *httpAddr != "" {
-		srv, err := obs.Serve(*httpAddr, reg, tracker, spans)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfe-bench: telemetry server: %v\n", err)
-			return 2
-		}
-		// Graceful stop: in-flight /metrics scrapes complete before exit.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		endpoints := "/metrics  /status  /debug/pprof/"
-		if spans != nil {
-			endpoints += "  /events"
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s%s\n", srv.Addr(), endpoints)
 	}
 
 	// Crash safety: -resume replays a journal's completed cells and appends
@@ -249,9 +219,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 			return 2
 		}
-		if opts.Sim != nil {
-			w.FsyncHist = opts.Sim.JournalFsync
-		}
 		defer w.Close()
 		opts.Journal = w
 	}
@@ -276,13 +243,14 @@ func run() int {
 	runStart := time.Now()
 	exit := 0
 	interrupted := false
+	stages := &stageTotals{}
 	for _, e := range todo {
-		tracker.StartExperiment(e.ID, e.Title)
+		tracker.StartExperiment(e.ID)
 		if report != nil {
 			report.StartExperiment(e.ID, e.Title)
 		}
 		opts.ExperimentID = e.ID
-		opts.Observer = &cellObserver{id: e.ID, tracker: tracker, report: report}
+		opts.Observer = &cellObserver{id: e.ID, tracker: tracker, report: report, stages: stages}
 		start := time.Now()
 		res, err := e.Run(opts)
 		wall := time.Since(start)
@@ -304,9 +272,6 @@ func run() int {
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
 	}
 
-	// End of sweep: closing the tracer ends every /events stream (subscribers
-	// see the channel close) and freezes the record set for export.
-	spans.Close()
 	if *sweepTrace != "" {
 		if err := writeSweepTrace(*sweepTrace, spans.Records()); err != nil {
 			fmt.Fprintf(os.Stderr, "pfe-bench: writing %s: %v\n", *sweepTrace, err)
@@ -316,9 +281,6 @@ func run() int {
 		} else {
 			fmt.Fprintf(os.Stderr, "sweep trace: %s (%d spans)\n", *sweepTrace, len(spans.Records()))
 		}
-	}
-	if n := spans.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "events: %d event(s) dropped by slow subscribers\n", n)
 	}
 
 	// A failed cell does not stop the run, but it is never silent: it
@@ -377,6 +339,7 @@ func run() int {
 		if opts.Artifacts != nil {
 			report.SetArtifacts(artifactsReport(opts.Artifacts.Stats()))
 		}
+		report.SetStageSeconds(stages.sum())
 		// Per-cell timing breakdown from the span trace: where each row's
 		// wall time went (queue-wait, build, sim, overhead).
 		for _, ct := range span.CellTimings(spans.Records()) {
@@ -406,13 +369,9 @@ func run() int {
 	case len(fails) > 0:
 		exit = 1
 	}
-	if *selfProf && opts.Sim != nil {
+	if *selfProf {
 		fmt.Fprintf(os.Stderr, "simulator stage wall time (sampled):\n%s",
-			obs.FormatStageSeconds(opts.Sim.Prof.Seconds()))
-		if gets := opts.Sim.PoolGets.Value(); gets > 0 {
-			fmt.Fprintf(os.Stderr, "simulator object recycling: %.1f%% of %d free-list gets reused (%d heap allocations avoided)\n",
-				100*opts.Sim.PoolReuseRatio(), gets, gets-opts.Sim.PoolMisses.Value())
-		}
+			obs.FormatStageSeconds(stages.sum()))
 	}
 	return exit
 }
@@ -462,19 +421,50 @@ func firstLine(s string) string {
 	return s
 }
 
-// cellObserver fans one experiment's cell completions out to the progress
-// tracker and the JSON report builder.
+// stageTotals sums the self-profile stage times of a run's cells. Only cells
+// that simulated count, which the harness reports with wall > 0: a memo hit
+// reports wall 0 and carries the profile of the run it repeats, which was
+// added already, and a resume replay reports wall 0 too. The one sum feeds
+// both the stderr summary and the -json report.
+type stageTotals struct {
+	mu  sync.Mutex
+	sec map[string]float64
+}
+
+func (s *stageTotals) add(wall time.Duration, sec map[string]float64) {
+	if wall == 0 || len(sec) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sec == nil {
+		s.sec = map[string]float64{}
+	}
+	for k, v := range sec {
+		s.sec[k] += v
+	}
+}
+
+func (s *stageTotals) sum() map[string]float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sec
+}
+
+// cellObserver fans one experiment's cell completions and failures out to
+// the progress tracker, the stage-time sum and the JSON report builder.
 type cellObserver struct {
 	id      string
 	tracker *obs.Tracker
 	report  *obs.ReportBuilder
+	stages  *stageTotals
 }
 
 func (c *cellObserver) Planned(n int) { c.tracker.AddPlanned(c.id, n) }
 
 // Sharded receives the work-stealing scheduler's per-worker statistics for
 // one completed batch of cells and folds them into the progress tracker
-// (utilization in progress lines and /status) and the JSON report.
+// (utilization in progress lines) and the JSON report.
 func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat) {
 	tasks, stolen, busy := 0, 0, 0.0
 	for _, s := range stats {
@@ -488,8 +478,12 @@ func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat
 	}
 }
 
+// Failed counts a failed cell as done in the progress lines.
+func (c *cellObserver) Failed(bench, key string) { c.tracker.CellFailed(c.id) }
+
 func (c *cellObserver) Completed(bench, key string, wall time.Duration, r *pfe.Result) {
-	c.tracker.SimDone(c.id, r.IPC, wall)
+	c.tracker.SimDone(c.id, wall)
+	c.stages.add(wall, r.StageSeconds)
 	if c.report == nil {
 		return
 	}
@@ -508,7 +502,6 @@ func (c *cellObserver) Completed(bench, key string, wall time.Duration, r *pfe.R
 		Cycles:           r.Cycles,
 		Committed:        r.Committed,
 	})
-	c.report.AddStageSeconds(r.StageSeconds)
 }
 
 // runValidateSampling runs the sampled-vs-full validation suite on the

@@ -8,17 +8,18 @@
 //	pfe-sim -bench gcc -frontend PR-2x8w
 //	pfe-sim -bench gcc -frontend W16,TC,PR-2x8w    # one workload, many configs
 //	pfe-sim -bench gzip -frontend TC -l1i 32 -measure 500000
-//	pfe-sim -bench gcc -http :6060 -measure 5000000   # live /metrics + pprof
 //	pfe-sim -bench gcc -selfprofile                   # where does sim time go?
+//
+// For a CPU profile of the simulator, run the hot-path benchmark under the
+// Go profiler: go test ./internal/sim -run '^$' -bench BenchmarkHotSim
+// -cpuprofile cpu.out.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/artifact"
@@ -35,7 +36,6 @@ func main() {
 		measure  = flag.Int64("measure", 300_000, "measured instructions")
 		listB    = flag.Bool("listbenches", false, "list benchmark names and exit")
 		trace    = flag.Uint64("trace", 0, "print a per-cycle pipeline trace for the first N cycles")
-		httpAddr = flag.String("http", "", "serve live telemetry on this address (/metrics, /status, /debug/pprof)")
 		selfProf = flag.Bool("selfprofile", false, "attribute the simulator's own wall time per pipeline stage (sampled)")
 
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB when several front-ends share a workload (0 = unbounded)")
@@ -60,24 +60,6 @@ func main() {
 	if len(frontends) > 1 && !*noArtifacts {
 		opts.Artifacts = artifact.New(*artifactMem << 20)
 	}
-	var reg *obs.Registry
-	if *httpAddr != "" {
-		reg = obs.NewRegistry()
-		opts.Obs = obs.NewSimCounters(reg)
-		opts.Artifacts.Register(reg) // nil-safe
-		srv, err := obs.Serve(*httpAddr, reg, nil, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-sim: telemetry server:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics  /debug/pprof/\n", srv.Addr())
-	}
-
 	for i, fe := range frontends {
 		m := pfe.Preset(pfe.FrontEnd(strings.TrimSpace(fe)))
 		if *l1iKB > 0 {

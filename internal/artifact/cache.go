@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
@@ -330,39 +329,6 @@ func (c *Cache) Stats() Stats {
 		MaxBytes:          c.maxBytes,
 		TapeFallbackSteps: c.tapeFallback.Load(),
 	}
-}
-
-// Register exposes the cache on an obs metrics registry:
-// pfe_artifact_hits_total / pfe_artifact_misses_total (per artifact kind),
-// pfe_artifact_evictions_total, pfe_artifact_bytes, pfe_artifact_tape_bytes
-// and pfe_artifact_tape_fallback_steps_total.
-func (c *Cache) Register(r *obs.Registry) {
-	if c == nil || r == nil {
-		return
-	}
-	for k := 0; k < numKinds; k++ {
-		k := k
-		r.CounterFunc("pfe_artifact_hits_total",
-			"Artifact cache hits by kind.",
-			func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.hits[k]) },
-			"kind", kindNames[k])
-		r.CounterFunc("pfe_artifact_misses_total",
-			"Artifact cache misses by kind.",
-			func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.misses[k]) },
-			"kind", kindNames[k])
-	}
-	r.CounterFunc("pfe_artifact_evictions_total",
-		"Artifacts evicted by the -artifact-mem byte cap.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.evictions) })
-	r.GaugeFunc("pfe_artifact_bytes",
-		"Accounted footprint of live cached artifacts.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.bytes) })
-	r.GaugeFunc("pfe_artifact_tape_bytes",
-		"Portion of pfe_artifact_bytes holding oracle tape payloads.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.tapeBytes) })
-	r.CounterFunc("pfe_artifact_tape_fallback_steps_total",
-		"Instructions served by tape readers' live-emulation fallback.",
-		func() float64 { return float64(c.tapeFallback.Load()) })
 }
 
 // programBytes estimates the resident footprint of a built program image.

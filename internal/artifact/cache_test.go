@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
@@ -263,32 +262,5 @@ func TestNilCache(t *testing.T) {
 	c.PutResult("x", 1, 1)
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", s)
-	}
-	c.Register(nil)
-}
-
-// TestCacheMetrics registers the cache on a registry and checks the scrape
-// carries the advertised series.
-func TestCacheMetrics(t *testing.T) {
-	c := New(0)
-	if _, err := c.Tape(gccSpec(t), 1_000); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	c.Register(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`pfe_artifact_hits_total{kind="tape"}`,
-		`pfe_artifact_misses_total{kind="program"} 1`,
-		`pfe_artifact_tape_bytes`,
-		`pfe_artifact_evictions_total`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("scrape missing %q:\n%s", want, out)
-		}
 	}
 }

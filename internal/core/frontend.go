@@ -7,7 +7,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/backend"
 	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/obs"
-	"github.com/parallel-frontend/pfe/internal/pool"
 	"github.com/parallel-frontend/pfe/internal/rename"
 	"github.com/parallel-frontend/pfe/internal/tcache"
 	"github.com/parallel-frontend/pfe/internal/trace"
@@ -284,12 +283,4 @@ func (u *Unit) Redirect(now uint64, culpritSeq uint64) {
 	}
 	u.drops = drops[:0]
 	u.fetchAllowedAt = now + uint64(u.cfg.RedirectBubble)
-}
-
-// PoolStats aggregates the Unit's free-list traffic: fragState recycling
-// plus the stream's FetchedFrag recycling.
-func (u *Unit) PoolStats() pool.Stats {
-	s := u.fsp.fl.Stats()
-	s.Add(u.stream.PoolStats())
-	return s
 }

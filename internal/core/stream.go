@@ -202,10 +202,6 @@ func (s *Stream) PrevLastSeq() (uint64, bool) {
 	return s.prevLastOp.Seq, true
 }
 
-// PoolStats reports the stream's free-list traffic (fetched-fragment
-// recycling).
-func (s *Stream) PoolStats() pool.Stats { return s.ffPool.Stats() }
-
 // refill drops the lookahead entries below trueCursor and tops the
 // lookahead up to oracleLookahead instructions with one block read of
 // exactly the missing count: a sampled run's next gap starts where the

@@ -38,6 +38,15 @@ type ShardObserver interface {
 	Sharded(wall time.Duration, stats []ShardStat)
 }
 
+// FailureObserver is an optional extension of Observer: implementations are
+// also told of each cell that failed, so that a batch's completions plus its
+// failures add up to what Planned announced. Like Completed, Failed is
+// called from concurrent worker goroutines.
+type FailureObserver interface {
+	Observer
+	Failed(bench, key string)
+}
+
 // Options bounds experiment runs.
 type Options struct {
 	// Warmup and Measure are per-simulation instruction budgets.
@@ -49,19 +58,14 @@ type Options struct {
 	Workers int
 
 	// Observer, if non-nil, is notified as simulations are planned and
-	// completed (progress lines, /status, JSON report rows).
+	// completed (progress lines, JSON report rows).
 	Observer Observer
-
-	// Sim, if non-nil, receives live telemetry from every simulation
-	// (cycles, committed, squashes) for /metrics exposition.
-	Sim *obs.SimCounters
 
 	// Spans, if non-nil, receives hierarchical sweep spans: one sweep span
 	// per batch of cells, a cell span per simulation (worker-attributed),
 	// and run-phase spans under it (program/tape builds, sim, sampled
-	// windows, slices, journal appends). Steal events stream as they
-	// happen; cell-scoped events stream in deterministic cell order. Nil
-	// disables tracing at ~zero cost.
+	// windows, slices, journal appends). Nil disables tracing at ~zero
+	// cost.
 	Spans *span.Tracer
 
 	// SelfProfile enables per-run wall-time attribution of the simulator
@@ -159,7 +163,6 @@ func (o Options) runOpts() pfe.RunOptions {
 	return pfe.RunOptions{
 		WarmupInsts:      o.Warmup,
 		MeasureInsts:     o.Measure,
-		Obs:              o.Sim,
 		SelfProfile:      o.SelfProfile,
 		NoProgressCycles: o.NoProgressCycles,
 		FlightRecorder:   o.FlightRecorder,

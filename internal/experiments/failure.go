@@ -190,8 +190,8 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 			cs.Str("stall_dump", path)
 		}
 	}
-	if o.Sim != nil {
-		o.Sim.CellFailures.Inc()
+	if fo, ok := o.Observer.(FailureObserver); ok {
+		fo.Failed(c.bench, c.key)
 	}
 	if o.Failures != nil {
 		o.Failures.add(*f)

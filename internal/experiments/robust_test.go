@@ -10,8 +10,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/journal"
@@ -22,11 +24,26 @@ func fakeResult(bench, config string, ipc float64) *pfe.Result {
 	return &pfe.Result{Bench: bench, Config: config, IPC: ipc, Cycles: 1000, Committed: int64(ipc * 1000)}
 }
 
+// countingObserver is a FailureObserver that counts what a batch reports.
+type countingObserver struct {
+	mu                         sync.Mutex
+	planned, completed, failed int
+}
+
+func (c *countingObserver) Planned(n int)         { c.mu.Lock(); c.planned += n; c.mu.Unlock() }
+func (c *countingObserver) Failed(string, string) { c.mu.Lock(); c.failed++; c.mu.Unlock() }
+func (c *countingObserver) Completed(string, string, time.Duration, *pfe.Result) {
+	c.mu.Lock()
+	c.completed++
+	c.mu.Unlock()
+}
+
 // TestRunCellsFailedCellRunsOnceAsGap pins the failure policy at the
 // scheduler layer: a failing cell runs exactly once, every other cell still
 // runs, and the failed cell comes back as a Failed placeholder whose every
-// float64 field is NaN, with a structured record in the Failures log. A
-// caller that passes no log gets an error naming the failed cell instead.
+// float64 field is NaN, with a structured record in the Failures log and a
+// Failed call on a FailureObserver. A caller that passes no log gets an
+// error naming the failed cell instead.
 func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 	var calls atomic.Int32
 	mk := func() []cell {
@@ -38,9 +55,9 @@ func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 		}
 	}
 
-	sc := obs.NewSimCounters(nil)
 	log := &FailureLog{}
-	o := Options{Workers: 1, Sim: sc, Failures: log, ExperimentID: "exp1"}
+	ob := &countingObserver{}
+	o := Options{Workers: 1, Failures: log, Observer: ob, ExperimentID: "exp1"}
 	got, err := runCells(o, mk())
 	if err != nil {
 		t.Fatalf("a failed cell with a Failures log aborted the batch: %v", err)
@@ -61,8 +78,9 @@ func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 			t.Errorf("placeholder %s = %v, want NaN", v.Type().Field(i).Name, f.Float())
 		}
 	}
-	if sc.CellFailures.Value() != 1 {
-		t.Errorf("pfe_cell_failures_total = %d, want 1", sc.CellFailures.Value())
+	if ob.planned != 2 || ob.completed != 1 || ob.failed != 1 {
+		t.Errorf("observer saw %d planned, %d completed, %d failed; want 2, 1, 1",
+			ob.planned, ob.completed, ob.failed)
 	}
 	fails := log.All()
 	if len(fails) != 1 {

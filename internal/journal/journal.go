@@ -15,9 +15,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
-
-	"github.com/parallel-frontend/pfe/internal/obs"
 )
 
 // line is the wire form of one record: crc is the IEEE CRC32 of the exact
@@ -34,10 +31,6 @@ type Writer struct {
 	f        *os.File
 	buf      bytes.Buffer
 	firstErr error
-
-	// FsyncHist, if non-nil, observes each append's fsync latency in
-	// seconds (pfe_journal_fsync_seconds).
-	FsyncHist *obs.Histogram
 }
 
 // Create opens path for appending, creating it if needed. An existing
@@ -85,12 +78,8 @@ func (w *Writer) Append(v any) error {
 	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
 		return w.failLocked(fmt.Errorf("journal: appending record: %w", err))
 	}
-	start := time.Now()
 	if err := w.f.Sync(); err != nil {
 		return w.failLocked(fmt.Errorf("journal: fsync: %w", err))
-	}
-	if w.FsyncHist != nil {
-		w.FsyncHist.Observe(time.Since(start).Seconds())
 	}
 	return nil
 }

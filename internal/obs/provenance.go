@@ -200,8 +200,8 @@ type Report struct {
 	// Failures lists the cells that failed; their tables print them as FAIL.
 	Failures []CellFailure `json:"failures,omitempty"`
 
-	// StageSeconds is the aggregate simulator self-profile (present only
-	// when runs were profiled).
+	// StageSeconds is the aggregate simulator self-profile, summed over the
+	// cells that simulated (present only when runs were profiled).
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
 
 	// Artifacts is the workload-reuse summary (present only when the run
@@ -259,14 +259,13 @@ func ReadReportFile(path string) (*Report, error) {
 	return rep, nil
 }
 
-// ReportBuilder accumulates a Report while experiments run; AddRow and
-// AddStageSeconds are safe to call from concurrent simulation workers.
+// ReportBuilder accumulates a Report while experiments run; AddRow is safe
+// to call from concurrent simulation workers.
 type ReportBuilder struct {
-	mu     sync.Mutex
-	rep    Report
-	order  []string
-	byID   map[string]*ExperimentReport
-	stages map[string]float64
+	mu    sync.Mutex
+	rep   Report
+	order []string
+	byID  map[string]*ExperimentReport
 }
 
 // NewReportBuilder stamps provenance and options for a new report.
@@ -324,19 +323,11 @@ func (b *ReportBuilder) SetRowTiming(id, bench, config string, t RowTiming) {
 	}
 }
 
-// AddStageSeconds merges one run's self-profile into the aggregate.
-func (b *ReportBuilder) AddStageSeconds(sec map[string]float64) {
-	if len(sec) == 0 {
-		return
-	}
+// SetStageSeconds records the run's aggregate simulator self-profile.
+func (b *ReportBuilder) SetStageSeconds(sec map[string]float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.stages == nil {
-		b.stages = map[string]float64{}
-	}
-	for k, v := range sec {
-		b.stages[k] += v
-	}
+	b.rep.StageSeconds = sec
 }
 
 // AddScheduler merges one batch's work-stealing scheduler statistics into an
@@ -430,6 +421,5 @@ func (b *ReportBuilder) Finalize(totalWall time.Duration) *Report {
 	if b.rep.WallSeconds > 0 {
 		b.rep.SimsPerSec = float64(total) / b.rep.WallSeconds
 	}
-	b.rep.StageSeconds = b.stages
 	return &b.rep
 }

@@ -9,16 +9,12 @@
 // Span is nil-receiver safe and allocation-free, so call sites thread spans
 // unconditionally and pay ~nothing when tracing is off (alloc-guard tested).
 //
-// Live streaming follows a head/tail ordered-writer discipline: events for
-// cell i are buffered until every cell < i has flushed, so subscribers (the
-// /events SSE feed) observe cells in deterministic index order even though
-// the work-stealing scheduler completes them out of order. Steal and batch
-// lifecycle events are not cell-scoped and stream immediately.
+// A sweep is reported after it ends: Records returns every completed span,
+// and the exporters (WriteChromeTrace, WriteNDJSON, CellTimings) read them.
 package span
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -44,10 +40,9 @@ type Annot struct {
 	Float float64 `json:"f,omitempty"`
 }
 
-// Record is the completed (or, in "open" events, in-flight) form of a span.
-// Timestamps are nanoseconds since the tracer epoch, taken from the monotonic
-// clock. Worker and Cell are -1 when the span is not bound to a scheduler
-// worker / sweep cell.
+// Record is the completed form of a span. Timestamps are nanoseconds since
+// the tracer epoch, taken from the monotonic clock. Worker and Cell are -1
+// when the span is not bound to a scheduler worker / sweep cell.
 type Record struct {
 	ID      ID      `json:"id"`
 	Parent  ID      `json:"parent,omitempty"`
@@ -76,63 +71,31 @@ func (r *Record) Annot(key string) *Annot {
 	return nil
 }
 
-// Event is one element of the live stream. Type is "open", "close", "steal",
-// or "progress". Open/close events carry the span record (EndNs is zero on
-// open). Progress events follow each released cell and carry done/planned
-// counts; steal events carry thief/victim worker IDs and the task count moved.
-type Event struct {
-	Type    string  `json:"type"`
-	Seq     uint64  `json:"seq"`
-	Span    *Record `json:"span,omitempty"`
-	Batch   string  `json:"batch,omitempty"`
-	Cell    int     `json:"cell,omitempty"`
-	Done    int     `json:"done,omitempty"`
-	Planned int     `json:"planned,omitempty"`
-	Thief   int     `json:"thief,omitempty"`
-	Victim  int     `json:"victim,omitempty"`
-	Tasks   int     `json:"tasks,omitempty"`
-}
-
-// spanState is the mutable in-flight form of a span.
-type spanState struct {
-	rec   Record
-	batch *batchState // non-nil iff the span is cell-scoped
-}
-
-// batchState buffers cell-scoped records for ordered release.
+// batchState is the per-sweep state a Batch handle carries: the sweep span
+// and its steal totals.
 type batchState struct {
 	name    string
 	sweep   ID
-	n       int
-	head    int // first cell not yet released
-	sealed  []bool
-	cells   [][]Record // completed records per cell, filled until sealed
 	steals  int64
 	stolenN int64
 }
 
-// Tracer collects spans and fans events out to subscribers. Create with New;
-// a nil *Tracer is the documented off switch.
+// Tracer collects spans. Create with New; a nil *Tracer is the documented
+// off switch.
 type Tracer struct {
 	epoch time.Time
 
 	mu      sync.Mutex
 	nextID  ID
-	open    map[ID]*spanState
+	open    map[ID]*Record
 	records []Record
-	subs    map[int]chan Event
-	nextSub int
-	seq     uint64
-	dropped uint64
-	closed  bool
 }
 
 // New returns an empty tracer with its epoch pinned to now.
 func New() *Tracer {
 	return &Tracer{
 		epoch: time.Now(),
-		open:  make(map[ID]*spanState),
-		subs:  make(map[int]chan Event),
+		open:  make(map[ID]*Record),
 	}
 }
 
@@ -145,44 +108,24 @@ type Span struct {
 	id ID
 }
 
-// Batch is a handle on an in-flight sweep batch (ordered-release domain).
+// Batch is a handle on an in-flight sweep batch.
 type Batch struct {
 	t *Tracer
 	b *batchState
 }
 
-// publishLocked fans an event out to all subscribers without blocking: a
-// subscriber that cannot keep up drops events (counted) rather than stalling
-// the harness. Callers hold t.mu.
-func (t *Tracer) publishLocked(ev Event) {
-	t.seq++
-	ev.Seq = t.seq
-	for _, ch := range t.subs {
-		select {
-		case ch <- ev:
-		default:
-			t.dropped++
-		}
-	}
-}
-
-// startLocked allocates a span state and, when the span is not cell-scoped,
-// publishes its open event immediately. Callers hold t.mu.
-func (t *Tracer) startLocked(st *spanState) ID {
+// startLocked assigns a span its ID and start time and opens it. Callers
+// hold t.mu.
+func (t *Tracer) startLocked(rec *Record) ID {
 	t.nextID++
-	st.rec.ID = t.nextID
-	st.rec.StartNs = t.now()
-	t.open[st.rec.ID] = st
-	if st.batch == nil {
-		rec := st.rec
-		t.publishLocked(Event{Type: "open", Span: &rec})
-	}
-	return st.rec.ID
+	rec.ID = t.nextID
+	rec.StartNs = t.now()
+	t.open[rec.ID] = rec
+	return rec.ID
 }
 
-// StartBatch opens a sweep span covering n cells and returns the batch whose
-// StartCell/Steal/End calls scope the ordered-release discipline. The sweep
-// open event streams immediately.
+// StartBatch opens a sweep span for a batch of n cells and returns the batch
+// whose StartCell/Steal/End calls scope it.
 func (t *Tracer) StartBatch(name string, n int) Batch {
 	if t == nil {
 		return Batch{}
@@ -192,51 +135,39 @@ func (t *Tracer) StartBatch(name string, n int) Batch {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &batchState{
-		name:   name,
-		n:      n,
-		sealed: make([]bool, n),
-		cells:  make([][]Record, n),
-	}
-	st := &spanState{rec: Record{
+	b := &batchState{name: name}
+	b.sweep = t.startLocked(&Record{
 		Kind:   KindSweep,
 		Name:   name,
 		Batch:  name,
 		Worker: -1,
 		Cell:   -1,
-	}}
-	b.sweep = t.startLocked(st)
+	})
 	return Batch{t: t, b: b}
 }
 
 // StartCell opens the span for cell i of the batch, bound to the worker that
-// runs it. Its events (and those of all descendant spans) buffer until every
-// prior cell has been released.
+// runs it.
 func (b Batch) StartCell(i int, bench, key string, worker int) Span {
 	if b.t == nil {
 		return Span{}
 	}
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	st := &spanState{
-		rec: Record{
-			Parent: b.b.sweep,
-			Kind:   KindCell,
-			Name:   "cell",
-			Batch:  b.b.name,
-			Bench:  bench,
-			Key:    key,
-			Worker: worker,
-			Cell:   i,
-		},
-		batch: b.b,
-	}
-	id := b.t.startLocked(st)
+	id := b.t.startLocked(&Record{
+		Parent: b.b.sweep,
+		Kind:   KindCell,
+		Name:   "cell",
+		Batch:  b.b.name,
+		Bench:  bench,
+		Key:    key,
+		Worker: worker,
+		Cell:   i,
+	})
 	return Span{t: b.t, id: id}
 }
 
-// Steal records a work-steal: thief took n tasks from victim. The event
-// streams immediately (steals are scheduler-level, not cell-scoped) and is
+// Steal records a work-steal: thief took n tasks from victim. Steals are
 // summarized as annotations on the sweep span at End.
 func (b Batch) Steal(thief, victim, n int) {
 	if b.t == nil {
@@ -246,35 +177,26 @@ func (b Batch) Steal(thief, victim, n int) {
 	defer b.t.mu.Unlock()
 	b.b.steals++
 	b.b.stolenN += int64(n)
-	b.t.publishLocked(Event{Type: "steal", Batch: b.b.name, Thief: thief, Victim: victim, Tasks: n})
 }
 
-// End closes the batch: any straggler cells are force-released (defensive —
-// the scheduler seals every cell it ran), steal totals are annotated on the
-// sweep span, and the sweep close event streams.
+// End closes the batch: steal totals are annotated on the sweep span, which
+// then closes whether or not every cell ran.
 func (b Batch) End() {
 	if b.t == nil {
 		return
 	}
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	for i := b.b.head; i < b.b.n; i++ {
-		b.b.sealed[i] = true
-	}
-	b.t.sealLocked(b.b)
-	if st, ok := b.t.open[b.b.sweep]; ok {
-		st.rec.Annots = append(st.rec.Annots,
+	if rec, ok := b.t.open[b.b.sweep]; ok {
+		rec.Annots = append(rec.Annots,
 			Annot{Key: "steals", Int: b.b.steals},
 			Annot{Key: "stolen_tasks", Int: b.b.stolenN})
 	}
 	b.t.endLocked(b.b.sweep)
 }
 
-// Tracer returns the tracer backing this batch (nil for the no-op batch).
-func (b Batch) Tracer() *Tracer { return b.t }
-
 // Phase opens a phase span under parent. Batch/cell/worker scope is inherited
-// from the parent, so phases inside a cell buffer with that cell.
+// from the parent.
 func (t *Tracer) Phase(parent ID, name string) Span {
 	return t.child(parent, KindPhase, name)
 }
@@ -285,22 +207,21 @@ func (t *Tracer) child(parent ID, kind, name string) Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := &spanState{rec: Record{
+	rec := &Record{
 		Parent: parent,
 		Kind:   kind,
 		Name:   name,
 		Worker: -1,
 		Cell:   -1,
-	}}
-	if p, ok := t.open[parent]; ok {
-		st.rec.Batch = p.rec.Batch
-		st.rec.Bench = p.rec.Bench
-		st.rec.Key = p.rec.Key
-		st.rec.Worker = p.rec.Worker
-		st.rec.Cell = p.rec.Cell
-		st.batch = p.batch
 	}
-	id := t.startLocked(st)
+	if p, ok := t.open[parent]; ok {
+		rec.Batch = p.Batch
+		rec.Bench = p.Bench
+		rec.Key = p.Key
+		rec.Worker = p.Worker
+		rec.Cell = p.Cell
+	}
+	id := t.startLocked(rec)
 	return Span{t: t, id: id}
 }
 
@@ -360,13 +281,12 @@ func (s Span) Float(key string, v float64) {
 func (t *Tracer) annot(id ID, a Annot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st, ok := t.open[id]; ok {
-		st.rec.Annots = append(st.rec.Annots, a)
+	if rec, ok := t.open[id]; ok {
+		rec.Annots = append(rec.Annots, a)
 	}
 }
 
-// End closes the span. Ending a cell span seals its cell; the tracer then
-// releases every sealed cell at the head of the batch, in index order.
+// End closes the span.
 func (s Span) End() {
 	if s.t == nil {
 		return
@@ -377,121 +297,18 @@ func (s Span) End() {
 }
 
 func (t *Tracer) endLocked(id ID) {
-	st, ok := t.open[id]
+	rec, ok := t.open[id]
 	if !ok {
-		return // double End or already-released span: ignore
+		return // double End: ignore
 	}
 	delete(t.open, id)
-	st.rec.EndNs = t.now()
-	t.records = append(t.records, st.rec)
-	if st.batch == nil {
-		rec := st.rec
-		t.publishLocked(Event{Type: "close", Span: &rec})
-		return
-	}
-	b := st.batch
-	if c := st.rec.Cell; c >= 0 && c < b.n {
-		b.cells[c] = append(b.cells[c], st.rec)
-		if st.rec.Kind == KindCell {
-			b.sealed[c] = true
-			t.sealLocked(b)
-		}
-	}
+	rec.EndNs = t.now()
+	t.records = append(t.records, *rec)
 }
 
-// sealLocked advances the batch head past every sealed cell, publishing each
-// released cell's buffered timeline (open/close pairs in timestamp order)
-// followed by a progress event.
-func (t *Tracer) sealLocked(b *batchState) {
-	for b.head < b.n && b.sealed[b.head] {
-		recs := b.cells[b.head]
-		b.cells[b.head] = nil
-		type item struct {
-			at    int64
-			close bool
-			rec   Record
-		}
-		items := make([]item, 0, 2*len(recs))
-		for _, r := range recs {
-			items = append(items, item{at: r.StartNs, rec: r}, item{at: r.EndNs, close: true, rec: r})
-		}
-		sort.SliceStable(items, func(i, j int) bool {
-			if items[i].at != items[j].at {
-				return items[i].at < items[j].at
-			}
-			if items[i].close != items[j].close {
-				return !items[i].close // opens before closes at equal timestamps
-			}
-			if items[i].close {
-				return items[i].rec.ID > items[j].rec.ID // children close first
-			}
-			return items[i].rec.ID < items[j].rec.ID // parents open first
-		})
-		for _, it := range items {
-			rec := it.rec
-			if it.close {
-				t.publishLocked(Event{Type: "close", Span: &rec})
-			} else {
-				rec.EndNs = 0
-				t.publishLocked(Event{Type: "open", Span: &rec})
-			}
-		}
-		b.head++
-		t.publishLocked(Event{Type: "progress", Batch: b.name, Cell: b.head - 1, Done: b.head, Planned: b.n})
-	}
-}
-
-// Subscribe registers a live event feed with the given channel buffer and
-// returns the channel plus a cancel func. Events the subscriber cannot absorb
-// are dropped, never blocked on. On a nil or closed tracer the returned
-// channel is already closed.
-func (t *Tracer) Subscribe(buf int) (<-chan Event, func()) {
-	if t == nil {
-		ch := make(chan Event)
-		close(ch)
-		return ch, func() {}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		ch := make(chan Event)
-		close(ch)
-		return ch, func() {}
-	}
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan Event, buf)
-	id := t.nextSub
-	t.nextSub++
-	t.subs[id] = ch
-	return ch, func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if c, ok := t.subs[id]; ok {
-			delete(t.subs, id)
-			close(c)
-		}
-	}
-}
-
-// Close ends the stream: subscriber channels are closed and late Subscribe
-// calls get an already-closed channel. Records remain readable.
-func (t *Tracer) Close() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.closed = true
-	for id, ch := range t.subs {
-		delete(t.subs, id)
-		close(ch)
-	}
-}
+// Close does nothing. It is kept for callers that still end a sweep with it;
+// records stay readable either way.
+func (t *Tracer) Close() {}
 
 // Records returns a copy of all completed span records, in completion order.
 func (t *Tracer) Records() []Record {
@@ -505,16 +322,6 @@ func (t *Tracer) Records() []Record {
 	return out
 }
 
-// Dropped reports how many events were dropped on slow subscribers.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // String implements fmt.Stringer for debugging.
 func (t *Tracer) String() string {
 	if t == nil {
@@ -522,5 +329,5 @@ func (t *Tracer) String() string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return fmt.Sprintf("span.Tracer{records: %d, open: %d, subs: %d}", len(t.records), len(t.open), len(t.subs))
+	return fmt.Sprintf("span.Tracer{records: %d, open: %d}", len(t.records), len(t.open))
 }

@@ -34,63 +34,11 @@ func TestNilTracerAllocFree(t *testing.T) {
 	}
 }
 
-// TestOrderedRelease seals cells out of order and asserts subscribers still
-// observe them in index order (head/tail ordered-writer discipline).
-func TestOrderedRelease(t *testing.T) {
-	tr := New()
-	ch, cancel := tr.Subscribe(256)
-	defer cancel()
-
-	b := tr.StartBatch("fig8", 4)
-	spans := make([]Span, 4)
-	for i := range spans {
-		spans[i] = b.StartCell(i, "gzip", "cfg", i%2)
-	}
-	// Complete out of order: 2, 0, 3, 1. Nothing may stream for cell 2 until
-	// cells 0 and 1 have been released.
-	spans[2].End()
-	spans[0].End()
-	spans[3].End()
-	spans[1].End()
-	b.End()
-	tr.Close()
-
-	var cellOrder []int
-	var progress []int
-	for ev := range ch {
-		switch ev.Type {
-		case "open", "close":
-			if ev.Span.Kind == KindCell && ev.Type == "close" {
-				cellOrder = append(cellOrder, ev.Span.Cell)
-			}
-		case "progress":
-			progress = append(progress, ev.Cell)
-		}
-	}
-	want := []int{0, 1, 2, 3}
-	if len(cellOrder) != 4 {
-		t.Fatalf("saw %d cell closes, want 4 (%v)", len(cellOrder), cellOrder)
-	}
-	for i, c := range cellOrder {
-		if c != want[i] {
-			t.Fatalf("cell close order %v, want %v", cellOrder, want)
-		}
-	}
-	for i, c := range progress {
-		if c != want[i] {
-			t.Fatalf("progress order %v, want %v", progress, want)
-		}
-	}
-}
-
-// TestCellTimelineOrdering checks that within one released cell, descendant
-// span events stream as a well-nested timeline: parent open before child
-// open, child close before parent close.
+// TestCellTimelineOrdering checks that a cell's descendant spans nest by
+// parent and by time: each record's parent is the span opened above it, and
+// every child starts no earlier and ends no later than its parent.
 func TestCellTimelineOrdering(t *testing.T) {
 	tr := New()
-	ch, cancel := tr.Subscribe(64)
-	defer cancel()
-
 	b := tr.StartBatch("s", 1)
 	cs := b.StartCell(0, "mcf", "cfg", 0)
 	ss := cs.Child(KindPhase, "slice")
@@ -99,61 +47,62 @@ func TestCellTimelineOrdering(t *testing.T) {
 	ss.End()
 	cs.End()
 	b.End()
-	tr.Close()
 
-	depth := 0
-	maxDepth := 0
-	for ev := range ch {
-		switch ev.Type {
-		case "open":
-			if ev.Span.Cell == 0 {
-				depth++
-				if depth > maxDepth {
-					maxDepth = depth
-				}
-			}
-		case "close":
-			if ev.Span.Cell == 0 {
-				depth--
-				if depth < 0 {
-					t.Fatalf("close before open for span %d (%s)", ev.Span.ID, ev.Span.Name)
-				}
-			}
+	recs := tr.Records()
+	byID := map[ID]Record{}
+	for _, r := range recs {
+		byID[r.ID] = r
+	}
+	wantParent := map[string]string{"cell": "s", "slice": "cell", "slice-sim": "slice"}
+	for _, r := range recs {
+		if r.Kind == KindSweep {
+			continue
+		}
+		p, ok := byID[r.Parent]
+		if !ok || p.Name != wantParent[r.Name] {
+			t.Fatalf("%s: parent %d (%q), want %q", r.Name, r.Parent, p.Name, wantParent[r.Name])
+		}
+		if r.StartNs < p.StartNs || r.EndNs > p.EndNs {
+			t.Errorf("%s [%d, %d] not inside its parent %s [%d, %d]",
+				r.Name, r.StartNs, r.EndNs, p.Name, p.StartNs, p.EndNs)
+		}
+		if r.Cell != 0 {
+			t.Errorf("%s: cell %d, want 0", r.Name, r.Cell)
 		}
 	}
-	if depth != 0 || maxDepth != 3 {
-		t.Fatalf("timeline not well nested: final depth %d, max depth %d (want 0, 3)", depth, maxDepth)
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4 (sweep, cell, slice, slice-sim)", len(recs))
 	}
 }
 
-// TestBatchEndForceReleases ensures End releases cells that never sealed
-// (e.g. a canceled sweep) so subscribers are not left waiting.
+// TestBatchEndForceReleases ensures End closes the sweep span even when some
+// of its cells never ran (e.g. a canceled sweep).
 func TestBatchEndForceReleases(t *testing.T) {
 	tr := New()
-	ch, cancel := tr.Subscribe(64)
-	defer cancel()
-
 	b := tr.StartBatch("s", 3)
 	b.StartCell(0, "a", "k", 0).End()
 	// cells 1 and 2 never run.
 	b.End()
-	tr.Close()
 
-	var progress int
-	var sweepClosed bool
-	for ev := range ch {
-		if ev.Type == "progress" {
-			progress++
-		}
-		if ev.Type == "close" && ev.Span.Kind == KindSweep {
-			sweepClosed = true
+	var cells int
+	var sweep *Record
+	recs := tr.Records()
+	for i := range recs {
+		switch recs[i].Kind {
+		case KindCell:
+			cells++
+		case KindSweep:
+			sweep = &recs[i]
 		}
 	}
-	if progress != 3 {
-		t.Fatalf("got %d progress events, want 3 (force-released)", progress)
+	if cells != 1 {
+		t.Fatalf("got %d cell records, want 1", cells)
 	}
-	if !sweepClosed {
+	if sweep == nil {
 		t.Fatal("sweep span never closed")
+	}
+	if a := sweep.Annot("steals"); a == nil || a.Int != 0 {
+		t.Errorf("sweep steal annotation = %+v, want 0", a)
 	}
 }
 
@@ -189,31 +138,11 @@ func TestChildInheritsScope(t *testing.T) {
 	}
 }
 
-// TestSlowSubscriberDrops verifies the stream never blocks the harness: an
-// unserviced subscriber loses events but Batch/Span calls complete.
-func TestSlowSubscriberDrops(t *testing.T) {
-	tr := New()
-	_, cancel := tr.Subscribe(1) // never read
-	defer cancel()
-
-	b := tr.StartBatch("s", 16)
-	for i := 0; i < 16; i++ {
-		b.StartCell(i, "b", "k", 0).End()
-	}
-	b.End()
-	if tr.Dropped() == 0 {
-		t.Fatal("expected drops on a buffer-1 unserviced subscriber")
-	}
-}
-
 // TestConcurrentCells hammers the tracer from parallel goroutines the way the
 // work-stealing scheduler does; run under -race this is the thread-safety
-// gate. Ordering is still checked on the far side.
+// gate. Every cell and phase must come back as one record under its parent.
 func TestConcurrentCells(t *testing.T) {
 	tr := New()
-	ch, cancel := tr.Subscribe(4096)
-	defer cancel()
-
 	const n = 64
 	b := tr.StartBatch("s", n)
 	var wg sync.WaitGroup
@@ -232,38 +161,28 @@ func TestConcurrentCells(t *testing.T) {
 	}
 	wg.Wait()
 	b.End()
-	tr.Close()
 
-	next := 0
-	for ev := range ch {
-		if ev.Type == "close" && ev.Span.Kind == KindCell {
-			if ev.Span.Cell != next {
-				t.Fatalf("cell %d streamed before cell %d", ev.Span.Cell, next)
-			}
-			next++
+	recs := tr.Records()
+	if len(recs) != n*2+1 {
+		t.Fatalf("got %d records, want %d", len(recs), n*2+1)
+	}
+	cellSpan := map[int]ID{}
+	for _, r := range recs {
+		if r.Kind == KindCell {
+			cellSpan[r.Cell] = r.ID
 		}
 	}
-	if next != n {
-		t.Fatalf("streamed %d cells, want %d", next, n)
+	if len(cellSpan) != n {
+		t.Fatalf("got %d distinct cells, want %d", len(cellSpan), n)
 	}
-	if len(tr.Records()) != n*2+1 {
-		t.Fatalf("got %d records, want %d", len(tr.Records()), n*2+1)
-	}
-}
-
-// TestSubscribeAfterClose must hand back a closed channel, not panic.
-func TestSubscribeAfterClose(t *testing.T) {
-	tr := New()
-	tr.Close()
-	ch, cancel := tr.Subscribe(1)
-	defer cancel()
-	if _, ok := <-ch; ok {
-		t.Fatal("channel from closed tracer not closed")
-	}
-	var nilTr *Tracer
-	ch2, cancel2 := nilTr.Subscribe(1)
-	defer cancel2()
-	if _, ok := <-ch2; ok {
-		t.Fatal("channel from nil tracer not closed")
+	for _, r := range recs {
+		if r.Name == "sim" {
+			if r.Parent != cellSpan[r.Cell] {
+				t.Errorf("phase of cell %d has parent %d, want %d", r.Cell, r.Parent, cellSpan[r.Cell])
+			}
+			if a := r.Annot("cycles"); a == nil || a.Int != int64(r.Cell) {
+				t.Errorf("phase of cell %d lost its annotation: %+v", r.Cell, r.Annots)
+			}
+		}
 	}
 }

@@ -1,3 +1,9 @@
+// Package obs is the harness's report-after-the-run observability layer:
+// sampled per-stage wall-time self-profiling of the simulator (StageProf),
+// the per-experiment progress lines with ETA that pfe-bench prints on stderr
+// (Tracker), and the machine-readable benchmark provenance schema plus
+// regression comparator behind `pfe-bench -json` / `pfe-bench -compare`.
+// Sweep-level span tracing lives in the span subpackage.
 package obs
 
 import (
@@ -58,12 +64,13 @@ func Stages() []Stage {
 // up by the sampling factor when reported. On unsampled cycles the cost is
 // a single branch; a nil *StageProf is valid and always reports unsampled.
 //
-// One StageProf may be shared by concurrent simulations (all updates are
-// atomic); the result is then the aggregate attribution across them.
+// A StageProf belongs to one simulation and is not safe for concurrent use;
+// runs made of several simulations (sampled windows, time-parallel slices)
+// sum their per-simulation Seconds maps instead.
 type StageProf struct {
 	mask  uint64
 	every int64
-	nanos [numStages]Counter
+	nanos [numStages]int64
 }
 
 // DefaultSampleEvery is the default sampling period in cycles.
@@ -82,32 +89,23 @@ func NewStageProf(every int) *StageProf {
 	return &StageProf{mask: uint64(pow - 1), every: int64(pow)}
 }
 
-// Sampled reports whether the given cycle should be timed. Safe on nil.
+// Sampled reports whether the given cycle should be timed: the last cycle of
+// each period (63, 127, ... by default), so a run's first cycle, its most
+// expensive one, is never scaled up by the sampling factor. Safe on nil.
 func (p *StageProf) Sampled(cycle uint64) bool {
-	return p != nil && cycle&p.mask == 0
+	return p != nil && cycle&p.mask == p.mask
 }
 
 // SampleEvery returns the sampling period in cycles.
 func (p *StageProf) SampleEvery() int64 { return p.every }
 
 // Add attributes a measured duration to a stage.
-func (p *StageProf) Add(s Stage, d time.Duration) { p.nanos[s].Add(int64(d)) }
+func (p *StageProf) Add(s Stage, d time.Duration) { p.nanos[s] += int64(d) }
 
 // StageSeconds returns the estimated total wall time of one stage
 // (measured sampled time scaled by the sampling factor).
 func (p *StageProf) StageSeconds(s Stage) float64 {
-	return float64(p.nanos[s].Value()*p.every) / 1e9
-}
-
-// Merge adds another profiler's raw samples into p. Both must use the same
-// sampling period for the scaled totals to stay meaningful.
-func (p *StageProf) Merge(from *StageProf) {
-	if from == nil {
-		return
-	}
-	for s := Stage(0); s < numStages; s++ {
-		p.nanos[s].Add(from.nanos[s].Value())
-	}
+	return float64(p.nanos[s]*p.every) / 1e9
 }
 
 // Seconds returns the estimated seconds per stage, omitting stages with no

@@ -8,33 +8,25 @@ import (
 )
 
 // Tracker follows experiment progress: how many simulations each experiment
-// will run, how many have completed, throughput and ETA. The same data
-// backs the pfe-bench stderr progress lines and the HTTP /status endpoint.
-// All methods are safe for concurrent use.
+// will run, how many have completed, throughput and ETA, printed as the
+// pfe-bench stderr progress lines. All methods are safe for concurrent use.
 type Tracker struct {
-	mu        sync.Mutex
-	startedAt time.Time
-	order     []string
-	exps      map[string]*expState
-	workers   int // configured worker-pool size (SetWorkers), for ETA scaling
+	mu      sync.Mutex
+	exps    map[string]*expState
+	workers int // configured worker-pool size (SetWorkers), for ETA scaling
 
 	logW     io.Writer
 	logEvery time.Duration
 	lastLog  time.Time
-
-	// Registered metrics (nil without a registry).
-	reg     *Registry
-	durHist *Histogram
-	ipcHist *Histogram
 }
 
 type expState struct {
-	id, title string
+	id        string
 	planned   int
-	completed int
+	completed int // failed cells included: a failed cell is done
+	failed    int
 	startedAt time.Time
 	running   bool
-	wall      time.Duration
 
 	// ETA inputs. Memoized (or resume-replayed) cells complete in
 	// microseconds and are reported with wall == 0 — the documented
@@ -51,25 +43,11 @@ type expState struct {
 	stolen    int
 	busySec   float64
 	shardWall float64
-
-	plannedG, completedG *Gauge
 }
 
-// NewTracker returns a tracker; when r is non-nil, per-experiment progress
-// gauges (pfe_experiment_sims_planned/completed{experiment=...}) and the
-// per-simulation duration and IPC histograms (pfe_sim_duration_seconds,
-// pfe_sim_ipc) are registered on it.
-func NewTracker(r *Registry) *Tracker {
-	t := &Tracker{startedAt: time.Now(), exps: map[string]*expState{}, reg: r}
-	if r != nil {
-		t.durHist = r.Histogram("pfe_sim_duration_seconds",
-			"Wall time of each completed simulation.",
-			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
-		t.ipcHist = r.Histogram("pfe_sim_ipc",
-			"Measured IPC of each completed simulation.",
-			[]float64{1, 2, 3, 4, 5, 6, 8, 10})
-	}
-	return t
+// NewTracker returns an empty tracker.
+func NewTracker() *Tracker {
+	return &Tracker{exps: map[string]*expState{}}
 }
 
 // SetWorkers records the configured worker-pool size, which scales the
@@ -93,20 +71,13 @@ func (t *Tracker) SetLog(w io.Writer, minInterval time.Duration) {
 }
 
 // StartExperiment begins tracking an experiment.
-func (t *Tracker) StartExperiment(id, title string) {
+func (t *Tracker) StartExperiment(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.exps[id]
 	if e == nil {
-		e = &expState{id: id, title: title}
+		e = &expState{id: id}
 		t.exps[id] = e
-		t.order = append(t.order, id)
-		if t.reg != nil {
-			e.plannedG = t.reg.Gauge("pfe_experiment_sims_planned",
-				"Simulations planned per experiment.", "experiment", id)
-			e.completedG = t.reg.Gauge("pfe_experiment_sims_completed",
-				"Simulations completed per experiment.", "experiment", id)
-		}
 	}
 	e.startedAt = time.Now()
 	e.running = true
@@ -119,34 +90,20 @@ func (t *Tracker) AddPlanned(id string, n int) {
 	defer t.mu.Unlock()
 	if e := t.exps[id]; e != nil {
 		e.planned += n
-		if e.plannedG != nil {
-			e.plannedG.Set(float64(e.planned))
-		}
 	}
 }
 
-// SimDone records one completed simulation (with its measured IPC and wall
-// time) and emits a throttled progress line when a log writer is attached.
-func (t *Tracker) SimDone(id string, ipc float64, wall time.Duration) {
-	if t.durHist != nil {
-		t.durHist.Observe(wall.Seconds())
-		t.ipcHist.Observe(ipc)
-	}
-	t.mu.Lock()
-	e := t.exps[id]
-	if e == nil {
-		t.mu.Unlock()
-		return
-	}
-	e.completed++
-	if e.completedG != nil {
-		e.completedG.Set(float64(e.completed))
-	}
-	if wall == 0 {
-		// The harness reports exactly 0 for memoized and resume-replayed
-		// cells (no simulation happened); real runs always measure > 0.
-		e.memoized++
-	} else {
+// SimDone records one completed simulation (with its wall time) and emits a
+// throttled progress line when a log writer is attached.
+func (t *Tracker) SimDone(id string, wall time.Duration) {
+	t.cellDone(id, func(e *expState) {
+		if wall == 0 {
+			// The harness reports exactly 0 for memoized and
+			// resume-replayed cells (no simulation happened); real runs
+			// always measure > 0.
+			e.memoized++
+			return
+		}
 		s := wall.Seconds()
 		if e.coldSeen == 0 {
 			e.coldEMA = s
@@ -154,7 +111,28 @@ func (t *Tracker) SimDone(id string, ipc float64, wall time.Duration) {
 			e.coldEMA = 0.7*e.coldEMA + 0.3*s
 		}
 		e.coldSeen++
+	})
+}
+
+// CellFailed records one failed cell: it counts as done, so an experiment's
+// progress still reaches its planned total, and the progress line names the
+// failures.
+func (t *Tracker) CellFailed(id string) {
+	t.cellDone(id, func(e *expState) { e.failed++ })
+}
+
+// cellDone counts one finished cell of experiment id, lets note update the
+// experiment's state, and prints a progress line unless one was printed less
+// than the log interval ago (an experiment's final cell always prints).
+func (t *Tracker) cellDone(id string, note func(*expState)) {
+	t.mu.Lock()
+	e := t.exps[id]
+	if e == nil {
+		t.mu.Unlock()
+		return
 	}
+	e.completed++
+	note(e)
 	line := ""
 	if t.logW != nil && (e.completed == e.planned || time.Since(t.lastLog) >= t.logEvery) {
 		line = t.progressLine(e)
@@ -169,8 +147,8 @@ func (t *Tracker) SimDone(id string, ipc float64, wall time.Duration) {
 
 // ShardingDone records one batch's work-stealing scheduler statistics for an
 // experiment: worker-pool utilization and steal counts surface in progress
-// lines and /status. Worker counts take the max across batches; the other
-// fields accumulate.
+// lines. Worker counts take the max across batches; the other fields
+// accumulate.
 func (t *Tracker) ShardingDone(id string, workers, stolen int, busySeconds, wallSeconds float64) {
 	t.mu.Lock()
 	e := t.exps[id]
@@ -202,25 +180,21 @@ func (t *Tracker) ShardingDone(id string, workers, stolen int, busySeconds, wall
 func (t *Tracker) FinishExperiment(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.exps[id]; e != nil && e.running {
+	if e := t.exps[id]; e != nil {
 		e.running = false
-		e.wall = time.Since(e.startedAt)
 	}
 }
 
-// etas returns both remaining-time estimates for an experiment, in seconds
-// (0 = unknown): naive extrapolates the overall completion rate — which
-// near-instant memoized cells skew wildly optimistic — while cold scales the
-// EMA of real simulation durations by the cells left and the worker pool
-// executing them. Callers hold t.mu.
-func (t *Tracker) etas(e *expState) (naive, cold float64) {
+// eta returns an experiment's remaining-time estimate in seconds (0 =
+// unknown). Once a real simulation has finished it scales the EMA of real
+// simulation durations by the cells left and the worker pool executing them:
+// near-instant memoized cells would skew a plain completion rate wildly
+// optimistic. Before that it extrapolates the overall completion rate.
+// Callers hold t.mu.
+func (t *Tracker) eta(e *expState) float64 {
 	remaining := e.planned - e.completed
 	if !e.running || remaining <= 0 {
-		return 0, 0
-	}
-	elapsed := time.Since(e.startedAt).Seconds()
-	if elapsed > 0 && e.completed > 0 {
-		naive = float64(remaining) * elapsed / float64(e.completed)
+		return 0
 	}
 	if e.coldSeen > 0 {
 		workers := e.workers
@@ -233,9 +207,12 @@ func (t *Tracker) etas(e *expState) (naive, cold float64) {
 		if workers > remaining {
 			workers = remaining
 		}
-		cold = e.coldEMA * float64(remaining) / float64(workers)
+		return e.coldEMA * float64(remaining) / float64(workers)
 	}
-	return naive, cold
+	if elapsed := time.Since(e.startedAt).Seconds(); elapsed > 0 && e.completed > 0 {
+		return float64(remaining) * elapsed / float64(e.completed)
+	}
+	return 0
 }
 
 func (t *Tracker) progressLine(e *expState) string {
@@ -248,15 +225,8 @@ func (t *Tracker) progressLine(e *expState) string {
 	eta := "?"
 	if e.planned > 0 {
 		pct = 100 * float64(e.completed) / float64(e.planned)
-		naive, cold := t.etas(e)
-		// The cold estimate is the honest one once memoized cells are in the
-		// mix; before any real simulation finishes, fall back to the naive
-		// rate extrapolation.
-		if best := cold; best > 0 || naive > 0 {
-			if best == 0 {
-				best = naive
-			}
-			eta = time.Duration(best * float64(time.Second)).Round(time.Second).String()
+		if sec := t.eta(e); sec > 0 {
+			eta = time.Duration(sec * float64(time.Second)).Round(time.Second).String()
 		}
 	}
 	line := fmt.Sprintf("[%s] %d/%d sims (%.0f%%)  elapsed %s  %.1f sims/s  eta %s",
@@ -264,90 +234,12 @@ func (t *Tracker) progressLine(e *expState) string {
 	if e.memoized > 0 {
 		line += fmt.Sprintf("  (%d memoized)", e.memoized)
 	}
+	if e.failed > 0 {
+		line += fmt.Sprintf("  (%d failed)", e.failed)
+	}
 	if e.workers > 0 && e.shardWall > 0 {
 		line += fmt.Sprintf("  util %.0f%%/%dw (%d stolen)",
 			100*e.busySec/(float64(e.workers)*e.shardWall), e.workers, e.stolen)
 	}
 	return line
-}
-
-// ExpStatus is one experiment's progress snapshot (the /status JSON shape).
-type ExpStatus struct {
-	ID             string  `json:"id"`
-	Title          string  `json:"title"`
-	PlannedSims    int     `json:"planned_sims"`
-	CompletedSims  int     `json:"completed_sims"`
-	Running        bool    `json:"running"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	SimsPerSec     float64 `json:"sims_per_sec"`
-
-	// ETASeconds is the best remaining-time estimate: the cold-cell estimate
-	// when at least one real simulation has completed, otherwise the naive
-	// rate extrapolation. Both inputs are also exposed: ETANaiveSeconds
-	// extrapolates the overall completion rate (memoized cells skew it
-	// optimistic), ETAColdSeconds scales the EMA of non-memoized simulation
-	// durations (ColdSimSeconds) by the remaining cells over the worker pool.
-	ETASeconds      float64 `json:"eta_seconds"`
-	ETANaiveSeconds float64 `json:"eta_naive_seconds,omitempty"`
-	ETAColdSeconds  float64 `json:"eta_cold_seconds,omitempty"`
-
-	// MemoizedSims counts completions served from the memo/resume caches
-	// (reported with zero wall time); ColdSimSeconds is the EMA duration of
-	// the real simulations.
-	MemoizedSims   int     `json:"memoized_sims,omitempty"`
-	ColdSimSeconds float64 `json:"cold_sim_seconds,omitempty"`
-
-	// Work-stealing scheduler stats for completed batches (absent until the
-	// first batch finishes).
-	Workers     int     `json:"workers,omitempty"`
-	StolenSims  int     `json:"stolen_sims,omitempty"`
-	Utilization float64 `json:"utilization,omitempty"`
-}
-
-// Status is the whole process's progress snapshot.
-type Status struct {
-	StartedAt      time.Time   `json:"started_at"`
-	ElapsedSeconds float64     `json:"elapsed_seconds"`
-	Experiments    []ExpStatus `json:"experiments"`
-}
-
-// Status snapshots current progress.
-func (t *Tracker) Status() Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := Status{StartedAt: t.startedAt, ElapsedSeconds: time.Since(t.startedAt).Seconds()}
-	for _, id := range t.order {
-		e := t.exps[id]
-		es := ExpStatus{
-			ID: e.id, Title: e.title,
-			PlannedSims: e.planned, CompletedSims: e.completed,
-			Running: e.running,
-		}
-		elapsed := e.wall
-		if e.running {
-			elapsed = time.Since(e.startedAt)
-		}
-		es.ElapsedSeconds = elapsed.Seconds()
-		if es.ElapsedSeconds > 0 {
-			es.SimsPerSec = float64(e.completed) / es.ElapsedSeconds
-		}
-		naive, cold := t.etas(e)
-		es.ETANaiveSeconds = naive
-		es.ETAColdSeconds = cold
-		es.ETASeconds = cold
-		if es.ETASeconds == 0 {
-			es.ETASeconds = naive
-		}
-		es.MemoizedSims = e.memoized
-		if e.coldSeen > 0 {
-			es.ColdSimSeconds = e.coldEMA
-		}
-		if e.workers > 0 && e.shardWall > 0 {
-			es.Workers = e.workers
-			es.StolenSims = e.stolen
-			es.Utilization = e.busySec / (float64(e.workers) * e.shardWall)
-		}
-		st.Experiments = append(st.Experiments, es)
-	}
-	return st
 }

@@ -18,7 +18,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/metrics"
 	"github.com/parallel-frontend/pfe/internal/obs"
-	"github.com/parallel-frontend/pfe/internal/pool"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
 	"github.com/parallel-frontend/pfe/internal/tcache"
@@ -73,18 +72,9 @@ type Config struct {
 	// Run attaches a fresh one so Result.Pipeline is always populated.
 	Metrics *metrics.Pipeline
 
-	// Obs, if non-nil, receives batched live telemetry (cycles, committed
-	// instructions, squashes, redirects) flushed from the cycle loop every
-	// obsFlushCycles, for /metrics exposition while the run is in flight.
-	// The counters are shared: concurrent runs aggregate into them. A nil
-	// Obs costs one branch per cycle.
-	Obs *obs.SimCounters
-
 	// SelfProfile enables sampled per-stage wall-time attribution of the
 	// simulator itself (fetch / rename / rename phases / backend),
-	// surfaced in Result.StageSeconds and merged into Obs.Prof when Obs
-	// is set. When false but Obs is set, the shared Obs.Prof is fed
-	// directly so /metrics still carries live stage times.
+	// surfaced in Result.StageSeconds. Each run has its own profiler.
 	SelfProfile bool
 
 	// Oracle, if non-nil, replaces the live functional emulator as the
@@ -160,15 +150,7 @@ type Result struct {
 	// (estimated from sampled timers; rename_phase1/2 are a sub-breakdown
 	// of rename). Nil unless Config.SelfProfile was set.
 	StageSeconds map[string]float64
-
-	// Pool is the free-list traffic of this run's recycled simulator
-	// objects (whole run): Gets - Misses heap allocations were avoided.
-	Pool pool.Stats
 }
-
-// obsFlushCycles is the live-telemetry batching interval (a power of two;
-// the flush check is a mask test).
-const obsFlushCycles = 1024
 
 // Sim is one in-flight simulation, advanced a cycle at a time. New builds
 // the machine, Step runs one cycle, Result finishes the run (driving any
@@ -194,13 +176,6 @@ type Sim struct {
 	baseCycle    uint64
 	target       int64
 	lastProgress uint64
-
-	// Live-telemetry flush state: counters are shared across concurrent
-	// runs, so updates are batched (one set of atomic adds every
-	// obsFlushCycles) instead of per cycle.
-	flushedCycles                                       uint64
-	flushedCommitted, flushedSquashes, flushedRedirects int64
-	flushedPool                                         pool.Stats
 
 	prevFetched, prevRenamed int64 // Trace output deltas
 
@@ -238,15 +213,9 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 	if met == nil {
 		met = metrics.NewPipeline()
 	}
-	// A dedicated profiler gives this run its own attribution (merged
-	// into the shared one afterwards); otherwise the shared profiler is
-	// fed directly so live /metrics still sees stage times.
 	var prof *obs.StageProf
-	switch {
-	case cfg.SelfProfile:
+	if cfg.SelfProfile {
 		prof = obs.NewStageProf(0)
-	case cfg.Obs != nil:
-		prof = cfg.Obs.Prof
 	}
 	cfg.FrontEnd.Sink = cfg.Events
 	cfg.FrontEnd.Metrics = met
@@ -278,36 +247,7 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 		measuring: cfg.WarmupInsts == 0,
 		target:    cfg.WarmupInsts + cfg.MeasureInsts,
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.SimsStarted.Inc()
-	}
 	return s, nil
-}
-
-// flushObs pushes the batched telemetry deltas into the shared counters.
-func (s *Sim) flushObs(now uint64) {
-	sc := s.cfg.Obs
-	sc.Cycles.Add(int64(now - s.flushedCycles))
-	s.flushedCycles = now
-	c := s.be.Committed()
-	sc.Committed.Add(c - s.flushedCommitted)
-	s.flushedCommitted = c
-	// The squash histogram resets when measurement starts; a count
-	// below the last flushed value means "start over", not an
-	// un-squash.
-	sq := s.met.SquashDepth.Count()
-	if sq < s.flushedSquashes {
-		s.flushedSquashes = 0
-	}
-	sc.Squashes.Add(sq - s.flushedSquashes)
-	s.flushedSquashes = sq
-	r := s.fe.Stats().Redirects
-	sc.Redirects.Add(r - s.flushedRedirects)
-	s.flushedRedirects = r
-	ps := s.fe.PoolStats()
-	sc.PoolGets.Add(ps.Gets - s.flushedPool.Gets)
-	sc.PoolMisses.Add(ps.Misses - s.flushedPool.Misses)
-	s.flushedPool = ps
 }
 
 // Step advances the simulation by one cycle. It returns false once the run
@@ -348,9 +288,6 @@ func (s *Sim) Step() bool {
 		s.err = fmt.Errorf("sim: %s/%s: %w", cfg.FrontEnd.Name, s.p.Name, err)
 		s.stopped = true
 		return false
-	}
-	if cfg.Obs != nil && now&(obsFlushCycles-1) == obsFlushCycles-1 {
-		s.flushObs(now)
 	}
 	if n > 0 {
 		s.lastProgress = now
@@ -441,15 +378,8 @@ func (s *Sim) Result() (*Result, error) {
 	s.finished = true
 	cfg := &s.cfg
 	if s.err != nil {
-		// Deadlock or oracle failure: the error already describes it; no
-		// final telemetry flush (matching the historical early return).
+		// Deadlock or oracle failure: the error already describes it.
 		return nil, s.err
-	}
-	if cfg.Obs != nil {
-		s.flushObs(s.now)
-		if cfg.SelfProfile {
-			cfg.Obs.Prof.Merge(s.prof)
-		}
 	}
 	if s.now >= cfg.MaxCycles {
 		s.err = s.stall("max-cycles",
@@ -459,9 +389,6 @@ func (s *Sim) Result() (*Result, error) {
 	if !s.measuring {
 		s.err = fmt.Errorf("sim: %s/%s finished before warmup completed", cfg.FrontEnd.Name, s.p.Name)
 		return nil, s.err
-	}
-	if cfg.Obs != nil {
-		cfg.Obs.SimsCompleted.Inc()
 	}
 
 	res := &Result{
@@ -487,10 +414,7 @@ func (s *Sim) Result() (*Result, error) {
 		res.BufferReuseRate = pool.ReuseRate()
 	}
 	res.Pipeline = s.met
-	if cfg.SelfProfile {
-		res.StageSeconds = s.prof.Seconds()
-	}
-	res.Pool = s.fe.PoolStats()
+	res.StageSeconds = s.prof.Seconds() // nil without SelfProfile
 	s.res = res
 	return res, nil
 }

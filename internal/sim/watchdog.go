@@ -105,7 +105,7 @@ type StallError struct {
 func (e *StallError) Error() string { return e.msg }
 
 // stall captures the diagnostic bundle for the current machine state and
-// wraps it in a StallError. It also counts the trip in the live telemetry.
+// wraps it in a StallError.
 func (s *Sim) stall(reason, msg string) *StallError {
 	d := &Diag{
 		Reason:      reason,
@@ -131,9 +131,6 @@ func (s *Sim) stall(reason, msg string) *StallError {
 		d.Events = s.ring.Tail(s.ring.Cap())
 		d.EventsTotal = s.ring.Total()
 		d.EventsDropped = s.ring.Dropped()
-	}
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.WatchdogTrips.Inc()
 	}
 	return &StallError{Reason: reason, Diag: d, msg: msg}
 }

@@ -25,7 +25,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/emu"
 	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/mem"
-	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/obs/span"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
@@ -205,13 +204,6 @@ type RunOptions struct {
 	// unbounded memory, then trace.WriteChromeTrace / trace.WriteJSONL
 	// to export them. A nil sink costs one pointer check per emit site.
 	Events trace.Sink
-
-	// Obs, if non-nil, receives batched live telemetry while the run is
-	// in flight (cycles, committed instructions, squashes, redirects),
-	// shared with every other run using the same counters — the feed
-	// behind pfe-bench/pfe-sim's -http /metrics endpoint. Nil costs one
-	// branch per cycle.
-	Obs *obs.SimCounters
 
 	// SelfProfile enables sampled wall-time attribution of the simulator
 	// itself (fetch / rename phases / backend), surfaced in
@@ -439,7 +431,6 @@ func runProgram(p *program.Program, m Machine, opts RunOptions, oracle emu.Oracl
 		Trace:            opts.Trace,
 		TraceCycles:      opts.TraceCycles,
 		Events:           opts.Events,
-		Obs:              opts.Obs,
 		SelfProfile:      opts.SelfProfile,
 		NoProgressCycles: opts.NoProgressCycles,
 		FlightRecorder:   opts.FlightRecorder,

@@ -104,7 +104,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	parts := make([]*sim.Result, 0, len(windows))
 	ipcs := make([]float64, 0, len(windows))
 	cpis := make([]float64, 0, len(windows))
-	var detailed, gapInsts int64
+	var detailed int64
 	// The first window's prefix — the run warmup minus the detailed-warmup
 	// region — is by far the longest gap, and it is identical for every cell
 	// sharing the stream and the warm-relevant machine class. Advance through
@@ -125,7 +125,6 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 			if err != nil {
 				return nil, err
 			}
-			gapInsts += int64(boundary)
 		}
 	}
 	for _, w := range windows {
@@ -142,15 +141,13 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 		} else if rd.Pos() < target {
 			// Warm the caches and predictor through the gap. The reader
 			// then sits exactly at the detailed-warmup boundary.
-			gap := int64(target - rd.Pos())
 			gs := opts.Spans.Phase(opts.SpanParent, "gap-warm")
-			gs.Int("gap_insts", gap)
+			gs.Int("gap_insts", int64(target-rd.Pos()))
 			if err := wm.warmTo(target); err != nil {
 				gs.End()
 				return nil, err
 			}
 			gs.End()
-			gapInsts += gap
 		} else {
 			// The previous window's fetch-ahead overran this window's
 			// warmup start (dense plans); the overrun region already
@@ -165,7 +162,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 			Mem:              m.memory,
 			WarmupInsts:      int64(warm),
 			MeasureInsts:     int64(w.Len),
-			Obs:              opts.Obs,
+			SelfProfile:      opts.SelfProfile,
 			NoProgressCycles: opts.NoProgressCycles,
 			FlightRecorder:   opts.FlightRecorder,
 			Oracle:           rd,
@@ -211,27 +208,19 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 		SkippedInsts:  skipped,
 		WindowIPCs:    ipcs,
 	}
-	ci := sum.CI95 * scale
 	if ps := opts.Spans.SpanFor(opts.SpanParent); ps.OK() {
 		ps.Int("sample_windows", int64(len(windows)))
-		if !math.IsInf(ci, 0) {
+		if ci := sum.CI95 * scale; !math.IsInf(ci, 0) {
 			ps.Float("sample_ci95", ci)
-		}
-	}
-	if opts.Obs != nil {
-		opts.Obs.SampleWindows.Add(int64(len(windows)))
-		opts.Obs.SampleGapInsts.Add(gapInsts)
-		opts.Obs.SampleFallback.Add(rd.FallbackSteps())
-		if !math.IsInf(ci, 0) && !math.IsNaN(ci) {
-			opts.Obs.SampleCI.Observe(ci)
 		}
 	}
 	return res, nil
 }
 
 // aggregateSim combines per-piece measurements (sampling windows or
-// time-parallel slices) into one logical run: counters sum, rates are
-// committed-weighted means, histograms merge. A single piece passes through
+// time-parallel slices) into one logical run: counters and self-profile stage
+// times sum, rates are committed-weighted means, histograms merge. A single
+// piece passes through
 // untouched so a degenerate sampled/sliced run stays bit-identical to the
 // serial one.
 func aggregateSim(parts []*sim.Result) *sim.Result {
@@ -248,9 +237,14 @@ func aggregateSim(parts []*sim.Result) *sim.Result {
 		agg.Cycles += r.Cycles
 		agg.Committed += r.Committed
 		agg.FrontEnd.Add(r.FrontEnd)
-		agg.Pool.Add(r.Pool)
 		if r.Pipeline != nil {
 			agg.Pipeline.Merge(r.Pipeline)
+		}
+		for k, v := range r.StageSeconds {
+			if agg.StageSeconds == nil {
+				agg.StageSeconds = map[string]float64{}
+			}
+			agg.StageSeconds[k] += v
 		}
 		w := float64(r.Committed)
 		wsum += w

@@ -74,7 +74,7 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			Mem:              m.memory,
 			WarmupInsts:      warm,
 			MeasureInsts:     mj,
-			Obs:              opts.Obs,
+			SelfProfile:      opts.SelfProfile,
 			NoProgressCycles: opts.NoProgressCycles,
 			FlightRecorder:   opts.FlightRecorder,
 			Oracle:           rd,
@@ -108,11 +108,11 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 		}
 		if k == 1 {
 			// A single slice is the serial run; per-run sinks that would
-			// race across concurrent slices are safe to attach.
+			// race across concurrent slices are safe to attach. (The
+			// self-profiler is per simulation, so every slice has one.)
 			cfg.Trace = opts.Trace
 			cfg.TraceCycles = opts.TraceCycles
 			cfg.Events = opts.Events
-			cfg.SelfProfile = opts.SelfProfile
 		}
 		sr := ss.Child(span.KindPhase, "slice-sim")
 		r, err := runDetailed(p, cfg)
@@ -158,20 +158,6 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 	}
 	res := newResult(aggregateSim(parts))
 	res.Slices = infos
-	if opts.Obs != nil {
-		opts.Obs.Slices.Add(int64(k))
-		var seamCycles, seamTrimmed int64
-		for j := range infos {
-			if j > 0 {
-				// Interior slices' warmup cycles are pure seam-reconcile
-				// overhead: the serial run simulates that region once.
-				seamCycles += int64(infos[j].WarmupCycles)
-			}
-			seamTrimmed += infos[j].Overshoot
-		}
-		opts.Obs.SliceSeamCycles.Add(seamCycles)
-		opts.Obs.SliceSeamInsts.Add(seamTrimmed)
-	}
 	return res, nil
 }
 
