@@ -184,49 +184,6 @@ func BenchmarkSampledRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSlicedRun is the time-parallel mode's speedup evidence: one
-// measured stream cut into K tape-indexed slices simulated concurrently,
-// against the serial run of the same budgets. K=1 is the serial path with
-// slice provenance (a sanity lane, not a speedup); the wall-time cut shows
-// up from K=2 when cores are available — on a single-core host the lanes
-// instead expose the mode's total overhead (per-slice detailed warmup plus
-// the functional warming of each slice's prefix), which is what the
-// overlapped-warmup design bounds.
-func BenchmarkSlicedRun(b *testing.B) {
-	m := pfe.Preset(pfe.PR2x8w)
-	opts := pfe.DefaultRunOptions()
-	opts.Artifacts = artifact.New(512 << 20)
-	prime := opts
-	prime.Slices = 1
-	if _, err := pfe.Run("gcc", m, prime); err != nil { // record the tape once
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pfe.Run("gcc", m, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, k := range []int{1, 2, 8} {
-		so := opts
-		so.Slices = k
-		if k > 1 {
-			// Interior slices need only enough detailed warmup to refill
-			// the pipeline and in-flight window — their caches and
-			// predictors arrive functionally warmed from the prefix replay.
-			so.SliceWarmup = 25_000
-		}
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pfe.Run("gcc", m, so); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSampledWindows times only the detailed windows of one sampled
 // cell, the "window" spans without tape recording or functional warming,
 // and reports ns per detailed instruction (each window's detailed warmup

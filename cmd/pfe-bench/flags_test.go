@@ -28,12 +28,7 @@ func TestAccelFlagsValidate(t *testing.T) {
 	}{
 		{"defaults", func(a *accelFlags) {}, ""},
 		{"sample alone", func(a *accelFlags) { a.Sample = true }, ""},
-		{"slices alone", func(a *accelFlags) { a.Slices = 8 }, ""},
 		{"validate alone", func(a *accelFlags) { a.Validate = true }, ""},
-		{"sample with one slice", func(a *accelFlags) { a.Sample = true; a.Slices = 1 }, ""},
-		{"sample with slices", func(a *accelFlags) { a.Sample = true; a.Slices = 4 }, "mutually exclusive"},
-		{"negative slices", func(a *accelFlags) { a.Slices = -2 }, "non-negative"},
-		{"negative slice warmup", func(a *accelFlags) { a.SliceWmp = -1 }, "non-negative"},
 		{"zero unit", func(a *accelFlags) { a.Sample = true; a.Unit = 0 }, "positive"},
 		{"zero period", func(a *accelFlags) { a.Validate = true; a.Period = 0 }, "positive"},
 		{"window exceeds period", func(a *accelFlags) {
@@ -60,9 +55,9 @@ func TestAccelFlagsValidate(t *testing.T) {
 	}
 }
 
-// TestAccelFlagsApplyStamp pins the wiring: active modes reach the
-// experiment options and the report's run spec, inactive ones leave both
-// zero (so exact-mode reports are unchanged byte for byte).
+// TestAccelFlagsApplyStamp pins the wiring: sampling reaches the experiment
+// options and the report's run spec, and without it both stay zero (so
+// exact-mode reports are unchanged byte for byte).
 func TestAccelFlagsApplyStamp(t *testing.T) {
 	a := def()
 	a.Sample = true
@@ -73,33 +68,16 @@ func TestAccelFlagsApplyStamp(t *testing.T) {
 	if opts.Sample == nil || *opts.Sample != a.spec() {
 		t.Errorf("apply: opts.Sample = %+v, want %+v", opts.Sample, a.spec())
 	}
-	if opts.Slices != 0 {
-		t.Errorf("apply: opts.Slices = %d, want 0", opts.Slices)
-	}
 	if spec.SampleUnit != a.Unit || spec.SamplePeriod != a.Period || spec.SampleWarmup != a.Warmup {
 		t.Errorf("stamp: spec = %+v, want the sampling parameters", spec)
-	}
-
-	b := def()
-	b.Slices, b.SliceWmp = 8, 2_000
-	opts, spec = experiments.Options{}, obs.RunSpec{}
-	b.apply(&opts)
-	b.stamp(&spec)
-	if opts.Sample != nil || opts.Slices != 8 || opts.SliceWarmup != 2_000 {
-		t.Errorf("apply: opts = sample %v slices %d warmup %d, want nil/8/2000",
-			opts.Sample, opts.Slices, opts.SliceWarmup)
-	}
-	if spec.Slices != 8 || spec.SliceWarmup != 2_000 || spec.SampleUnit != 0 {
-		t.Errorf("stamp: spec = %+v, want slices only", spec)
 	}
 
 	c := def() // no modes: both must stay zero-valued
 	opts, spec = experiments.Options{}, obs.RunSpec{}
 	c.apply(&opts)
 	c.stamp(&spec)
-	if opts.Sample != nil || opts.Slices != 0 ||
-		spec.SampleUnit != 0 || spec.SamplePeriod != 0 || spec.SampleWarmup != 0 ||
-		spec.Slices != 0 || spec.SliceWarmup != 0 {
+	if opts.Sample != nil ||
+		spec.SampleUnit != 0 || spec.SamplePeriod != 0 || spec.SampleWarmup != 0 {
 		t.Errorf("inactive modes leaked: opts %+v spec %+v", opts, spec)
 	}
 }

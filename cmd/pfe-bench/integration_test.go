@@ -301,29 +301,11 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	}
 }
 
-// TestSampleSlicesUsageError pins the flag gate end to end: -sample
-// combined with -slices > 1 is a usage error (exit 2) diagnosed before any
-// simulation starts, with an explanation on stderr.
-func TestSampleSlicesUsageError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess integration test")
-	}
-	pb := bin(t)
-	out, err := exec.Command(pb, benchArgs("-sample", "-slices", "4")...).CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want usage error code 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "mutually exclusive") {
-		t.Errorf("stderr does not explain the conflict:\n%s", out)
-	}
-}
-
 // TestFlagValidation pins the CLI's usage-error contract: an unknown
-// -inject mode, every option of the removed distributed-sweep path, the
-// removed retry and failure-budget flags, and the removed live-telemetry
-// flags exit 2 with an explanation instead of silently running something
-// else.
+// -inject mode, a negative -workers, every option of the removed
+// distributed-sweep path, the removed retry and failure-budget flags, the
+// removed live-telemetry flags and the removed time-parallel slicing flags
+// exit 2 with an explanation instead of silently running something else.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -344,6 +326,9 @@ func TestFlagValidation(t *testing.T) {
 		{"fail budget", benchArgs("-fail-budget", "2"), "flag provided but not defined: -fail-budget"},
 		{"http", benchArgs("-http", ":0"), "flag provided but not defined: -http"},
 		{"events", benchArgs("-events"), "flag provided but not defined: -events"},
+		{"slices", benchArgs("-slices", "8"), "flag provided but not defined: -slices"},
+		{"slice warmup", benchArgs("-slice-warmup", "1000"), "flag provided but not defined: -slice-warmup"},
+		{"negative workers", benchArgs("-workers", "-1"), "-workers -1: want a non-negative worker count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,18 +15,18 @@
 //	pfe-bench -exp fig8 -inject gcc/W16=panic   # drill: the cell prints FAIL, exit 1
 //	pfe-bench -tol 0.5 -compare old.json new.json
 //	pfe-bench -exp fig8 -sample                 # systematic sampling (IPC ± CI)
-//	pfe-bench -exp fig8 -slices 8               # time-parallel slicing
 //	pfe-bench -validate-sampling                # sampled-vs-full error gate
 //	pfe-bench -exp fig8 -sweep-trace sweep.json # Perfetto-loadable sweep trace
 //	pfe-bench -exp fig8 -selfprofile            # simulator time per pipeline stage
 //
-// -sample and -slices accelerate every simulation of a sweep by replaying
-// oracle tapes: sampling simulates detailed windows (-sample-unit every
-// -sample-period, after -sample-warmup) and fast-forwards the gaps;
-// slicing cuts each measured stream into -slices pieces simulated
-// concurrently. The two are mutually exclusive. -validate-sampling runs
-// the accuracy gate behind the sampled numbers: full vs sampled on every
-// selected benchmark, failing when an error exceeds its 95% CI.
+// A sweep's parallelism comes from its cells: up to -workers simulations
+// run at once, each on one goroutine, and a negative -workers is a usage
+// error. -sample accelerates every simulation of a sweep by replaying
+// oracle tapes: it simulates detailed windows (-sample-unit every
+// -sample-period, after -sample-warmup) and fast-forwards the gaps.
+// -validate-sampling runs the accuracy gate behind the sampled numbers:
+// full vs sampled on every selected benchmark, failing when an error
+// exceeds its 95% CI.
 //
 // -compare exits 0 when every matched benchmark row is within tolerance
 // (improvements included), 1 on an IPC or throughput regression, 2 on a
@@ -107,8 +107,6 @@ func run() int {
 	flag.Int64Var(&accel.Unit, "sample-unit", ds.Unit, "instructions per detailed sampling window")
 	flag.Int64Var(&accel.Period, "sample-period", ds.Period, "instructions from one window start to the next (>= warmup+unit)")
 	flag.Int64Var(&accel.Warmup, "sample-warmup", ds.Warmup, "detailed warmup instructions preceding each window")
-	flag.IntVar(&accel.Slices, "slices", 0, "time-parallel slicing: cut each measured stream into this many tape-indexed slices simulated concurrently (0 or 1 = off)")
-	flag.Int64Var(&accel.SliceWmp, "slice-warmup", 0, "overlapped detailed warmup instructions per interior slice (0 = -warmup)")
 	flag.BoolVar(&accel.Validate, "validate-sampling", false, "run the sampled-vs-full validation suite on every selected benchmark and exit (0 = every error within its confidence interval)")
 	flag.Parse()
 
@@ -125,6 +123,10 @@ func run() int {
 
 	if err := accel.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "pfe-bench: -workers %d: want a non-negative worker count (0 = GOMAXPROCS)\n", *workers)
 		return 2
 	}
 
@@ -462,19 +464,18 @@ type cellObserver struct {
 
 func (c *cellObserver) Planned(n int) { c.tracker.AddPlanned(c.id, n) }
 
-// Sharded receives the work-stealing scheduler's per-worker statistics for
-// one completed batch of cells and folds them into the progress tracker
-// (utilization in progress lines) and the JSON report.
+// Sharded receives each worker's statistics for one completed batch of
+// cells and folds them into the progress tracker (utilization in progress
+// lines) and the JSON report.
 func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat) {
-	tasks, stolen, busy := 0, 0, 0.0
+	tasks, busy := 0, 0.0
 	for _, s := range stats {
 		tasks += s.Ran
-		stolen += s.Stolen
 		busy += s.BusySeconds
 	}
-	c.tracker.ShardingDone(c.id, len(stats), stolen, busy, wall.Seconds())
+	c.tracker.ShardingDone(c.id, len(stats), busy, wall.Seconds())
 	if c.report != nil {
-		c.report.AddScheduler(c.id, len(stats), tasks, stolen, busy)
+		c.report.AddScheduler(c.id, len(stats), tasks, busy)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/artifact"
 )
 
-// sampledGoldenPath pins sampled and sliced results to values recorded from
+// sampledGoldenPath pins sampled results to values recorded from
 // the implementation before functional warming was rebuilt as one block
 // kernel. The warm-state tests compare solo warming against union warming
 // and cold builds against cache hits; a change shared by both sides passes
@@ -34,8 +34,7 @@ type sampledGoldenRecord struct {
 	RateBits           map[string]uint64 `json:"rate_bits"`
 	Pipeline           [][2]int64        `json:"pipeline"` // per histogram: count, sum
 
-	WindowIPCBits []uint64    `json:"window_ipc_bits,omitempty"`
-	Slices        []SliceInfo `json:"slices,omitempty"`
+	WindowIPCBits []uint64 `json:"window_ipc_bits,omitempty"`
 }
 
 func recordSampledGolden(cell string, r *Result) sampledGoldenRecord {
@@ -59,7 +58,6 @@ func recordSampledGolden(cell string, r *Result) sampledGoldenRecord {
 			"frags_constructed_early":    math.Float64bits(r.FragsConstructedEarly),
 			"renamed_before_source_frac": math.Float64bits(r.RenamedBeforeSourceFrac),
 		},
-		Slices: r.Slices,
 	}
 	for _, h := range r.Pipeline.All() {
 		rec.Pipeline = append(rec.Pipeline, [2]int64{h.Count(), h.Sum()})
@@ -76,24 +74,21 @@ func recordSampledGolden(cell string, r *Result) sampledGoldenRecord {
 // TestSampledGolden runs sampled gcc on five machines that together span
 // three prediction loops (the default one, 32-instruction fragments, and a
 // 10-bit predictor index), two hierarchies, a trace cache and a live-out
-// predictor, plus a 4-slice run. Every cell shares one artifact cache whose
-// roster holds them all: the first cell union-warms the 298.5K-instruction
-// prefix for every class and the others restore their sections; each
-// slice boundary is union-warmed too. Gaps between windows are warmed per
-// cell.
+// predictor. Every cell shares one artifact cache whose roster holds them
+// all: the first cell union-warms the 298.5K-instruction prefix for every
+// class and the others restore their sections. Gaps between windows are
+// warmed per cell.
 func TestSampledGolden(t *testing.T) {
 	type cell struct {
-		name   string
-		m      Machine
-		slices int
+		name string
+		m    Machine
 	}
 	cells := []cell{
-		{"W16", Preset(W16), 0},
-		{"TC", Preset(TC), 0},
-		{"PR-2x8w", Preset(PR2x8w), 0},
-		{"PR-2x8w/frag32-16", Preset(PR2x8w).WithFragmentHeuristics(32, 16), 0},
-		{"W16/pred1024", Preset(W16).WithPredictorEntries(1024), 0},
-		{"PR-2x8w/slices4", Preset(PR2x8w), 4},
+		{"W16", Preset(W16)},
+		{"TC", Preset(TC)},
+		{"PR-2x8w", Preset(PR2x8w)},
+		{"PR-2x8w/frag32-16", Preset(PR2x8w).WithFragmentHeuristics(32, 16)},
+		{"W16/pred1024", Preset(W16).WithPredictorEntries(1024)},
 	}
 	roster := make([]Machine, len(cells))
 	for i, c := range cells {
@@ -107,12 +102,7 @@ func TestSampledGolden(t *testing.T) {
 			MeasureInsts: 60_000,
 			Artifacts:    cache,
 			WarmRoster:   roster,
-		}
-		if c.slices > 0 {
-			opts.Slices = c.slices
-			opts.SliceWarmup = 5_000
-		} else {
-			opts.Sample = &SampleSpec{Unit: 1_000, Period: 5_000, Warmup: 1_500}
+			Sample:       &SampleSpec{Unit: 1_000, Period: 5_000, Warmup: 1_500},
 		}
 		r, err := Run("gcc", c.m, opts)
 		if err != nil {
@@ -121,9 +111,9 @@ func TestSampledGolden(t *testing.T) {
 		got = append(got, recordSampledGolden(c.name, r))
 	}
 	// One union build for the sampled boundary, restored by the other four
-	// sampled cells, and one per slice boundary past the first slice.
-	if s := cache.Stats(); s.WarmMisses != 4 || s.WarmHits != 4 {
-		t.Errorf("warm traffic: %d hits / %d misses, want 4 / 4", s.WarmHits, s.WarmMisses)
+	// cells.
+	if s := cache.Stats(); s.WarmMisses != 1 || s.WarmHits != 4 {
+		t.Errorf("warm traffic: %d hits / %d misses, want 4 / 1", s.WarmHits, s.WarmMisses)
 	}
 
 	data, err := os.ReadFile(sampledGoldenPath)

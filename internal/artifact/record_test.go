@@ -187,7 +187,7 @@ func TestTapeRecordPanic(t *testing.T) {
 }
 
 // BenchmarkTapeRecord records gcc prefixes and reports the cost per
-// recorded instruction (ns/inst), the set-up cost of every sampled or sliced
+// recorded instruction (ns/inst), the set-up cost of every sampled
 // sweep: a 1M-instruction prefix, and the tape of a sampled cell with 10M
 // warmup and 1M sampled instructions (with TapeSlack), the length perfbench's
 // sampled-warm records. Run it at -cpu 1,2 as well: the recorder's two stages

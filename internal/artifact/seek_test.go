@@ -11,7 +11,7 @@ import (
 // seekAndCompare positions one reader via Seek(at) and another by reading a
 // fresh reader from zero one instruction at a time, then reads both in
 // lockstep, one instruction at a time, for n instructions.
-// This is the contract every sampling window and slice boundary relies on:
+// This is the contract every sampling window relies on:
 // a seek is indistinguishable from a from-zero replay advanced to the same
 // sequence index.
 func seekAndCompare(t *testing.T, tape *Tape, at, n uint64) {
@@ -130,8 +130,8 @@ func TestTapeSeekHalted(t *testing.T) {
 }
 
 // TestTapeSeekBackward rewinds a reader that has already advanced and checks
-// the rebuilt cursor replays the earlier region identically — slices and
-// sampling windows reuse one reader across non-monotonic positions.
+// the rebuilt cursor replays the earlier region identically, so a reader
+// can be reused across non-monotonic positions.
 func TestTapeSeekBackward(t *testing.T) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package artifact is the cross-cell workload reuse layer: a
 // content-addressed, concurrency-safe cache of the expensive inputs a sweep
 // cell needs — built program images, oracle tapes of the emulator's dynamic
-// stream, and memoized cell results — shared read-only across work-stealing
+// stream, and memoized cell results — shared read-only across a sweep's
 // workers so a multi-config sweep pays each workload's functional cost once
 // instead of once per cell.
 package artifact

@@ -150,8 +150,8 @@ type Config struct {
 
 	// LiveOutPred, if non-nil, is an externally built live-out predictor
 	// used instead of constructing one from LiveOut (RenameParallel only)
-	// — the seam through which sampled and time-parallel runs carry
-	// functionally trained predictor state into a detailed window. It must
+	// — the seam through which sampled runs carry functionally trained
+	// predictor state into a detailed window. It must
 	// not be shared with a concurrent run.
 	LiveOutPred *rename.LiveOutPredictor
 
@@ -231,8 +231,8 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s — the piecewise aggregation behind
-// sampled and time-parallel runs, where one logical run's statistics are the
-// sum of its windows' or slices'.
+// sampled runs, where one logical run's statistics are the sum of its
+// windows'.
 func (s *Stats) Add(o Stats) {
 	s.Cycles += o.Cycles
 	s.FetchSlots += o.FetchSlots

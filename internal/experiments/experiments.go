@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	pfe "github.com/parallel-frontend/pfe"
@@ -17,7 +19,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/journal"
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/obs/span"
-	"github.com/parallel-frontend/pfe/internal/shard"
 )
 
 // Observer receives cell-level lifecycle callbacks from an experiment run:
@@ -31,8 +32,8 @@ type Observer interface {
 }
 
 // ShardObserver is an optional extension of Observer: implementations also
-// receive the work-stealing scheduler's per-worker statistics after each
-// batch of cells completes, along with the batch's wall time.
+// receive each worker's statistics after a batch of cells completes, along
+// with the batch's wall time.
 type ShardObserver interface {
 	Observer
 	Sharded(wall time.Duration, stats []ShardStat)
@@ -64,8 +65,7 @@ type Options struct {
 	// Spans, if non-nil, receives hierarchical sweep spans: one sweep span
 	// per batch of cells, a cell span per simulation (worker-attributed),
 	// and run-phase spans under it (program/tape builds, sim, sampled
-	// windows, slices, journal appends). Nil disables tracing at ~zero
-	// cost.
+	// windows, journal appends). Nil disables tracing at ~zero cost.
 	Spans *span.Tracer
 
 	// SelfProfile enables per-run wall-time attribution of the simulator
@@ -122,14 +122,6 @@ type Options struct {
 	// confidence intervals in each Result.Sampling.
 	Sample *pfe.SampleSpec
 
-	// Slices, when positive, runs every cell in time-parallel mode: the
-	// measured stream is cut into Slices tape-indexed pieces simulated
-	// concurrently (see pfe.RunOptions.Slices). Mutually exclusive with
-	// Sample when greater than 1. SliceWarmup is the per-slice overlapped
-	// detailed warmup (0 = Warmup).
-	Slices      int
-	SliceWarmup int64
-
 	// Artifacts, if non-nil, is the cross-cell workload reuse cache:
 	// program images and oracle tapes are shared across every cell of the
 	// same benchmark (see pfe.RunOptions.Artifacts), and completed cell
@@ -169,8 +161,6 @@ func (o Options) runOpts() pfe.RunOptions {
 		Spans:            o.Spans,
 		Artifacts:        o.Artifacts,
 		Sample:           o.Sample,
-		Slices:           o.Slices,
-		SliceWarmup:      o.SliceWarmup,
 	}
 }
 
@@ -222,11 +212,83 @@ type cell struct {
 	run     func() (*pfe.Result, error)
 }
 
-// runCells executes all cells (across up to Workers work-stealing shards,
-// see runSharded) and returns results keyed by (bench, key). Dispatch is by
-// cell index: workers read the shared cells slice in place and write
-// disjoint outcome slots, so no per-goroutine copy of a cell (or of the run
-// options, which are hoisted and invariant across the batch) is ever made.
+// ShardStat describes one worker's share of a dispatched batch.
+type ShardStat struct {
+	Ran         int     // tasks this worker executed
+	BusySeconds float64 // wall time spent executing tasks
+	// Stolen is always 0: workers claim tasks from one shared index, so no
+	// task is ever taken from another worker.
+	Stolen int
+}
+
+// dispatch calls run(w, pos) exactly once for every position pos in [0, n),
+// on up to workers goroutines; w is the index of the worker that runs it.
+// Each worker claims the next unclaimed position from one shared counter, so
+// no worker idles while a position remains unclaimed, and positions start
+// in order. run must be safe for concurrent use; callers that need a result
+// per position write disjoint slots, so the outcome is the same whatever the
+// worker count.
+//
+// Cancelling ctx drains the batch: each worker finishes the task it is
+// running, then claims no more. Unclaimed positions never run.
+func dispatch(ctx context.Context, n, workers int, run func(w, pos int)) []ShardStat {
+	if n <= 0 {
+		return nil
+	}
+	workers = max(1, min(workers, n))
+	stats := make([]ShardStat, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range stats {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st := &stats[w]
+			for ctx.Err() == nil {
+				pos := int(next.Add(1) - 1)
+				if pos >= n {
+					return
+				}
+				start := time.Now()
+				run(w, pos)
+				st.BusySeconds += time.Since(start).Seconds()
+				st.Ran++
+			}
+		}(w)
+	}
+	wg.Wait()
+	return stats
+}
+
+// leadersFirst returns the order runCells dispatches cells in: the first
+// cell of each benchmark, in cell order, then every other cell in cell
+// order. A benchmark's first cell builds what all of its cells share (the
+// program, the tape, the union warm pack), and a cell that needs a build
+// another worker is running waits for it. Starting every benchmark's build
+// before any second cell keeps each worker on a benchmark of its own while
+// the builds run; in plain cell order both workers of a two-core host would
+// start on the first benchmark, and one would wait out its build.
+func leadersFirst(cells []cell) []int {
+	order := make([]int, 0, len(cells))
+	var rest []int
+	seen := map[string]bool{}
+	for i := range cells {
+		if seen[cells[i].bench] {
+			rest = append(rest, i)
+			continue
+		}
+		seen[cells[i].bench] = true
+		order = append(order, i)
+	}
+	return append(order, rest...)
+}
+
+// runCells executes all cells (on up to Workers goroutines, in leadersFirst
+// order; see dispatch) and returns results keyed by (bench, key). Workers
+// read the shared cells slice in place and write disjoint outcome slots, so
+// no per-goroutine copy of a cell (or of the run options, which are hoisted
+// and invariant across the batch) is ever made, and the results do not
+// depend on the order or the worker count.
 //
 // Fault tolerance: each cell runs once behind a recover barrier, and every
 // cell runs whatever the others do. A failed cell becomes a record in
@@ -243,12 +305,13 @@ func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
 	ro := o.runOpts()
 	ro.WarmRoster = warmRosterOf(cells)
 	outs := make([]cellOutcome, len(cells))
+	order := leadersFirst(cells)
 	batch := o.Spans.StartBatch(o.ExperimentID, len(cells))
 	start := time.Now()
-	stats := runShardedHooked(ctx, len(cells), o.workers(), shard.Hooks{OnSteal: batch.Steal},
-		func(w, i int) {
-			outs[i] = o.runCell(ctx, &cells[i], ro, batch, w, i)
-		})
+	stats := dispatch(ctx, len(cells), o.workers(), func(w, pos int) {
+		i := order[pos]
+		outs[i] = o.runCell(ctx, &cells[i], ro, batch, w, i)
+	})
 	batch.End()
 	if so, ok := o.Observer.(ShardObserver); ok {
 		so.Sharded(time.Since(start), stats)

@@ -85,14 +85,11 @@ const memoResultBytes = 4096
 func cellHash(c *cell, ro pfe.RunOptions) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%s|%d|%d|%+v", c.bench, c.key, ro.WarmupInsts, ro.MeasureInsts, c.machine)
-	// Acceleration modes change the result, so they extend the
-	// fingerprint — but only when in use, keeping every exact-mode hash
-	// (and therefore existing journals) stable.
+	// Sampling changes the result, so it extends the fingerprint — but
+	// only when in use, keeping every exact-mode hash (and therefore
+	// existing journals) stable.
 	if ro.Sample != nil {
 		fmt.Fprintf(h, "|sample:%d/%d/%d", ro.Sample.Unit, ro.Sample.Period, ro.Sample.Warmup)
-	}
-	if ro.Slices > 0 {
-		fmt.Fprintf(h, "|slices:%d/%d", ro.Slices, ro.SliceWarmup)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -55,12 +55,10 @@ type cellResult struct {
 
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
 
-	// Acceleration-mode detail (sampled / time-parallel runs). All omitempty,
-	// so exact-mode records — and therefore existing journals — are
-	// byte-for-byte unchanged.
+	// Sampled-run detail. Both omitempty, so exact-mode records — and
+	// therefore existing journals — are byte-for-byte unchanged.
 	SampledIPC float64           `json:"sampled_ipc,omitempty"`
 	Sampling   *pfe.SamplingInfo `json:"sampling,omitempty"`
-	Slices     []pfe.SliceInfo   `json:"slices,omitempty"`
 }
 
 func newCellRecord(exp string, c *cell, hash string, r *pfe.Result) cellRecord {
@@ -96,7 +94,6 @@ func toCellResult(r *pfe.Result) cellResult {
 		StageSeconds:            r.StageSeconds,
 		SampledIPC:              r.SampledIPC,
 		Sampling:                r.Sampling,
-		Slices:                  r.Slices,
 	}
 }
 
@@ -123,7 +120,6 @@ func (cr *cellResult) toResult() *pfe.Result {
 		StageSeconds:            cr.StageSeconds,
 		SampledIPC:              cr.SampledIPC,
 		Sampling:                cr.Sampling,
-		Slices:                  cr.Slices,
 	}
 }
 

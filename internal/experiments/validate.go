@@ -43,8 +43,8 @@ type Validation struct {
 // m, compared row by row. A row passes when the sampled estimate's error is
 // within its own 95% confidence half-width and the plan produced at least
 // two windows (a single window supports no error claim). Rows run
-// concurrently on the shared scheduler; each row's speedup compares the
-// wall times of its own two runs.
+// concurrently (see dispatch); each row's speedup compares the wall times
+// of its own two runs.
 func ValidateSampling(m pfe.Machine, spec pfe.SampleSpec, o Options) (*Validation, error) {
 	if err := o.ctx().Err(); err != nil {
 		return nil, err
@@ -52,7 +52,6 @@ func ValidateSampling(m pfe.Machine, spec pfe.SampleSpec, o Options) (*Validatio
 	benches := o.benches()
 	ro := o.runOpts()
 	ro.Sample = nil
-	ro.Slices = 0
 	if ro.Artifacts == nil {
 		// The sampled path needs tapes; budget two workloads per worker
 		// plus slack so full and sampled runs of a benchmark share one
@@ -65,7 +64,7 @@ func ValidateSampling(m pfe.Machine, spec pfe.SampleSpec, o Options) (*Validatio
 		err error
 	}
 	outs := make([]out, len(benches))
-	runSharded(o.ctx(), len(benches), o.workers(), func(i int) {
+	dispatch(o.ctx(), len(benches), o.workers(), func(_, i int) {
 		b := benches[i]
 		t0 := time.Now()
 		full, err := pfe.Run(b, m, ro)

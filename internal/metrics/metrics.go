@@ -215,8 +215,7 @@ func (p *Pipeline) Reset() {
 }
 
 // Merge accumulates o's distributions into p — combining the measurement
-// windows of a sampled run, or the slices of a time-parallel one, into one
-// logical run's histograms.
+// windows of a sampled run into one logical run's histograms.
 func (p *Pipeline) Merge(o *Pipeline) {
 	p.FragLen.Merge(o.FragLen)
 	p.BufResidency.Merge(o.BufResidency)

@@ -69,15 +69,12 @@ type RunSpec struct {
 	Workers      int      `json:"workers,omitempty"`
 	Experiments  []string `json:"experiments"`
 
-	// Acceleration modes, present only when the run used them: sampled
-	// runs report estimates (not exact IPCs), sliced runs reconcile
-	// cycle counts at seams — a comparator reading two reports should
+	// Sampling, present only when the run used it: sampled runs report
+	// estimates (not exact IPCs) — a comparator reading two reports should
 	// know whether the numbers are commensurable.
 	SampleUnit   int64 `json:"sample_unit,omitempty"`
 	SamplePeriod int64 `json:"sample_period,omitempty"`
 	SampleWarmup int64 `json:"sample_warmup,omitempty"`
-	Slices       int   `json:"slices,omitempty"`
-	SliceWarmup  int64 `json:"slice_warmup,omitempty"`
 }
 
 // Row is one simulation's metrics inside a report: every per-benchmark
@@ -108,8 +105,8 @@ type Row struct {
 // RowTiming decomposes one cell's wall time, derived from its span timeline:
 // queue-wait is the delay between sweep start and the cell being claimed by a
 // worker; build covers program-build and tape-build/replay phases; sim covers
-// the detailed simulation (including sampled windows, gap warming, and
-// time-parallel slices); overhead is the remainder (scheduling, journaling,
+// the detailed simulation (including sampled windows and gap warming);
+// overhead is the remainder (scheduling, journaling,
 // memo lookups).
 type RowTiming struct {
 	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
@@ -155,13 +152,12 @@ type ArtifactsReport struct {
 	TapeFallbackSteps int64 `json:"tape_fallback_steps,omitempty"`
 }
 
-// SchedulerReport summarizes how the work-stealing scheduler executed an
-// experiment's simulations: pool size, steal traffic, and how much of the
-// workers' combined wall time was spent running simulations (utilization).
+// SchedulerReport summarizes how an experiment's simulations were
+// dispatched: pool size, and how much of the workers' combined wall time was
+// spent running simulations (utilization).
 type SchedulerReport struct {
 	Workers     int     `json:"workers"`
 	Tasks       int     `json:"tasks"`
-	Stolen      int     `json:"stolen"`
 	BusySeconds float64 `json:"busy_seconds"`
 	Utilization float64 `json:"utilization"`
 }
@@ -330,10 +326,10 @@ func (b *ReportBuilder) SetStageSeconds(sec map[string]float64) {
 	b.rep.StageSeconds = sec
 }
 
-// AddScheduler merges one batch's work-stealing scheduler statistics into an
-// experiment's report (an experiment may shard cells in several batches:
-// worker counts take the max, the rest accumulate).
-func (b *ReportBuilder) AddScheduler(id string, workers, tasks, stolen int, busySeconds float64) {
+// AddScheduler merges one batch's dispatch statistics into an experiment's
+// report (an experiment may run cells in several batches: worker counts take
+// the max, the rest accumulate).
+func (b *ReportBuilder) AddScheduler(id string, workers, tasks int, busySeconds float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.byID[id]
@@ -347,7 +343,6 @@ func (b *ReportBuilder) AddScheduler(id string, workers, tasks, stolen int, busy
 		e.Scheduler.Workers = workers
 	}
 	e.Scheduler.Tasks += tasks
-	e.Scheduler.Stolen += stolen
 	e.Scheduler.BusySeconds += busySeconds
 }
 

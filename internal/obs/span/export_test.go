@@ -30,7 +30,6 @@ func buildTrace(t *testing.T) *Tracer {
 	c1.Child(KindPhase, "sim").End()
 	c1.End()
 
-	b.Steal(1, 0, 1)
 	b.End()
 	return tr
 }

@@ -71,13 +71,11 @@ func (r *Record) Annot(key string) *Annot {
 	return nil
 }
 
-// batchState is the per-sweep state a Batch handle carries: the sweep span
-// and its steal totals.
+// batchState is the per-sweep state a Batch handle carries: the sweep
+// span's name and ID.
 type batchState struct {
-	name    string
-	sweep   ID
-	steals  int64
-	stolenN int64
+	name  string
+	sweep ID
 }
 
 // Tracer collects spans. Create with New; a nil *Tracer is the documented
@@ -125,7 +123,7 @@ func (t *Tracer) startLocked(rec *Record) ID {
 }
 
 // StartBatch opens a sweep span for a batch of n cells and returns the batch
-// whose StartCell/Steal/End calls scope it.
+// whose StartCell/End calls scope it.
 func (t *Tracer) StartBatch(name string, n int) Batch {
 	if t == nil {
 		return Batch{}
@@ -167,31 +165,13 @@ func (b Batch) StartCell(i int, bench, key string, worker int) Span {
 	return Span{t: b.t, id: id}
 }
 
-// Steal records a work-steal: thief took n tasks from victim. Steals are
-// summarized as annotations on the sweep span at End.
-func (b Batch) Steal(thief, victim, n int) {
-	if b.t == nil {
-		return
-	}
-	b.t.mu.Lock()
-	defer b.t.mu.Unlock()
-	b.b.steals++
-	b.b.stolenN += int64(n)
-}
-
-// End closes the batch: steal totals are annotated on the sweep span, which
-// then closes whether or not every cell ran.
+// End closes the batch's sweep span, whether or not every cell ran.
 func (b Batch) End() {
 	if b.t == nil {
 		return
 	}
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	if rec, ok := b.t.open[b.b.sweep]; ok {
-		rec.Annots = append(rec.Annots,
-			Annot{Key: "steals", Int: b.b.steals},
-			Annot{Key: "stolen_tasks", Int: b.b.stolenN})
-	}
 	b.t.endLocked(b.b.sweep)
 }
 

@@ -23,7 +23,6 @@ func TestNilTracerAllocFree(t *testing.T) {
 		tr.SpanFor(cs.ID()).Int("x", 1)
 		ss.End()
 		cs.End()
-		b.Steal(1, 0, 4)
 		b.End()
 		if cs.OK() || ss.ID() != 0 {
 			t.Fatal("nil tracer handed out a live span")
@@ -101,9 +100,6 @@ func TestBatchEndForceReleases(t *testing.T) {
 	if sweep == nil {
 		t.Fatal("sweep span never closed")
 	}
-	if a := sweep.Annot("steals"); a == nil || a.Int != 0 {
-		t.Errorf("sweep steal annotation = %+v, want 0", a)
-	}
 }
 
 // TestChildInheritsScope checks batch/cell/worker/bench propagation through
@@ -138,8 +134,8 @@ func TestChildInheritsScope(t *testing.T) {
 	}
 }
 
-// TestConcurrentCells hammers the tracer from parallel goroutines the way the
-// work-stealing scheduler does; run under -race this is the thread-safety
+// TestConcurrentCells hammers the tracer from parallel goroutines the way a
+// sweep's workers do; run under -race this is the thread-safety
 // gate. Every cell and phase must come back as one record under its parent.
 func TestConcurrentCells(t *testing.T) {
 	tr := New()

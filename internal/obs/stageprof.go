@@ -65,8 +65,8 @@ func Stages() []Stage {
 // a single branch; a nil *StageProf is valid and always reports unsampled.
 //
 // A StageProf belongs to one simulation and is not safe for concurrent use;
-// runs made of several simulations (sampled windows, time-parallel slices)
-// sum their per-simulation Seconds maps instead.
+// a run made of several simulations (a sampled run's windows) sums their
+// per-simulation Seconds maps instead.
 type StageProf struct {
 	mask  uint64
 	every int64

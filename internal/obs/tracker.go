@@ -37,10 +37,9 @@ type expState struct {
 	coldEMA  float64 // EMA of non-memoized cell wall seconds
 	coldSeen int     // non-memoized completions
 
-	// Work-stealing scheduler stats, accumulated across batches (reported
-	// after each batch completes, so they cover finished batches only).
+	// Dispatch stats, accumulated across batches (reported after each
+	// batch completes, so they cover finished batches only).
 	workers   int
-	stolen    int
 	busySec   float64
 	shardWall float64
 }
@@ -145,11 +144,10 @@ func (t *Tracker) cellDone(id string, note func(*expState)) {
 	}
 }
 
-// ShardingDone records one batch's work-stealing scheduler statistics for an
-// experiment: worker-pool utilization and steal counts surface in progress
-// lines. Worker counts take the max across batches; the other fields
-// accumulate.
-func (t *Tracker) ShardingDone(id string, workers, stolen int, busySeconds, wallSeconds float64) {
+// ShardingDone records one batch's dispatch statistics for an experiment:
+// worker-pool utilization surfaces in progress lines. Worker counts take the
+// max across batches; the other fields accumulate.
+func (t *Tracker) ShardingDone(id string, workers int, busySeconds, wallSeconds float64) {
 	t.mu.Lock()
 	e := t.exps[id]
 	if e == nil {
@@ -159,7 +157,6 @@ func (t *Tracker) ShardingDone(id string, workers, stolen int, busySeconds, wall
 	if workers > e.workers {
 		e.workers = workers
 	}
-	e.stolen += stolen
 	e.busySec += busySeconds
 	e.shardWall += wallSeconds
 	// A batch completes at most once per runCells sweep, so an
@@ -238,8 +235,8 @@ func (t *Tracker) progressLine(e *expState) string {
 		line += fmt.Sprintf("  (%d failed)", e.failed)
 	}
 	if e.workers > 0 && e.shardWall > 0 {
-		line += fmt.Sprintf("  util %.0f%%/%dw (%d stolen)",
-			100*e.busySec/(float64(e.workers)*e.shardWall), e.workers, e.stolen)
+		line += fmt.Sprintf("  util %.0f%%/%dw",
+			100*e.busySec/(float64(e.workers)*e.shardWall), e.workers)
 	}
 	return line
 }

@@ -7,33 +7,14 @@
 // and Put cost a slice operation and no synchronization.
 //
 // Recycling policy: Get returns objects as they were put — callers reset the
-// fields they need. Stats counts every Get, the subset of Gets that had to
-// construct a new object (Misses), and every Put; the steady-state contract
-// the allocation guards pin is Misses flat after warmup.
+// fields they need. The steady-state contract the allocation guards pin is
+// that Get and Put allocate nothing once the list holds enough objects.
 package pool
-
-// Stats counts free-list traffic. Reuse is Gets - Misses.
-type Stats struct {
-	Gets   int64 // objects handed out
-	Misses int64 // Gets served by constructing a new object
-	Puts   int64 // objects returned
-}
-
-// Add accumulates other into s (aggregation across a simulation's lists).
-func (s *Stats) Add(other Stats) {
-	s.Gets += other.Gets
-	s.Misses += other.Misses
-	s.Puts += other.Puts
-}
-
-// Reuses returns the number of Gets served from the free list.
-func (s Stats) Reuses() int64 { return s.Gets - s.Misses }
 
 // FreeList recycles objects of type T for a single simulation.
 type FreeList[T any] struct {
-	free  []*T
-	newT  func() *T
-	stats Stats
+	free []*T
+	newT func() *T
 }
 
 // NewFreeList creates a free list constructing objects with newT. A nil
@@ -49,25 +30,19 @@ func NewFreeList[T any](newT func() *T) *FreeList[T] {
 // is empty. The object's fields are whatever the last user left; callers
 // reset what they use.
 func (f *FreeList[T]) Get() *T {
-	f.stats.Gets++
 	if n := len(f.free); n > 0 {
 		x := f.free[n-1]
 		f.free[n-1] = nil
 		f.free = f.free[:n-1]
 		return x
 	}
-	f.stats.Misses++
 	return f.newT()
 }
 
 // Put returns an object to the list. The caller must not use x afterwards.
 func (f *FreeList[T]) Put(x *T) {
-	f.stats.Puts++
 	f.free = append(f.free, x)
 }
-
-// Stats returns the list's cumulative traffic counters.
-func (f *FreeList[T]) Stats() Stats { return f.stats }
 
 // Len returns how many objects are currently free.
 func (f *FreeList[T]) Len() int { return len(f.free) }

@@ -87,8 +87,8 @@ type Config struct {
 
 	// Hier, if non-nil, is an externally built memory hierarchy the run
 	// uses instead of constructing its own — the seam through which the
-	// sampled and time-parallel modes carry functionally warmed cache
-	// contents into a detailed window. The hierarchy must match Mem's
+	// sampled mode carries functionally warmed cache contents into a
+	// detailed window. The hierarchy must match Mem's
 	// geometry and must not be shared with a concurrent run.
 	Hier *mem.Hierarchy
 
@@ -123,10 +123,6 @@ type Result struct {
 	Cycles    uint64
 	Committed int64
 	IPC       float64
-
-	// WarmupCycles is how many cycles the warmup phase consumed before
-	// measurement began — per-slice provenance for time-parallel runs.
-	WarmupCycles uint64
 
 	FrontEnd core.Stats
 
@@ -392,12 +388,11 @@ func (s *Sim) Result() (*Result, error) {
 	}
 
 	res := &Result{
-		Bench:        s.p.Name,
-		Config:       cfg.FrontEnd.Name,
-		Cycles:       s.now - s.baseCycle,
-		Committed:    s.be.Committed() - s.baseCommit,
-		WarmupCycles: s.baseCycle,
-		FrontEnd:     subStats(*s.fe.Stats(), s.baseStats),
+		Bench:     s.p.Name,
+		Config:    cfg.FrontEnd.Name,
+		Cycles:    s.now - s.baseCycle,
+		Committed: s.be.Committed() - s.baseCommit,
+		FrontEnd:  subStats(*s.fe.Stats(), s.baseStats),
 	}
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Committed) / float64(res.Cycles)

@@ -44,8 +44,8 @@ func TestSelfProfileStageSeconds(t *testing.T) {
 	}
 }
 
-// TestAggregateSimSumsStageSeconds pins how a sampled or sliced run combines
-// its pieces' self-profiles: each stage's seconds add up, and a piece
+// TestAggregateSimSumsStageSeconds pins how a sampled run combines
+// its windows' self-profiles: each stage's seconds add up, and a window
 // without a profile adds nothing.
 func TestAggregateSimSumsStageSeconds(t *testing.T) {
 	agg := aggregateSim([]*sim.Result{

@@ -227,30 +227,11 @@ type RunOptions struct {
 	// simulated cycle-accurately (each preceded by Sample.Warmup detailed
 	// instructions), and the gaps are skipped by seeking the oracle tape.
 	// Result.IPC becomes the sampled estimate and Result.Sampling carries
-	// the 95% confidence interval. Mutually exclusive with Slices > 1.
+	// the 95% confidence interval.
 	Sample *SampleSpec
 
-	// Slices, if positive, switches Run to time-parallel slicing: the
-	// measured stream is cut into Slices tape-indexed pieces simulated
-	// concurrently, each entered through functionally warmed caches and an
-	// overlapped detailed warmup, and the counters are reconciled at the
-	// seams (exact for committed counts — each measured instruction counts
-	// exactly once — bounded for cycles; see Result.Slices). Slices == 1
-	// is the serial run with slice provenance attached. Mutually exclusive
-	// with Sample when greater than 1.
-	Slices int
-
-	// SliceWarmup is the overlapped warmup region preceding each interior
-	// slice, in instructions. 0 means WarmupInsts (the same warmup the
-	// serial run gets).
-	SliceWarmup int64
-
-	// SliceWorkers bounds the goroutines simulating slices concurrently.
-	// 0 means one per slice.
-	SliceWorkers int
-
 	// Spans, if non-nil, receives sweep-level phase spans (program-build,
-	// tape-build, sim / sampled windows / slices) under SpanParent, for the
+	// tape-build, sim / sampled windows) under SpanParent, for the
 	// harness-level flame timeline. A nil tracer costs one nil check per
 	// phase boundary and never perturbs results.
 	Spans *span.Tracer
@@ -315,18 +296,12 @@ func runSpec(spec program.Spec, m Machine, opts RunOptions) (*Result, error) {
 		opts.WarmupInsts = def.WarmupInsts
 		opts.MeasureInsts = def.MeasureInsts
 	}
-	if opts.Sample != nil && opts.Slices > 1 {
-		return nil, fmt.Errorf("pfe: Sample and Slices > 1 are mutually exclusive")
-	}
-	if opts.Sample != nil || opts.Slices > 0 {
+	if opts.Sample != nil {
 		p, tape, err := tapeFor(spec, opts)
 		if err != nil {
 			return nil, err
 		}
-		if opts.Sample != nil {
-			return runSampled(spec, p, tape, m, opts)
-		}
-		return runSliced(spec, p, tape, m, opts)
+		return runSampled(spec, p, tape, m, opts)
 	}
 	var p *program.Program
 	var oracle emu.Oracle
@@ -376,8 +351,8 @@ func annotArtifact(s span.Span, info artifact.Info) {
 	s.Str("artifact_key", info.Key)
 }
 
-// tapeFor obtains the built program and its oracle tape for the sampled and
-// sliced run modes, which need random access to the dynamic stream: through
+// tapeFor obtains the built program and its oracle tape for the sampled run
+// mode, which needs random access to the dynamic stream: through
 // the artifact cache when one is attached (shared with every other run of
 // the spec), or built and recorded privately otherwise.
 func tapeFor(spec program.Spec, opts RunOptions) (*program.Program, *artifact.Tape, error) {

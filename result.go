@@ -72,12 +72,8 @@ type Result struct {
 
 	// Sampling carries the sampled run's estimator detail — window plan,
 	// confidence interval, detailed-vs-skipped instruction counts. Nil on
-	// full and sliced runs.
+	// full runs.
 	Sampling *SamplingInfo
-
-	// Slices carries per-slice provenance of a time-parallel run, in slice
-	// order. Nil on full and sampled runs.
-	Slices []SliceInfo
 }
 
 // SamplingInfo describes how a sampled run's IPC estimate was formed.
@@ -104,19 +100,6 @@ type SamplingInfo struct {
 
 	// WindowIPCs are the per-window observations behind the estimate.
 	WindowIPCs []float64 `json:"window_ipcs,omitempty"`
-}
-
-// SliceInfo is one slice's share of a time-parallel run.
-type SliceInfo struct {
-	Index        int     `json:"index"`
-	StartInst    int64   `json:"start_inst"`    // absolute stream position where measurement begins
-	WarmupInsts  int64   `json:"warmup_insts"`  // overlapped warmup preceding it
-	MeasureInsts int64   `json:"measure_insts"` // commit quota
-	Committed    int64   `json:"committed"`     // after seam reconciliation
-	Overshoot    int64   `json:"overshoot"`     // commits past the quota, trimmed at the seam
-	Cycles       uint64  `json:"cycles"`        // measured cycles
-	WarmupCycles uint64  `json:"warmup_cycles"`
-	IPC          float64 `json:"ipc"`
 }
 
 // Histograms renders the pipeline distributions as printable tables, one

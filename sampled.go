@@ -49,7 +49,7 @@ func (s SampleSpec) validate() error {
 	return nil
 }
 
-// runDetailed runs one sampling window or time-parallel slice in detail. It
+// runDetailed runs one sampling window in detail. It
 // is a variable so the package's tests can inspect the configuration every
 // detailed run receives (which fragment memo it builds through).
 var runDetailed = sim.Run
@@ -217,12 +217,9 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	return res, nil
 }
 
-// aggregateSim combines per-piece measurements (sampling windows or
-// time-parallel slices) into one logical run: counters and self-profile stage
-// times sum, rates are committed-weighted means, histograms merge. A single
-// piece passes through
-// untouched so a degenerate sampled/sliced run stays bit-identical to the
-// serial one.
+// aggregateSim combines a sampled run's windows into one logical run:
+// counters and self-profile stage times sum, rates are committed-weighted
+// means, histograms merge. A single window passes through untouched.
 func aggregateSim(parts []*sim.Result) *sim.Result {
 	if len(parts) == 1 {
 		return parts[0]

@@ -74,17 +74,6 @@ func TestSampledSingleWindow(t *testing.T) {
 	}
 }
 
-// TestSampleSliceExclusive pins the API-level consistency check: sampling
-// and slicing on the same run is a contradiction, not a silent preference.
-func TestSampleSliceExclusive(t *testing.T) {
-	opts := Quick()
-	opts.Sample = &SampleSpec{Unit: 1_000, Period: 5_000, Warmup: 1_000}
-	opts.Slices = 4
-	if _, err := Run("gcc", Preset(W16), opts); err == nil {
-		t.Fatal("Run accepted Sample with Slices > 1")
-	}
-}
-
 // TestSampleSpecValidate rejects non-positive window parameters.
 func TestSampleSpecValidate(t *testing.T) {
 	for _, spec := range []SampleSpec{

@@ -19,7 +19,7 @@ import (
 )
 
 // Warm-state artifacts: the functionally warmed front-end state at a sampled
-// or sliced run's first detailed-warmup boundary, held as Go values in the
+// run's first detailed-warmup boundary, held as Go values in the
 // in-process artifact cache. Functional warming replays every instruction of
 // the skipped prefix through the cache hierarchy and the trained front-end
 // structures — at 30 M-instruction warmups it dominates a sampled cell's
@@ -88,7 +88,7 @@ func warmPackKey(spec program.Spec, classes []string, boundary uint64) string {
 }
 
 // Functional warming replays the skipped stream through the long-lived
-// machine state a detailed window or slice inherits from its prefix: every
+// machine state a detailed window inherits from its prefix: every
 // instruction touches the L1I, memory operations touch the L1D, and the
 // fragment-granular structures (fragment predictor, live-out predictor,
 // trace cache) are trained by emulating the fetch stream's true-path
@@ -104,8 +104,8 @@ func warmPackKey(spec program.Spec, classes []string, boundary uint64) string {
 // the detailed warmup, but caches and predictor tables reach back much
 // further than any affordable detailed region.
 //
-// One kernel does all of it, for one machine (a window's gaps, a slice's
-// prefix) or for a sweep's whole roster at once (union warming: a sweep's
+// One kernel does all of it, for one machine (a window's gaps) or for a
+// sweep's whole roster at once (union warming: a sweep's
 // cells all skip the same prefix, but split into warm classes by their
 // trained structures). The training has a strict dependency order that
 // makes one shared replay exact: the cache hierarchies observe only the
@@ -429,7 +429,7 @@ func (s *warmSet) bytes() int64 {
 }
 
 // config installs a solo set's warmed structures into a detailed run's
-// config, with the cache statistics reset: a window's or slice's miss rates
+// config, with the cache statistics reset: a window's miss rates
 // describe its own detailed traffic, not the warming replay's. The run also
 // builds its fragments through the set's memo, which already holds every
 // fragment the set's own warming fetched and its trace cache holds.

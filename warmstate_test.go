@@ -211,43 +211,6 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	}
 }
 
-// TestWarmStateSlicedBitIdentical is the same guarantee for time-parallel
-// runs: interior slices copying from their boundaries' warm packs produce the
-// exact result of slices that replayed their prefixes.
-func TestWarmStateSlicedBitIdentical(t *testing.T) {
-	m := Preset(PR2x8w)
-	opts := RunOptions{WarmupInsts: 20_000, MeasureInsts: 1_600_000, Slices: 3}
-	baseline, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := artifact.New(0)
-	opts.Artifacts = cache
-	built, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, built) {
-		t.Fatal("pack-building sliced run diverged from plain run")
-	}
-	if s := cache.Stats(); s.WarmMisses != 2 {
-		t.Fatalf("warm misses = %d, want 2 (one per interior slice past the gate)", s.WarmMisses)
-	}
-
-	// Same cache: every interior slice copies from its boundary's pack.
-	restored, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, restored) {
-		t.Fatal("pack-copying sliced run diverged from plain run")
-	}
-	if s := cache.Stats(); s.WarmMisses != 2 || s.WarmHits != 2 {
-		t.Fatalf("warm traffic after re-run: %d hits / %d misses, want 2 / 2", s.WarmHits, s.WarmMisses)
-	}
-}
-
 // BenchmarkFunctionalWarming times the warming kernel alone over a fixed
 // 1M-instruction gcc prefix replayed from a recorded tape, in ns per warmed
 // instruction: "union" trains Fig 8's seven-machine roster in one replay
