@@ -12,7 +12,7 @@
 #   make fuzz          short-budget fuzz smokes (differential targets)
 #   make bench         front-end comparison benchmarks (no -race)
 #   make bench-stat    benchstat-ready hot-path, functional-warming,
-#                      tape-recording and sampled-window runs
+#                      tape-recording, tape-replay and sampled-window runs
 #                      (BENCH_COUNT=10)
 #   make bench-json    provenance-stamped JSON report (BENCH_<sha>.json),
 #                      every cell simulated
@@ -72,11 +72,14 @@ bench:
 
 # bench-stat emits benchstat-ready samples of the hot-path suite (ns/op,
 # allocs/op, ns/sim-cycle per front-end config), of the functional-warming
-# kernel (ns/inst, union and solo), of tape recording (ns per recorded
+# kernel (ns/inst: union, solo and gap), of tape recording (ns per recorded
 # instruction, at one and two CPUs: the recorder's two stages overlap only
-# on a second core) and of a sampled cell's detailed windows alone (ns per
-# detailed instruction, without its warming). Record before and after a
-# perf change, then `benchstat old.txt new.txt`:
+# on a second core), of tape replay (ns per replayed instruction: ReadBlock
+# in the fetch stream's 11-instruction refills and in 256-instruction
+# blocks, and ReadRun a run at a time, as warming reads) and of a sampled
+# cell's detailed windows alone (ns per detailed instruction, without its
+# warming). Record before and after a perf change, then
+# `benchstat old.txt new.txt`:
 #
 #   make bench-stat > old.txt
 #   ... apply change ...
@@ -86,6 +89,7 @@ bench-stat:
 	$(GO) test ./internal/sim -run='^$$' -bench BenchmarkHotSim -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run='^$$' -bench 'BenchmarkFunctionalWarming|BenchmarkSampledWindows' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeRecord -benchmem -cpu 1,2 -count=$(BENCH_COUNT)
+	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkTapeReplay -benchmem -count=$(BENCH_COUNT)
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS

@@ -214,8 +214,9 @@ func TestTapeSeekAllocs(t *testing.T) {
 // backward positions) into a truncated recording and a halted one, and
 // requires the sought reader to replay bit-identically to a from-zero
 // replay advanced to the same instruction index — one instruction at a
-// time, and in blocks of random sizes, whose instructions past a truncated
-// recording's end count as fallback steps.
+// time, in blocks of random sizes, and a run at a time under random limits
+// (ReadRun against ReadBlock), and in both of the latter the instructions
+// past a truncated recording's end count as fallback steps.
 func FuzzTapeSeekReplay(f *testing.F) {
 	spec, err := program.SpecByName("gcc")
 	if err != nil {
@@ -287,15 +288,27 @@ func FuzzTapeSeekReplay(f *testing.F) {
 				if err := rb.Seek(at); err != nil {
 					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				n := drainBlocks(t, "block", walkTo(t, c.tape, at), rb, at, 1+uint64(rng.Intn(700)), rng)
-				var past int64
-				for i := uint64(0); i < n; i++ {
-					if at+i >= c.tape.Len() {
-						past++
-					}
+				rr := c.tape.NewReader()
+				if err := rr.Seek(at); err != nil {
+					t.Fatalf("Seek(%d): %v", at, err)
 				}
-				if got := rb.FallbackSteps(); got != past {
-					t.Fatalf("seek %d: block reader FallbackSteps = %d, want %d", at, got, past)
+				for _, d := range []struct {
+					what string
+					r    *Reader
+					n    uint64
+				}{
+					{"block", rb, drainBlocks(t, "block", walkTo(t, c.tape, at), rb, at, 1+uint64(rng.Intn(700)), rng)},
+					{"run", rr, drainRuns(t, "run", c.tape, walkTo(t, c.tape, at), rr, at, 1+uint64(rng.Intn(700)), rng)},
+				} {
+					var past int64
+					for i := uint64(0); i < d.n; i++ {
+						if at+i >= c.tape.Len() {
+							past++
+						}
+					}
+					if got := d.r.FallbackSteps(); got != past {
+						t.Fatalf("seek %d: %s reader FallbackSteps = %d, want %d", at, d.what, got, past)
+					}
 				}
 			}
 		}

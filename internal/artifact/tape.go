@@ -9,10 +9,12 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -119,6 +121,9 @@ type Tape struct {
 	// its O(1) block jump.
 	index []seekPoint
 
+	// runs is the code's static run structure, which ReadRun reads.
+	runs *runTable
+
 	// fallbackSteps counts instructions served by the live-emulation
 	// fallback across all Readers of this tape (tape exhausted before the
 	// consumer was done). sink, when set by the owning cache, aggregates
@@ -156,7 +161,8 @@ func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
 		}
 	}()
 
-	t := &Tape{prog: p, startPC: p.EntryPC}
+	// The run table is built while the emulator fills the first block.
+	t := &Tape{prog: p, startPC: p.EntryPC, runs: newRunTable(p)}
 	var bitBuf byte
 	var bitN uint
 	var bits uint64 // total taken bits recorded
@@ -442,6 +448,155 @@ func (r *Reader) decode(dyn []emu.Dyn, ea []uint64) (int, error) {
 	r.pc, r.bitPos, r.auxOff, r.prevEA = pc, bitPos, auxOff, prevEA
 	r.seq += uint64(n)
 	return n, err
+}
+
+// runTable is the static run structure of a program's code, which ReadRun
+// reads in place of decoding a run instruction by instruction: two bitmaps
+// over the code image, 2 bits per static instruction. Record builds it once
+// per tape, before any Reader exists, and Readers share it read-only.
+type runTable struct {
+	// Bit i (word i/64, bit i%64) of ctl is set when code[i] transfers
+	// control, and so ends a run; one more bit, at len(code), ends the run
+	// that reaches the end of the image. Bit i of mem is set when code[i]
+	// accesses memory.
+	ctl, mem []uint64
+}
+
+func newRunTable(p *program.Program) *runTable {
+	words := len(p.Code)/64 + 1
+	rt := &runTable{ctl: make([]uint64, words), mem: make([]uint64, words)}
+	for i, in := range p.Code {
+		if in.ChangesFlow() {
+			rt.ctl[i/64] |= 1 << (i % 64)
+		}
+		if in.IsMem() {
+			rt.mem[i/64] |= 1 << (i % 64)
+		}
+	}
+	rt.ctl[len(p.Code)/64] |= 1 << (len(p.Code) % 64)
+	return rt
+}
+
+// runLen returns how many instructions the run starting at code[i] holds:
+// through the next control transfer, or to the end of the image.
+func (rt *runTable) runLen(i uint64) uint64 {
+	w := i / 64
+	if b := rt.ctl[w] >> (i % 64); b != 0 {
+		return uint64(bits.TrailingZeros64(b)) + 1
+	}
+	for {
+		w++
+		if b := rt.ctl[w]; b != 0 {
+			return w*64 + uint64(bits.TrailingZeros64(b)) - i + 1
+		}
+	}
+}
+
+// MemRef is one memory operation of a run that ReadRun decoded: the
+// instruction's address, the effective address it accessed, and whether it
+// stored.
+type MemRef struct {
+	PC    uint64
+	EA    uint64
+	Store bool
+}
+
+// ReadRun decodes the next run of the true dynamic stream into run: the
+// instructions from the cursor up to and including the next control-flow
+// instruction, but at most limit of them, which must be positive. It writes
+// the run's memory operations, in order, into mem, which must hold limit
+// entries, and returns how many it wrote. A run the limit or the recording's
+// end cuts short ends at an instruction that is not a control transfer.
+//
+// ReadRun and ReadBlock share the reader's cursor, which Seek positions for
+// both, and its decoding: the same taken bits, varints and error text. Past
+// the end of a truncated recording ReadRun serves one-instruction runs from
+// the live fallback. On a halted reader it returns 0, with emu.ErrHalted.
+func (r *Reader) ReadRun(run *frag.Run, limit int, mem []MemRef) (int, error) {
+	t := r.t
+	switch {
+	case r.halted:
+		return 0, emu.ErrHalted
+	case r.live != nil || r.seq >= t.count:
+		return r.readLiveRun(run, mem)
+	}
+	pc := r.pc
+	i := (pc - program.CodeBase) / isa.InstBytes
+	if pc%isa.InstBytes != 0 || i >= uint64(len(t.prog.Code)) {
+		// pc below CodeBase wraps i past the image.
+		return 0, fmt.Errorf("artifact: replay PC %#x outside code image", pc)
+	}
+	n := min(t.runs.runLen(i), uint64(limit), t.count-r.seq)
+	code := t.prog.Code[i : i+n]
+	last := code[n-1]
+
+	// The memory operations, a bitmap word at a time.
+	auxOff, prevEA := r.auxOff, r.prevEA
+	k := 0
+	for j := uint64(0); j < n; {
+		span := min(64-(i+j)%64, n-j)
+		ops := t.runs.mem[(i+j)/64] >> ((i + j) % 64)
+		if span < 64 {
+			ops &= 1<<span - 1
+		}
+		for ; ops != 0; ops &= ops - 1 {
+			at := j + uint64(bits.TrailingZeros64(ops))
+			delta, w := binary.Varint(t.aux[auxOff:])
+			if w <= 0 {
+				return 0, fmt.Errorf("artifact: corrupt tape (EA delta at seq %d)", r.seq+at)
+			}
+			auxOff += w
+			prevEA = uint64(int64(prevEA) + delta)
+			m := &mem[k]
+			m.PC, m.EA, m.Store = pc+at*isa.InstBytes, prevEA, code[at].IsStore()
+			k++
+		}
+		j += span
+	}
+
+	lastPC := pc + (n-1)*isa.InstBytes
+	next := lastPC + isa.InstBytes
+	taken := false
+	switch {
+	case last.IsCondBranch():
+		if t.taken[r.bitPos>>3]>>(r.bitPos&7)&1 != 0 {
+			taken = true
+			next = uint64(int64(lastPC) + isa.InstBytes + int64(last.Imm)*isa.InstBytes)
+		}
+		r.bitPos++
+	case last.IsDirectJump():
+		next = uint64(last.Imm) * isa.InstBytes
+	case last.IsIndirect():
+		v, w := binary.Uvarint(t.aux[auxOff:])
+		if w <= 0 {
+			return 0, fmt.Errorf("artifact: corrupt tape (indirect target at seq %d)", r.seq+n-1)
+		}
+		auxOff += w
+		next = v
+	case last.Op == isa.OpHalt:
+		next = lastPC
+		r.halted = true
+	}
+	run.PC, run.Len, run.Last, run.Taken = pc, int(n), last, taken
+	r.pc, r.seq, r.auxOff, r.prevEA = next, r.seq+n, auxOff, prevEA
+	return k, nil
+}
+
+// readLiveRun serves a one-instruction run from the live fallback.
+func (r *Reader) readLiveRun(run *frag.Run, mem []MemRef) (int, error) {
+	var dyn [1]emu.Dyn
+	var ea [1]uint64
+	n, err := r.readLive(dyn[:], ea[:])
+	if n == 0 {
+		return 0, err
+	}
+	d := &dyn[0]
+	run.PC, run.Len, run.Last, run.Taken = d.PC, 1, d.Inst, d.Taken
+	if !d.Inst.IsMem() {
+		return 0, err
+	}
+	mem[0] = MemRef{PC: d.PC, EA: ea[0], Store: d.Inst.IsStore()}
+	return 1, err
 }
 
 // readLive serves instructions past the recorded end: a fresh emulator is

@@ -309,5 +309,6 @@ func DecodeTape(data []byte, prog *program.Program) (*Tape, error) {
 		taken:   taken,
 		aux:     aux,
 		index:   index,
+		runs:    newRunTable(prog),
 	}, nil
 }

@@ -77,9 +77,16 @@ type ID struct {
 
 // Key packs the ID into a uint64 for hashing: word-address in the low bits,
 // direction mask and branch count above. Code images are far below 2^28
-// bytes, so the packing is collision-free.
+// bytes, so the packing is collision-free over every ID exactKey accepts.
 func (id ID) Key() uint64 {
 	return id.StartPC/isa.InstBytes | uint64(id.BrMask)<<26 | uint64(id.NumBr)<<58
+}
+
+// exactKey reports whether Key tells id apart from every other ID: a start PC
+// that is instruction-aligned and below 2^28 fills only Key's 26 word-address
+// bits, and a branch count below 64 only its top 6.
+func (id ID) exactKey() bool {
+	return id.StartPC%isa.InstBytes == 0 && id.StartPC < 1<<28 && id.NumBr < 64
 }
 
 // Zero reports whether the ID is the zero value (no fragment).
@@ -296,32 +303,46 @@ func (h Heuristics) FromCode(code CodeReader, id ID) *Fragment {
 // that shares a memo shares its fragments: a detailed run's fetch stream, a
 // functional warmer's prediction loop and the trace-cache lines it
 // restores, and, in a sampled cell, the warmer and every detailed window
-// (sim.Config.Frags). A Memo is not safe for concurrent use.
+// (sim.Config.Frags). It is keyed by ID.Key, which the runtime hashes as
+// one word. A Memo is not safe for concurrent use.
 type Memo struct {
 	code  CodeReader
 	heur  Heuristics
-	frags map[ID]*Fragment
+	frags map[uint64]*Fragment
 }
 
 // NewMemo returns an empty memo over code under h (normalized).
 func NewMemo(code CodeReader, h Heuristics) *Memo {
-	return &Memo{code: code, heur: h.Normalize(), frags: make(map[ID]*Fragment, 256)}
+	return &Memo{code: code, heur: h.Normalize(), frags: make(map[uint64]*Fragment, 256)}
 }
 
 // Get returns the fragment for id, building it with FromCode on first use.
+// An ID whose Key is not exact (no code image holds its start PC) is built
+// each time it is asked for, so that it never resolves to another ID's
+// fragment.
 func (m *Memo) Get(id ID) *Fragment {
-	if f, ok := m.frags[id]; ok {
+	if !id.exactKey() {
+		return m.heur.FromCode(m.code, id)
+	}
+	k := id.Key()
+	if f, ok := m.frags[k]; ok {
 		return f
 	}
 	f := m.heur.FromCode(m.code, id)
-	m.frags[id] = f
+	m.frags[k] = f
 	return f
 }
 
 // Put makes id resolve to f from now on, in place of what FromCode builds.
 // The simulator never calls it; a test plants a fragment the code would not
-// produce to force a divergence the true path never shows.
-func (m *Memo) Put(id ID, f *Fragment) { m.frags[id] = f }
+// produce to force a divergence the true path never shows. id's key must be
+// exact.
+func (m *Memo) Put(id ID, f *Fragment) {
+	if !id.exactKey() {
+		panic(fmt.Sprintf("frag: Memo.Put of %v, whose key is not exact", id))
+	}
+	m.frags[id.Key()] = f
+}
 
 // Heuristics returns the normalized heuristics the memo builds under.
 func (m *Memo) Heuristics() Heuristics { return m.heur }
@@ -384,4 +405,69 @@ func (h Heuristics) Split(stream []Dyn) (n int, id ID) {
 		}
 	}
 	return len(stream), id
+}
+
+// Run is a straight-line run of the true dynamic stream: Len instructions at
+// consecutive addresses from PC, of which only the last, Last, may transfer
+// control. A run ends at a control-flow instruction (a conditional branch, a
+// jump, an indirect jump or a halt) unless a read limit or the end of a
+// recording cut it short, and then Last is not one. Fragments are runs
+// joined at branches and jumps, and split mid-run at MaxLen.
+type Run struct {
+	PC    uint64
+	Len   int
+	Last  isa.Inst
+	Taken bool // Last is a conditional branch that was taken
+}
+
+// SplitRuns is Split over a stream given run by run: the stream starts at
+// instruction off of runs[0] and continues through the runs in order. It
+// visits each run once: only a run's last instruction can stop a fragment
+// before MaxLen or add a direction bit, so the run's other instructions are
+// counted, not tested. An empty stream returns n == 0.
+func (h Heuristics) SplitRuns(runs []Run, off int) (n int, id ID) {
+	h = h.Normalize()
+	if len(runs) == 0 {
+		return 0, ID{}
+	}
+	id.StartPC = runs[0].PC + uint64(off)*isa.InstBytes
+	for i := range runs {
+		r := &runs[i]
+		k := r.Len - off
+		off = 0
+		if n+k > h.MaxLen {
+			// An instruction before the run's last reaches MaxLen.
+			return h.MaxLen, id
+		}
+		n += k
+		if r.Last.IsCondBranch() && id.NumBr < 32 {
+			if r.Taken {
+				id.BrMask |= 1 << id.NumBr
+			}
+			id.NumBr++
+		}
+		if h.Stops(r.Last, n) {
+			return n, id
+		}
+	}
+	return n, id
+}
+
+// MatchRuns returns how many leading instructions of f agree, PC by PC, with
+// the stream given run by run as SplitRuns takes it. It compares one PC per
+// run. That is exact for every fragment FromCode builds: such a fragment
+// follows the code's fall-through past each instruction that does not
+// transfer control, so once it holds a run's first PC it holds the run's
+// next ones through the run's last instruction or its own end.
+func (f *Fragment) MatchRuns(runs []Run, off int) int {
+	m := 0
+	for i := 0; m < len(f.PCs) && i < len(runs); i++ {
+		r := &runs[i]
+		if f.PCs[m] != r.PC+uint64(off)*isa.InstBytes {
+			break
+		}
+		m = min(m+r.Len-off, len(f.PCs))
+		off = 0
+	}
+	return m
 }

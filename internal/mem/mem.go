@@ -44,9 +44,7 @@ type Cache struct {
 	blockBits uint
 	setMask   uint64
 
-	tags  []uint64 // sets*ways entries
-	valid []bool
-	lru   []uint64 // last-touch stamp per line
+	lines []line // sets*ways entries, a set's ways side by side
 	stamp uint64
 
 	hitLatency uint64
@@ -54,6 +52,15 @@ type Cache struct {
 
 	accesses int64
 	misses   int64
+}
+
+// line is one cache line: its block number plus one, so that 0 marks an
+// invalid line (no block number reaches 2^64-1 unless blocks are one byte),
+// and its last-touch stamp. Keeping both in one struct puts a set lookup in
+// one stretch of memory.
+type line struct {
+	tag uint64
+	lru uint64
 }
 
 // CacheGeometry describes a cache for construction and reporting.
@@ -86,9 +93,7 @@ func NewCache(name string, g CacheGeometry, lower Level) *Cache {
 		ways:       g.Ways,
 		blockBits:  blockBits,
 		setMask:    uint64(sets - 1),
-		tags:       make([]uint64, n),
-		valid:      make([]bool, n),
-		lru:        make([]uint64, n),
+		lines:      make([]line, n),
 		hitLatency: g.HitLatency,
 		lower:      lower,
 	}
@@ -100,13 +105,11 @@ func (c *Cache) Access(addr uint64, write bool, now uint64) uint64 {
 	c.accesses++
 	c.stamp++
 	block := addr >> c.blockBits
-	set := int(block & c.setMask)
-	base := set * c.ways
-
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == block {
-			c.lru[i] = c.stamp
+	tag := block + 1
+	set := c.set(block)
+	for w := range set {
+		if set[w].tag == tag {
+			set[w].lru = c.stamp
 			return now + c.hitLatency
 		}
 	}
@@ -117,22 +120,25 @@ func (c *Cache) Access(addr uint64, write bool, now uint64) uint64 {
 		done = c.lower.Access(addr, write, now+c.hitLatency)
 	}
 
-	// Fill, evicting the LRU way.
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
+	// Fill the first invalid way from way 1 on, or else the LRU way.
+	victim := 0
+	for w := 1; w < len(set); w++ {
+		if set[w].tag == 0 {
+			victim = w
 			break
 		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
+		if set[w].lru < set[victim].lru {
+			victim = w
 		}
 	}
-	c.tags[victim] = block
-	c.valid[victim] = true
-	c.lru[victim] = c.stamp
+	set[victim] = line{tag: tag, lru: c.stamp}
 	return done
+}
+
+// set returns the ways of the set block maps to.
+func (c *Cache) set(block uint64) []line {
+	base := int(block&c.setMask) * c.ways
+	return c.lines[base : base+c.ways]
 }
 
 // Probe reports whether addr currently hits without touching LRU state or
@@ -140,9 +146,8 @@ func (c *Cache) Access(addr uint64, write bool, now uint64) uint64 {
 // inspect fill behaviour.
 func (c *Cache) Probe(addr uint64) bool {
 	block := addr >> c.blockBits
-	base := int(block&c.setMask) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == block {
+	for _, ln := range c.set(block) {
+		if ln.tag == block+1 {
 			return true
 		}
 	}
@@ -174,10 +179,7 @@ func (c *Cache) MissRate() float64 {
 // is deliberately NOT done in the harness — caches stay warm as in the
 // paper — but tests use Reset for isolation).
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
+	clear(c.lines)
 	c.stamp = 0
 	c.accesses = 0
 	c.misses = 0
@@ -188,22 +190,20 @@ func (c *Cache) Reset() {
 // warming replay's.
 func (c *Cache) ResetStats() { c.accesses, c.misses = 0, 0 }
 
-// CopyFrom makes c's contents and counters (tags, valid bits, LRU stamps,
-// access statistics) an exact copy of src's, allocating nothing, so one
+// CopyFrom makes c's contents and counters (lines, LRU stamps, access
+// statistics) an exact copy of src's, allocating nothing, so one
 // functionally warmed cache can seed any number of identically shaped ones.
 // A src of another geometry is a bug and panics.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.sets != src.sets || c.ways != src.ways || c.blockBits != src.blockBits {
 		panic("mem: " + c.name + ": copy from a cache of another geometry")
 	}
-	copy(c.tags, src.tags)
-	copy(c.valid, src.valid)
-	copy(c.lru, src.lru)
+	copy(c.lines, src.lines)
 	c.stamp, c.accesses, c.misses = src.stamp, src.accesses, src.misses
 }
 
-// Bytes is the footprint of the cache's tag, valid and LRU arrays.
-func (c *Cache) Bytes() int64 { return int64(len(c.tags)) * (8 + 1 + 8) }
+// Bytes is the footprint of the cache's lines, 16 bytes each.
+func (c *Cache) Bytes() int64 { return int64(len(c.lines)) * 16 }
 
 // AddTo dumps the cache's counters into a stats set under its name.
 func (c *Cache) AddTo(s *stats.Set) {

@@ -51,7 +51,7 @@ type Cache struct {
 }
 
 // New builds a trace cache; entries = SizeBytes / LineBytes rounded down to
-// a power of two of sets.
+// a power of two of sets, so setOf indexes a set with a mask.
 func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 2
@@ -78,7 +78,7 @@ func (c *Cache) setOf(id frag.ID) int {
 	// Index by start PC only (the conventional design): different
 	// direction variants of the same start compete within the set, which
 	// is a real source of trace-cache conflict the paper leans on.
-	return int((id.StartPC >> 2) % uint64(c.sets))
+	return int((id.StartPC >> 2) & uint64(c.sets-1))
 }
 
 // Lookup returns the stored trace for id, if present.

@@ -11,6 +11,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/bpred"
 	"github.com/parallel-frontend/pfe/internal/core"
 	"github.com/parallel-frontend/pfe/internal/frag"
+	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
@@ -113,42 +114,56 @@ func warmPackKey(spec program.Spec, classes []string, boundary uint64) string {
 // the stream and themselves; the live-out predictor and trace cache
 // observe only the fetched-fragment sequence, which is fully determined by
 // (stream, predictor). Nothing ever reads a hierarchy, live-out predictor
-// or trace cache during warming. So the kernel decodes the tape a block at
-// a time, walks every distinct hierarchy over the block, then runs one
-// prediction loop per (predictor config, heuristics) group over it, filling
-// every distinct live-out predictor and trace cache of the group — and each
-// class's state is bit-for-bit what a replay for that class alone would
-// have produced (TestWarmStateUnionWarming pins this).
+// or trace cache during warming. So the kernel reads the tape a run at a
+// time (a straight-line run up to and including its control transfer),
+// walks every distinct hierarchy over the run, then runs one prediction
+// loop per (predictor config, heuristics) group over the runs read so far,
+// filling every distinct live-out predictor and trace cache of the group —
+// and each class's state is bit-for-bit what a replay for that class alone
+// would have produced (TestWarmStateUnionWarming pins this).
 
-// warmBlock is how many instructions the kernel decodes per tape read.
-const warmBlock = 256
+// warmRuns is how many runs the set buffers; maxWarmRun caps a run's
+// length, so that the set's memory-reference array holds any run's.
+const (
+	warmRuns   = 256
+	maxWarmRun = 256
+)
 
 // warmHier is one distinct memory hierarchy under training, with its own
-// L1I block-elision cursor: straight-line code stays in one block for many
-// instructions, so warming touches the L1I once per block transition
-// rather than once per instruction (the resident-block set is identical,
+// L1I line cursor: straight-line code stays in one line for many
+// instructions, so warming touches the L1I once per line transition
+// rather than once per instruction (the resident-line set is identical,
 // only redundant LRU refreshes of the just-touched way are elided).
 type warmHier struct {
 	key      string
 	hier     *mem.Hierarchy
-	lastIBlk uint64
+	lastIBlk uint64 // the L1I line the last warmed instruction sits in
 	iblkMask uint64
 }
 
-// walk touches the caches for a decoded block in stream order: the L1I on
-// each block transition, the L1D for each memory operation at its
-// effective address.
-func (h *warmHier) walk(dyn []frag.Dyn, ea []uint64) {
-	for i := range dyn {
-		d := &dyn[i]
-		if blk := d.PC & h.iblkMask; blk != h.lastIBlk {
-			h.hier.L1I.Access(d.PC, false, 0)
-			h.lastIBlk = blk
-		}
-		if d.Inst.IsMem() {
-			h.hier.L1D.Access(ea[i], d.Inst.IsStore(), 0)
-		}
+// walkRun touches the caches for one run in stream order: the L1I at the
+// run's first instruction unless its line was touched last, then at each
+// further line the run enters, and the L1D at each memory operation's
+// effective address, after the L1I touch of the line that holds it.
+func (h *warmHier) walkRun(r *frag.Run, refs []artifact.MemRef) {
+	l1i := h.hier.L1I
+	line := ^h.iblkMask + 1
+	next := r.PC // the next instruction whose line is touched
+	if r.PC&h.iblkMask == h.lastIBlk {
+		next = r.PC&h.iblkMask + line
 	}
+	for i := range refs {
+		m := &refs[i]
+		for ; next <= m.PC; next = next&h.iblkMask + line {
+			l1i.Access(next, false, 0)
+		}
+		h.hier.L1D.Access(m.EA, m.Store, 0)
+	}
+	end := r.PC + uint64(r.Len)*isa.InstBytes
+	for ; next < end; next = next&h.iblkMask + line {
+		l1i.Access(next, false, 0)
+	}
+	h.lastIBlk = (end - isa.InstBytes) & h.iblkMask
 }
 
 // warmLO / warmTC are distinct live-out predictor and trace cache instances
@@ -164,12 +179,13 @@ type warmTC struct {
 }
 
 // warmLoop is one true-path prediction loop, mirroring core.Stream's: a
-// fragment predictor, its path history, a fragment memo, and an anchor
-// into the set's lookahead — plus the live-out predictors and trace caches
-// trained from its fetched-fragment sequence. Distinct predictor configs or
-// fragment heuristics produce distinct fetched sequences, hence distinct
-// loops. A solo set's memo goes on to serve the detailed runs that inherit
-// its state (config), so a sampled cell builds each fragment once.
+// fragment predictor, its path history, a fragment memo, and an anchor in
+// the stream where its next fragment starts — plus the live-out predictors
+// and trace caches trained from its fetched-fragment sequence. Distinct
+// predictor configs or fragment heuristics produce distinct fetched
+// sequences, hence distinct loops. A solo set's memo goes on to serve the
+// detailed runs that inherit its state (config), so a sampled cell builds
+// each fragment once.
 //
 // One history serves as both the stream's speculative and its retirement
 // history: on the true path the two are always equal. Both start empty;
@@ -183,30 +199,32 @@ type warmLoop struct {
 	frags *frag.Memo
 	los   []*warmLO
 	tcs   []*warmTC
-	off   int // the loop's anchor: where its next fragment starts in the set's lookahead
+
+	// The anchor: the stream position of the loop's next fragment, which
+	// is instruction ro of the set's buffered run ri. A fragment can start
+	// and stop mid-run.
+	at     uint64
+	ri, ro int
 }
 
-// train performs one iteration of the stream's true-path prediction loop
-// on look, the lookahead from the loop's anchor, which holds at least
-// frag.AbsMaxLen instructions so every split and match decision is exact:
-// predict the next fragment, materialize it, compare it against the true
-// stream, train the predictor on the true fragment, and return how far the
-// anchor advances — by the true fragment on a correct prediction, to the
-// first mismatched instruction on a divergence (the stream's redirect
-// re-anchor). The fetched fragment also trains the live-out predictors and
-// fills the trace caches, as renaming and fetch would.
-func (l *warmLoop) train(look []frag.Dyn) int {
-	trueLen, trueID := l.frags.Heuristics().Split(look)
+// step performs one iteration of the stream's true-path prediction loop on
+// runs, the buffered runs from the one holding the loop's anchor, which
+// hold at least frag.AbsMaxLen instructions from the anchor on so every
+// split and match decision is exact: predict the next fragment,
+// materialize it, compare it against the true stream, train the predictor
+// on the true fragment, and return how far the anchor advances — by the
+// true fragment on a correct prediction, to the first mismatched
+// instruction on a divergence (the stream's redirect re-anchor). The
+// fetched fragment also trains the live-out predictors and fills the trace
+// caches, as renaming and fetch would.
+func (l *warmLoop) step(runs []frag.Run) int {
+	trueLen, trueID := l.frags.Heuristics().SplitRuns(runs, l.ro)
 	pred := l.pred.PredictUpdate(&l.hist, trueID)
-	id := frag.ID{StartPC: look[0].PC}
-	if pred.Valid && pred.ID.StartPC == look[0].PC {
+	id := frag.ID{StartPC: trueID.StartPC}
+	if pred.Valid && pred.ID.StartPC == trueID.StartPC {
 		id = pred.ID
 	}
 	f := l.frags.Get(id)
-	m := 0
-	for m < f.Len() && look[m].PC == f.PCs[m] {
-		m++
-	}
 	l.hist.Push(trueID.Key())
 	if f.Len() > 0 {
 		for _, w := range l.los {
@@ -216,12 +234,25 @@ func (l *warmLoop) train(look []frag.Dyn) int {
 			w.tc.Fill(f)
 		}
 	}
-	if m == f.Len() && f.ID == trueID {
+	if f.ID == trueID {
+		// FromCode walked the true fragment's directions from its start,
+		// so every PC matches.
 		return trueLen
 	}
 	// Divergence: fetch resumes at the first mismatch (never the start PC,
 	// which the loop forces correct).
-	return max(m, 1)
+	return max(f.MatchRuns(runs, l.ro), 1)
+}
+
+// advance moves the loop's anchor k instructions on through runs, the
+// set's buffered runs.
+func (l *warmLoop) advance(k int, runs []frag.Run) {
+	l.at += uint64(k)
+	l.ro += k
+	for l.ri < len(runs) && l.ro >= runs[l.ri].Len {
+		l.ro -= runs[l.ri].Len
+		l.ri++
+	}
 }
 
 // warmMember is one distinct warm class of the set: the components its
@@ -259,12 +290,12 @@ type warmSet struct {
 	loops   []*warmLoop
 	members []warmMember
 
-	// look[:end] is the decoded stream from the oldest loop anchor on; ea
-	// holds the effective addresses of the block decoded last. The
-	// lookahead is compacted only when a block no longer fits behind it.
-	look [warmBlock + frag.AbsMaxLen]frag.Dyn
-	ea   [warmBlock]uint64
-	end  int
+	// runs[:n] is the stream read since the oldest loop anchor, run by
+	// run; refs holds the memory operations of the run read last. The runs
+	// are moved to the front only when the buffer is full.
+	runs [warmRuns]frag.Run
+	n    int
+	refs [maxWarmRun]artifact.MemRef
 }
 
 // newWarmSet deduplicates machines into warm classes and shared components:
@@ -353,60 +384,63 @@ func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *wa
 		}
 		s.members = append(s.members, mb)
 	}
+	s.resync()
 	return s
 }
 
 // warmTo replays the stream up to (but not including) sequence index upto,
-// leaving the reader exactly there (or at the halt point). Each decoded
-// block walks every hierarchy; then every loop trains on each fragment
-// whose anchor has at least frag.AbsMaxLen instructions of lookahead, so
-// every decision is content-determined, whatever the block boundaries. A
-// partial tail fragment at the gap boundary is left for the detailed
-// warmup to handle.
+// leaving the reader exactly there (or at the halt point). Each run read
+// walks every hierarchy; then every loop trains on each fragment whose
+// anchor has at least frag.AbsMaxLen instructions read after it, so every
+// decision is content-determined, whatever the run boundaries. A partial
+// tail fragment at the gap boundary is left for the detailed warmup to
+// handle.
 func (s *warmSet) warmTo(upto uint64) error {
 	for s.rd.Pos() < upto && !s.rd.Halted() {
-		if len(s.look)-s.end < warmBlock {
-			s.compact()
+		if s.n == len(s.runs) {
+			s.trim()
 		}
-		k := min(upto-s.rd.Pos(), warmBlock)
-		n, err := s.rd.ReadBlock(s.look[s.end:s.end+int(k)], s.ea[:k])
+		r := &s.runs[s.n]
+		k, err := s.rd.ReadRun(r, int(min(upto-s.rd.Pos(), maxWarmRun)), s.refs[:])
 		if err != nil {
 			return err
 		}
 		for _, h := range s.hiers {
-			h.walk(s.look[s.end:s.end+n], s.ea[:n])
+			h.walkRun(r, s.refs[:k])
 		}
-		s.end += n
+		s.n++
+		pos := s.rd.Pos()
 		for _, l := range s.loops {
-			for s.end-l.off >= frag.AbsMaxLen {
-				l.off += l.train(s.look[l.off:s.end])
+			for l.at+frag.AbsMaxLen <= pos {
+				l.advance(l.step(s.runs[l.ri:s.n]), s.runs[:s.n])
 			}
 		}
 	}
 	return nil
 }
 
-// compact moves the lookahead no loop has consumed yet — under
-// frag.AbsMaxLen instructions once every loop has trained — to the front.
-func (s *warmSet) compact() {
-	lo := s.end
+// trim moves the runs no loop has consumed yet — under frag.AbsMaxLen
+// instructions once every loop has trained — to the front.
+func (s *warmSet) trim() {
+	lo := s.n
 	for _, l := range s.loops {
-		lo = min(lo, l.off)
+		lo = min(lo, l.ri)
 	}
-	s.end = copy(s.look[:], s.look[lo:s.end])
+	s.n = copy(s.runs[:], s.runs[lo:s.n])
 	for _, l := range s.loops {
-		l.off -= lo
+		l.ri -= lo
 	}
 }
 
-// resync drops the pending lookahead after a discontinuity (a detailed
-// window consumed the stream between two warming phases): stitching
-// instructions from either side of the window into one fragment would train
-// the predictor on boundaries that never occur.
+// resync drops the pending runs and moves every loop's anchor to the
+// reader's position, after a discontinuity (a detailed window consumed the
+// stream between two warming phases): stitching instructions from either
+// side of the window into one fragment would train the predictor on
+// boundaries that never occur.
 func (s *warmSet) resync() {
-	s.end = 0
+	s.n = 0
 	for _, l := range s.loops {
-		l.off = 0
+		l.at, l.ri, l.ro = s.rd.Pos(), 0, 0
 	}
 }
 
