@@ -12,6 +12,7 @@ package pfe_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,38 +119,50 @@ func BenchmarkFig10PredictorSizeSensitivity(b *testing.B) {
 
 // BenchmarkSweepWorkloadReuse measures cross-cell workload reuse on the
 // figure sweeps that share a config grid (fig4, fig5, fig8 all evaluate the
-// same machine configurations over the same benchmarks). The cold variant is
-// what `-no-artifact-cache` does: every cell rebuilds its benchmark,
-// re-emulates from instruction zero, and re-simulates. The cached variant
-// shares program images and oracle tapes and serves duplicate cells from the
-// result memo — a fresh cache per iteration, so reuse within one sweep
-// sequence is what is being measured, not leftover state.
+// same machine configurations over the same benchmarks), run as one sweep:
+// each distinct cell simulates once. The cold variant runs without an
+// artifact cache, so every cell rebuilds its benchmark and re-emulates from
+// instruction zero; the cached variant shares program images and oracle
+// tapes, with a fresh cache per iteration, so reuse within one sweep is
+// what is being measured, not leftover state.
 func BenchmarkSweepWorkloadReuse(b *testing.B) {
-	ids := []string{"fig4", "fig5", "fig8"}
+	var exps []experiments.Experiment
+	for _, id := range []string{"fig4", "fig5", "fig8"} {
+		exp, err := experiments.ByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exps = append(exps, exp)
+	}
 	run := func(b *testing.B, cached bool) {
 		for i := 0; i < b.N; i++ {
 			opts := benchOpts()
+			sims := &simCounter{}
+			opts.Observer = sims
 			if cached {
-				opts.Artifacts = artifact.New(256 << 20)
+				opts.Artifacts = artifact.New(512 << 20)
 			}
-			for _, id := range ids {
-				exp, err := experiments.ByID(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := exp.Run(opts); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := experiments.RunAll(opts, exps); err != nil {
+				b.Fatal(err)
 			}
-			if cached && i == 0 {
-				s := opts.Artifacts.Stats()
-				b.ReportMetric(float64(s.ResultHits), "memoHits")
-				b.ReportMetric(float64(s.TapeBytes)/(1<<20), "tapeMiB")
+			if i == 0 {
+				b.ReportMetric(float64(sims.n.Load()), "sims")
+				if cached {
+					b.ReportMetric(float64(opts.Artifacts.Stats().TapeBytes)/(1<<20), "tapeMiB")
+				}
 			}
 		}
 	}
 	b.Run("cold", func(b *testing.B) { run(b, false) })
 	b.Run("artifact-cache", func(b *testing.B) { run(b, true) })
+}
+
+// simCounter counts the simulations a run completes.
+type simCounter struct{ n atomic.Int64 }
+
+func (c *simCounter) Planned(int) {}
+func (c *simCounter) Completed(string, string, time.Duration, *pfe.Result) {
+	c.n.Add(1)
 }
 
 // BenchmarkSampledRun is the sampling mode's speedup evidence: the same

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/experiments"
@@ -56,4 +58,40 @@ func (a accelFlags) stamp(spec *obs.RunSpec) {
 		spec.SamplePeriod = a.Period
 		spec.SampleWarmup = a.Warmup
 	}
+}
+
+// experimentList resolves -exp: "all", or comma-separated experiment ids,
+// each named once.
+func experimentList(s string) ([]experiments.Experiment, error) {
+	if s == "all" {
+		return experiments.All(), nil
+	}
+	var todo []experiments.Experiment
+	for _, id := range strings.Split(s, ",") {
+		e, err := experiments.ByID(strings.TrimSpace(id))
+		if err != nil {
+			return nil, err
+		}
+		if slices.ContainsFunc(todo, func(x experiments.Experiment) bool { return x.ID == e.ID }) {
+			return nil, fmt.Errorf("-exp: %s is listed twice", e.ID)
+		}
+		todo = append(todo, e)
+	}
+	return todo, nil
+}
+
+// benchList checks -benches: comma-separated benchmarks of the suite, each
+// named once.
+func benchList(s string) ([]string, error) {
+	var names []string
+	for _, b := range strings.Split(s, ",") {
+		switch {
+		case !slices.Contains(pfe.Benchmarks(), b):
+			return nil, fmt.Errorf("-benches: no benchmark named %q (have %s)", b, strings.Join(pfe.Benchmarks(), ", "))
+		case slices.Contains(names, b):
+			return nil, fmt.Errorf("-benches: %s is listed twice", b)
+		}
+		names = append(names, b)
+	}
+	return names, nil
 }

@@ -84,11 +84,11 @@ func TestAccelFlagsApplyStamp(t *testing.T) {
 
 // TestStageTotalsCountSimulatedCellsOnce pins the -selfprofile sum behind
 // both the stderr summary and the -json report: a completion with wall 0 (a
-// memo hit or a resume replay, carrying the profile of the run it repeats)
-// adds nothing, and every cell that simulated adds its stage times once.
+// resume replay, carrying the profile of the run it repeats) adds nothing,
+// and every cell that simulated adds its stage times once.
 func TestStageTotalsCountSimulatedCellsOnce(t *testing.T) {
 	stages := &stageTotals{}
-	c := &cellObserver{id: "fig8", tracker: obs.NewTracker(), stages: stages}
+	c := &cellObserver{tracker: obs.NewTracker(), stages: stages}
 	r := &pfe.Result{StageSeconds: map[string]float64{"fetch": 0.5, "backend": 0.25}}
 	c.Completed("gcc", "W16", 0, r)
 	if got := stages.sum(); len(got) != 0 {

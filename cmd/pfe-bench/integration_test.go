@@ -190,12 +190,14 @@ func tableCells(t *testing.T, stdout, title string) map[string]map[string]string
 var progressLine = regexp.MustCompile(`\[(\w+)\] (\d+)/(\d+) sims[^\n]*`)
 
 // TestInjectedFaultsPrintGapsAndExit1 is the degraded-mode acceptance test:
-// a two-experiment sweep with one panicking and one genuinely deadlocking
-// (watchdog-tripped) cell still prints both tables, with FAIL at each failed
-// cell, at every speedup over a failed baseline and at every mean over a
-// gap, and every other cell as in a healthy run. It lists both failures on
-// stderr and in the report's failures block, counts them as done in the
-// progress lines, leaves the stall's diagnostic dump on disk, and exits 1.
+// a two-experiment run with one panicking and one genuinely deadlocking
+// (watchdog-tripped) simulation still prints both tables, with FAIL at each
+// failed cell, at every speedup over a failed baseline and at every mean
+// over a gap, and every other cell as in a healthy run. Both experiments
+// read both simulations, and each runs once: the run lists two failures on
+// stderr and in the report's failures block, each naming Fig 4 (its first
+// requester), counts them as done in the one sweep's progress lines, leaves
+// the stall's diagnostic dump on disk, and exits 1.
 func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -222,8 +224,8 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 		t.Fatalf("faulty sweep exit = %v, want 1\n%s", err, stderr.String())
 	}
 
-	// gzip/W16 fails in both experiments and mcf/TC in both: Fig 8's
-	// speedups are over W16, so gzip's whole row is a gap there.
+	// gzip/W16 and mcf/TC fail once, and both experiments read them: Fig
+	// 8's speedups are over W16, so gzip's whole row is a gap there.
 	gaps := map[string][]string{
 		"Figure 4: Fetch Slot Utilization": {"gzip/W16", "mcf/TC", "MEAN/W16", "MEAN/TC"},
 		"Figure 8: Performance (% speedup over W16)": {
@@ -251,20 +253,22 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 			}
 		}
 	}
-	if n := strings.Count(stderr.String(), "cell failed: "); n != 4 {
-		t.Errorf("stderr lists %d failed cells, want 4:\n%s", n, stderr.String())
+	if n := strings.Count(stderr.String(), "cell failed: "); n != 2 {
+		t.Errorf("stderr lists %d failed cells, want 2:\n%s", n, stderr.String())
 	}
-	// A failed cell is done: each experiment's progress ends at its planned
-	// total and names its two failures.
-	last := map[string]string{}
-	for _, m := range progressLine.FindAllStringSubmatch(stderr.String(), -1) {
-		last[m[1]] = m[0]
+	// A failed cell is done: the sweep's progress, one [sweep] family, ends
+	// at its planned total and names its two failures.
+	lines := progressLine.FindAllStringSubmatch(stderr.String(), -1)
+	if len(lines) == 0 {
+		t.Fatalf("no progress lines:\n%s", stderr.String())
 	}
-	for _, id := range []string{"fig4", "fig8"} {
-		m := progressLine.FindStringSubmatch(last[id])
-		if m == nil || m[2] != m[3] || !strings.Contains(last[id], "(2 failed)") {
-			t.Errorf("%s: last progress line %q, want N/N sims with (2 failed)", id, last[id])
+	for _, m := range lines {
+		if m[1] != "sweep" {
+			t.Errorf("progress line %q, want only [sweep] lines", m[0])
 		}
+	}
+	if m := lines[len(lines)-1]; m[2] != m[3] || !strings.Contains(m[0], "(2 failed)") {
+		t.Errorf("last progress line %q, want N/N sims with (2 failed)", m[0])
 	}
 
 	rep, err := obs.ReadReportFile(jsonOut)
@@ -274,14 +278,14 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 	if !rep.Partial {
 		t.Error("report with failures not marked partial")
 	}
-	if len(rep.Failures) != 4 {
-		t.Fatalf("report has %d failures, want 4:\n%+v", len(rep.Failures), rep.Failures)
+	if len(rep.Failures) != 2 {
+		t.Fatalf("report has %d failures, want 2:\n%+v", len(rep.Failures), rep.Failures)
 	}
 	byKey := map[string]obs.CellFailure{}
 	for _, f := range rep.Failures {
 		byKey[f.Experiment+" "+f.Bench+"/"+f.Key] = f
 	}
-	p := byKey["fig8 gzip/W16"]
+	p := byKey["fig4 gzip/W16"]
 	if !p.Panic || !strings.Contains(p.Error, "injected") {
 		t.Errorf("panic failure record = %+v", p)
 	}
@@ -302,10 +306,12 @@ func TestInjectedFaultsPrintGapsAndExit1(t *testing.T) {
 }
 
 // TestFlagValidation pins the CLI's usage-error contract: an unknown
-// -inject mode, a negative -workers, every option of the removed
-// distributed-sweep path, the removed retry and failure-budget flags, the
-// removed live-telemetry flags and the removed time-parallel slicing flags
-// exit 2 with an explanation instead of silently running something else.
+// -inject mode, a negative -workers, an unknown or repeated benchmark, a
+// repeated experiment, every option of the removed distributed-sweep path,
+// the removed retry and failure-budget flags, the removed live-telemetry
+// flags, the removed time-parallel slicing flags and the removed
+// artifact-cache switch exit 2 with an explanation instead of silently
+// running something else.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -329,6 +335,10 @@ func TestFlagValidation(t *testing.T) {
 		{"slices", benchArgs("-slices", "8"), "flag provided but not defined: -slices"},
 		{"slice warmup", benchArgs("-slice-warmup", "1000"), "flag provided but not defined: -slice-warmup"},
 		{"negative workers", benchArgs("-workers", "-1"), "-workers -1: want a non-negative worker count"},
+		{"unknown benchmark", []string{"-exp", "fig4", "-benches", "gzip,foo"}, `no benchmark named "foo" (have bzip2, `},
+		{"repeated benchmark", []string{"-exp", "fig4", "-benches", "gcc,gzip,gcc"}, "-benches: gcc is listed twice"},
+		{"repeated experiment", []string{"-exp", "fig4,fig8,fig4", "-benches", "gzip"}, "-exp: fig4 is listed twice"},
+		{"no artifact cache", benchArgs("-no-artifact-cache"), "flag provided but not defined: -no-artifact-cache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@
 //	pfe-bench -exp fig8
 //	pfe-bench -exp all -warmup 100000 -measure 300000
 //	pfe-bench -exp fig9 -benches gcc,gzip
+//	pfe-bench -exp fig4,fig8                    # one sweep over both experiments' cells
 //	pfe-bench -exp fig8 -json out.json          # provenance-stamped report
 //	pfe-bench -exp all -journal run.wal         # crash-safe result journal
 //	pfe-bench -exp all -resume run.wal          # replay it after a crash/kill
@@ -18,6 +19,13 @@
 //	pfe-bench -validate-sampling                # sampled-vs-full error gate
 //	pfe-bench -exp fig8 -sweep-trace sweep.json # Perfetto-loadable sweep trace
 //	pfe-bench -exp fig8 -selfprofile            # simulator time per pipeline stage
+//
+// A run is one sweep: the cells of every experiment in -exp are planned
+// together, and each distinct simulation (benchmark, budgets, machine,
+// sampling) runs once, however many experiments read it; every table then
+// renders from the one result set, in -exp order. Table 1, Table 2 and Fig 7
+// run on their own after it. An unknown or repeated experiment id or
+// benchmark is a usage error (exit 2).
 //
 // A sweep's parallelism comes from its cells: up to -workers simulations
 // run at once, each on one goroutine, and a negative -workers is a usage
@@ -32,17 +40,18 @@
 // (improvements included), 1 on an IPC or throughput regression, 2 on a
 // usage or decoding error.
 //
-// A cell runs once. A failed cell (panic, error or watchdog stall) prints as
-// FAIL, and so does every number derived from it: a speedup over it, a mean
-// over its column. The run still finishes every experiment, prints a
-// "cell failed:" line per failure on stderr, and exits 1.
+// A simulation runs once. A failed one (panic, error or watchdog stall)
+// prints as FAIL in every table that reads it, and so does every number
+// derived from it: a speedup over it, a mean over its column. The run still
+// finishes every experiment, prints one "cell failed:" line per failed
+// simulation on stderr, naming the first experiment that requested it, and
+// exits 1.
 //
-// A sweep is reported after it ends. While it runs, only progress lines with
-// an ETA go to stderr (at most one a second, and each batch's last); they
-// count memoized and failed cells as done. Once it is done, -json,
-// -sweep-trace and -selfprofile describe it. -selfprofile sums the stage
-// times of the cells that simulated; a memoized or replayed cell adds
-// nothing.
+// A sweep is reported after it ends. While it runs, only "[sweep] N/M sims"
+// progress lines with an ETA go to stderr (at most one a second, and the
+// last); they count replayed and failed cells as done. Once it is done,
+// -json, -sweep-trace and -selfprofile describe it. -selfprofile sums the
+// stage times of the cells that simulated; a replayed cell adds nothing.
 //
 // SIGINT/SIGTERM drain the sweep: in-flight simulations finish, the journal
 // is flushed, a -json report is still written (marked "partial": true), and
@@ -75,7 +84,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		exp     = flag.String("exp", "all", "experiment id (table1, table2, fig4..fig10, construction, all)")
+		exp     = flag.String("exp", "all", "comma-separated experiment ids, run as one sweep (see -list), or all")
 		warmup  = flag.Int64("warmup", 100_000, "warmup instructions per simulation")
 		measure = flag.Int64("measure", 300_000, "measured instructions per simulation")
 		benches = flag.String("benches", "", "comma-separated benchmark subset (default: all twelve)")
@@ -83,7 +92,7 @@ func run() int {
 
 		jsonOut  = flag.String("json", "", "write a provenance-stamped JSON benchmark report to this file")
 		selfProf = flag.Bool("selfprofile", false, "attribute the simulator's own wall time per pipeline stage (sampled)")
-		progress = flag.Bool("progress", true, "print per-experiment progress lines with ETA to stderr")
+		progress = flag.Bool("progress", true, "print the sweep's progress lines with ETA to stderr")
 
 		compare = flag.Bool("compare", false, "compare two JSON reports (old new) and exit non-zero on regression")
 		tol     = flag.Float64("tol", 0.5, "IPC regression tolerance for -compare, percent")
@@ -96,8 +105,7 @@ func run() int {
 		flightRec   = flag.Int("flight-recorder", 0, "keep the last N pipeline events per simulation for stall diagnostics (0 = off)")
 		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode with mode panic|error|stall (testing the harness itself)")
 
-		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB (shared program images, oracle tapes, memoized cell results; LRU past the cap; 0 = unbounded)")
-		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")
+		artifactMem = flag.Int64("artifact-mem", 512, "artifact cache cap in MiB (shared program images, oracle tapes, union warm packs; LRU past the cap; 0 = unbounded)")
 
 		sweepTrace = flag.String("sweep-trace", "", "write the sweep's span trace to this file: Chrome trace_event JSON (load in Perfetto/chrome://tracing), or NDJSON when the name ends in .ndjson/.jsonl")
 	)
@@ -136,7 +144,17 @@ func run() int {
 		Failures: &experiments.FailureLog{},
 	}
 	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
+		list, err := benchList(*benches)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
+			return 2
+		}
+		opts.Benchmarks = list
+	}
+	todo, err := experimentList(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
+		return 2
 	}
 	if *inject != "" {
 		m, err := experiments.ParseInject(*inject)
@@ -146,9 +164,7 @@ func run() int {
 		}
 		opts.Inject = m
 	}
-	if !*noArtifacts {
-		opts.Artifacts = artifact.New(*artifactMem << 20)
-	}
+	opts.Artifacts = artifact.New(*artifactMem << 20)
 	accel.apply(&opts)
 
 	// SIGINT/SIGTERM drain the sweep instead of killing it: workers finish
@@ -160,23 +176,6 @@ func run() int {
 
 	if accel.Validate {
 		return runValidateSampling(accel.spec(), opts)
-	}
-
-	var todo []experiments.Experiment
-	if *exp == "all" {
-		todo = experiments.All()
-	} else {
-		// Comma-separated ids run as one sweep over one artifact cache, so
-		// warm state, tapes and results recorded for an early experiment
-		// are reused by later ones.
-		for _, id := range strings.Split(*exp, ",") {
-			e, err := experiments.ByID(strings.TrimSpace(id))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			todo = append(todo, e)
-		}
 	}
 
 	// Sweep span tracing: created only when something consumes it (the
@@ -246,32 +245,38 @@ func run() int {
 	exit := 0
 	interrupted := false
 	stages := &stageTotals{}
+	var swept []experiments.Experiment
 	for _, e := range todo {
-		tracker.StartExperiment(e.ID)
 		if report != nil {
 			report.StartExperiment(e.ID, e.Title)
 		}
-		opts.ExperimentID = e.ID
-		opts.Observer = &cellObserver{id: e.ID, tracker: tracker, report: report, stages: stages}
-		start := time.Now()
-		res, err := e.Run(opts)
-		wall := time.Since(start)
-		tracker.FinishExperiment(e.ID)
-		if report != nil {
-			report.FinishExperiment(e.ID, wall)
+		if e.Swept() {
+			swept = append(swept, e)
 		}
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			interrupted = true
-			break
+	}
+	// One sweep for every swept experiment: its progress lines are one
+	// "[sweep]" family, and its completed-in line follows the last table it
+	// renders.
+	tracker.Start()
+	opts.Observer = &cellObserver{tracker: tracker, report: report, stages: stages}
+	start := time.Now()
+	outs, err := experiments.RunAll(opts, swept)
+	sweepWall := time.Since(start)
+	tracker.Finish()
+	if report != nil {
+		for i, e := range swept {
+			addRows(report, e.ID, outs[i].Results)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			exit = 1
-			break
-		}
-		fmt.Println(res)
-		fmt.Printf("[%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
+	}
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		interrupted = true
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		exit = 1
+	default:
+		exit = printTables(todo, outs, sweepWall, opts)
 	}
 
 	if *sweepTrace != "" {
@@ -304,22 +309,19 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "resume: re-ran %d cell(s) whose journaled config hash did not match\n", n)
 		}
 	}
-	if opts.Artifacts != nil {
-		if s := opts.Artifacts.Stats(); s.Hits()+s.Misses() > 0 {
-			fmt.Fprintf(os.Stderr,
-				"artifacts: %d reused / %d built (programs %d/%d, tapes %d/%d, results %d/%d, warm %d/%d), %.1f MiB cached (%.1f MiB tapes)\n",
-				s.Hits(), s.Misses(),
-				s.ProgramHits, s.ProgramMisses, s.TapeHits, s.TapeMisses, s.ResultHits, s.ResultMisses,
-				s.WarmHits, s.WarmMisses,
-				float64(s.Bytes)/(1<<20), float64(s.TapeBytes)/(1<<20))
-			if s.Evictions > 0 {
-				fmt.Fprintf(os.Stderr, "artifacts: %d eviction(s) under the %d MiB -artifact-mem cap\n",
-					s.Evictions, s.MaxBytes>>20)
-			}
-			if s.TapeFallbackSteps > 0 {
-				fmt.Fprintf(os.Stderr, "artifacts: %d instruction(s) served by tape live-fallback (recording budget outrun)\n",
-					s.TapeFallbackSteps)
-			}
+	if s := opts.Artifacts.Stats(); s.Hits()+s.Misses() > 0 {
+		fmt.Fprintf(os.Stderr,
+			"artifacts: %d reused / %d built (programs %d/%d, tapes %d/%d, warm %d/%d), %.1f MiB cached (%.1f MiB tapes)\n",
+			s.Hits(), s.Misses(),
+			s.ProgramHits, s.ProgramMisses, s.TapeHits, s.TapeMisses, s.WarmHits, s.WarmMisses,
+			float64(s.Bytes)/(1<<20), float64(s.TapeBytes)/(1<<20))
+		if s.Evictions > 0 {
+			fmt.Fprintf(os.Stderr, "artifacts: %d eviction(s) under the %d MiB -artifact-mem cap\n",
+				s.Evictions, s.MaxBytes>>20)
+		}
+		if s.TapeFallbackSteps > 0 {
+			fmt.Fprintf(os.Stderr, "artifacts: %d instruction(s) served by tape live-fallback (recording budget outrun)\n",
+				s.TapeFallbackSteps)
 		}
 	}
 	if opts.Journal != nil {
@@ -338,14 +340,12 @@ func run() int {
 		if interrupted {
 			report.SetPartial()
 		}
-		if opts.Artifacts != nil {
-			report.SetArtifacts(artifactsReport(opts.Artifacts.Stats()))
-		}
+		report.SetArtifacts(artifactsReport(opts.Artifacts.Stats()))
 		report.SetStageSeconds(stages.sum())
-		// Per-cell timing breakdown from the span trace: where each row's
-		// wall time went (queue-wait, build, sim, overhead).
+		// Per-simulation timing breakdown from the span trace: where each
+		// row's wall time went (queue-wait, build, sim, overhead).
 		for _, ct := range span.CellTimings(spans.Records()) {
-			report.SetRowTiming(ct.Batch, ct.Bench, ct.Key, obs.RowTiming{
+			report.SetRowTiming(ct.Bench, ct.Key, obs.RowTiming{
 				QueueWaitSeconds: ct.QueueWaitSeconds,
 				BuildSeconds:     ct.BuildSeconds,
 				SimSeconds:       ct.SimSeconds,
@@ -404,8 +404,6 @@ func artifactsReport(s artifact.Stats) obs.ArtifactsReport {
 		ProgramMisses:     s.ProgramMisses,
 		TapeHits:          s.TapeHits,
 		TapeMisses:        s.TapeMisses,
-		ResultHits:        s.ResultHits,
-		ResultMisses:      s.ResultMisses,
 		WarmHits:          s.WarmHits,
 		WarmMisses:        s.WarmMisses,
 		Evictions:         s.Evictions,
@@ -423,11 +421,72 @@ func firstLine(s string) string {
 	return s
 }
 
+// printTables prints every experiment's table in order. A swept
+// experiment's table comes from the sweep's outputs (outs holds one per
+// swept experiment, in order), and the last of them is followed by the
+// sweep's completed-in line; an experiment that runs on its own runs here
+// and gets a completed-in line of its own. It returns the exit code.
+func printTables(todo []experiments.Experiment, outs []experiments.Output, sweepWall time.Duration, opts experiments.Options) int {
+	last := -1
+	for i, e := range todo {
+		if e.Swept() {
+			last = i
+		}
+	}
+	k := 0
+	for i, e := range todo {
+		if e.Swept() {
+			fmt.Println(outs[k].Table)
+			k++
+			if i == last {
+				fmt.Printf("[sweep completed in %v]\n\n", sweepWall.Round(time.Millisecond))
+			} else {
+				fmt.Println()
+			}
+			continue
+		}
+		start := time.Now()
+		res, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			return 1
+		}
+		fmt.Println(res)
+		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// addRows adds a report row for every cell an experiment read that
+// produced a result: a failed simulation has no row, and neither has one the
+// sweep did not reach.
+func addRows(report *obs.ReportBuilder, id string, results map[[2]string]*pfe.Result) {
+	for name, r := range results {
+		if r.Failed {
+			continue
+		}
+		report.AddRow(id, obs.Row{
+			Bench:            name[0],
+			Config:           name[1],
+			IPC:              r.IPC,
+			FetchRate:        r.FetchRate,
+			RenameRate:       r.RenameRate,
+			FetchSlotUtil:    r.FetchSlotUtilization,
+			FragPredAccuracy: r.FragPredAccuracy,
+			TCHitRate:        r.TCHitRate,
+			L1IMissRate:      r.L1IMissRate,
+			L1DMissRate:      r.L1DMissRate,
+			BufferReuseRate:  r.BufferReuseRate,
+			Cycles:           r.Cycles,
+			Committed:        r.Committed,
+		})
+	}
+}
+
 // stageTotals sums the self-profile stage times of a run's cells. Only cells
-// that simulated count, which the harness reports with wall > 0: a memo hit
-// reports wall 0 and carries the profile of the run it repeats, which was
-// added already, and a resume replay reports wall 0 too. The one sum feeds
-// both the stderr summary and the -json report.
+// that simulated count, which the harness reports with wall > 0: a resume
+// replay reports wall 0. The one sum feeds both the stderr summary and the
+// -json report.
 type stageTotals struct {
 	mu  sync.Mutex
 	sec map[string]float64
@@ -453,56 +512,38 @@ func (s *stageTotals) sum() map[string]float64 {
 	return s.sec
 }
 
-// cellObserver fans one experiment's cell completions and failures out to
-// the progress tracker, the stage-time sum and the JSON report builder.
+// cellObserver fans the sweep's cell completions and failures out to the
+// progress tracker and the stage-time sum, and its dispatch statistics to
+// the tracker and the JSON report.
 type cellObserver struct {
-	id      string
 	tracker *obs.Tracker
 	report  *obs.ReportBuilder
 	stages  *stageTotals
 }
 
-func (c *cellObserver) Planned(n int) { c.tracker.AddPlanned(c.id, n) }
+func (c *cellObserver) Planned(n int) { c.tracker.AddPlanned(n) }
 
-// Sharded receives each worker's statistics for one completed batch of
-// cells and folds them into the progress tracker (utilization in progress
-// lines) and the JSON report.
+// Sharded receives each worker's statistics for the completed sweep and
+// folds them into the progress tracker (utilization in progress lines) and
+// the JSON report.
 func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat) {
 	tasks, busy := 0, 0.0
 	for _, s := range stats {
 		tasks += s.Ran
 		busy += s.BusySeconds
 	}
-	c.tracker.ShardingDone(c.id, len(stats), busy, wall.Seconds())
+	c.tracker.ShardingDone(len(stats), busy, wall.Seconds())
 	if c.report != nil {
-		c.report.AddScheduler(c.id, len(stats), tasks, busy)
+		c.report.SetScheduler(len(stats), tasks, busy, wall.Seconds())
 	}
 }
 
 // Failed counts a failed cell as done in the progress lines.
-func (c *cellObserver) Failed(bench, key string) { c.tracker.CellFailed(c.id) }
+func (c *cellObserver) Failed(bench, key string) { c.tracker.CellFailed() }
 
 func (c *cellObserver) Completed(bench, key string, wall time.Duration, r *pfe.Result) {
-	c.tracker.SimDone(c.id, wall)
+	c.tracker.SimDone(wall)
 	c.stages.add(wall, r.StageSeconds)
-	if c.report == nil {
-		return
-	}
-	c.report.AddRow(c.id, obs.Row{
-		Bench:            bench,
-		Config:           key,
-		IPC:              r.IPC,
-		FetchRate:        r.FetchRate,
-		RenameRate:       r.RenameRate,
-		FetchSlotUtil:    r.FetchSlotUtilization,
-		FragPredAccuracy: r.FragPredAccuracy,
-		TCHitRate:        r.TCHitRate,
-		L1IMissRate:      r.L1IMissRate,
-		L1DMissRate:      r.L1DMissRate,
-		BufferReuseRate:  r.BufferReuseRate,
-		Cycles:           r.Cycles,
-		Committed:        r.Committed,
-	})
 }
 
 // runValidateSampling runs the sampled-vs-full validation suite on the

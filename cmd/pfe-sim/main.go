@@ -37,9 +37,6 @@ func main() {
 		listB    = flag.Bool("listbenches", false, "list benchmark names and exit")
 		trace    = flag.Uint64("trace", 0, "print a per-cycle pipeline trace for the first N cycles")
 		selfProf = flag.Bool("selfprofile", false, "attribute the simulator's own wall time per pipeline stage (sampled)")
-
-		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB when several front-ends share a workload (0 = unbounded)")
-		noArtifacts = flag.Bool("no-artifact-cache", false, "disable workload reuse across the -frontend list (rebuild + re-emulate per run)")
 	)
 	flag.Parse()
 
@@ -56,9 +53,10 @@ func main() {
 		opts.Trace = os.Stdout
 		opts.TraceCycles = *trace
 	}
-	// Reuse only pays off when several runs share the workload.
-	if len(frontends) > 1 && !*noArtifacts {
-		opts.Artifacts = artifact.New(*artifactMem << 20)
+	// Reuse only pays off when several runs share the workload, which is
+	// one program and one tape: the cache needs no cap.
+	if len(frontends) > 1 {
+		opts.Artifacts = artifact.New(0)
 	}
 	for i, fe := range frontends {
 		m := pfe.Preset(pfe.FrontEnd(strings.TrimSpace(fe)))

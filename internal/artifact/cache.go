@@ -15,19 +15,19 @@ import (
 const (
 	kindProgram = iota
 	kindTape
-	kindResult
 	kindWarm
 	numKinds
 )
-
-var kindNames = [numKinds]string{"program", "tape", "result", "warm"}
 
 // Stats is a point-in-time snapshot of a Cache's traffic and footprint.
 type Stats struct {
 	ProgramHits, ProgramMisses int64
 	TapeHits, TapeMisses       int64
-	ResultHits, ResultMisses   int64
 	WarmHits, WarmMisses       int64
+
+	// ResultHits is always 0: the cache holds no cell results. It remains
+	// only for callers that still read it.
+	ResultHits int64
 
 	Evictions int64 // entries removed by the byte cap
 	Entries   int   // live entries
@@ -41,10 +41,8 @@ type Stats struct {
 }
 
 // Hits and Misses return the all-kind totals.
-func (s Stats) Hits() int64 { return s.ProgramHits + s.TapeHits + s.ResultHits + s.WarmHits }
-func (s Stats) Misses() int64 {
-	return s.ProgramMisses + s.TapeMisses + s.ResultMisses + s.WarmMisses
-}
+func (s Stats) Hits() int64   { return s.ProgramHits + s.TapeHits + s.WarmHits }
+func (s Stats) Misses() int64 { return s.ProgramMisses + s.TapeMisses + s.WarmMisses }
 
 // Cache is the content-addressed artifact cache. All methods are safe for
 // concurrent use; a nil *Cache disables every lookup (misses without
@@ -183,43 +181,6 @@ func (c *Cache) WarmStateInfo(key string, build func() (any, int64, error)) (any
 	return v, Info{Key: key, Hit: hit}, nil
 }
 
-// GetResult returns a previously memoized cell result (see PutResult). The
-// value is opaque to the cache; callers own the key scheme and must treat
-// returned values as immutable shared state.
-func (c *Cache) GetResult(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries["res:"+key]; e != nil && e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-		c.hits[kindResult]++
-		return e.val, true
-	}
-	c.misses[kindResult]++
-	return nil, false
-}
-
-// PutResult memoizes a completed cell result under key, accounted as bytes
-// toward the cache cap. A key already present is left untouched (results
-// are deterministic, so the first value is as good as any).
-func (c *Cache) PutResult(key string, v any, bytes int64) {
-	if c == nil {
-		return
-	}
-	resKey := "res:" + key
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[resKey] != nil {
-		return
-	}
-	e := &entry{kind: kindResult, val: v, bytes: bytes, key: resKey, ready: closedCh}
-	c.insertReadyLocked(e)
-}
-
-var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
-
 // get returns the artifact for key, running build exactly once per key even
 // under concurrent callers (waiters block until the builder finishes and
 // count as hits — they shared the one build — unless the build fails and
@@ -318,8 +279,6 @@ func (c *Cache) Stats() Stats {
 		ProgramMisses:     c.misses[kindProgram],
 		TapeHits:          c.hits[kindTape],
 		TapeMisses:        c.misses[kindTape],
-		ResultHits:        c.hits[kindResult],
-		ResultMisses:      c.misses[kindResult],
 		WarmHits:          c.hits[kindWarm],
 		WarmMisses:        c.misses[kindWarm],
 		Evictions:         c.evictions,

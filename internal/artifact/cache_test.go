@@ -83,12 +83,15 @@ func TestCacheTapeSharesProgram(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction fills a tiny cache with results and checks the cap
-// holds, oldest-first, while the most recent entry always survives.
+// TestCacheLRUEviction fills a tiny cache with warm-state entries and
+// checks the cap holds, oldest-first, while the most recent entry always
+// survives.
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(1024)
 	for i := 0; i < 8; i++ {
-		c.PutResult(fmt.Sprintf("k%d", i), i, 256)
+		if _, _, err := c.WarmStateInfo(fmt.Sprintf("k%d", i), func() (any, int64, error) { return i, 256, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := c.Stats()
 	if s.Bytes > 1024 {
@@ -97,30 +100,18 @@ func TestCacheLRUEviction(t *testing.T) {
 	if s.Evictions != 4 {
 		t.Fatalf("evictions = %d, want 4", s.Evictions)
 	}
-	if _, ok := c.GetResult("k0"); ok {
-		t.Fatal("oldest entry k0 survived eviction")
+	rebuilt := func(key string, v int) (any, Info) {
+		got, info, err := c.WarmStateInfo(key, func() (any, int64, error) { return v, 256, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, info
 	}
-	if v, ok := c.GetResult("k7"); !ok || v.(int) != 7 {
-		t.Fatalf("newest entry k7 missing (ok=%v v=%v)", ok, v)
+	if v, info := rebuilt("k7", -1); !info.Hit || v.(int) != 7 {
+		t.Fatalf("newest entry k7 missing (hit=%v v=%v)", info.Hit, v)
 	}
-}
-
-// TestCacheResultRoundTrip covers the memoization surface incl. the miss
-// counter and the keep-first semantics.
-func TestCacheResultRoundTrip(t *testing.T) {
-	c := New(0)
-	if _, ok := c.GetResult("cell"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.PutResult("cell", "first", 100)
-	c.PutResult("cell", "second", 100)
-	v, ok := c.GetResult("cell")
-	if !ok || v.(string) != "first" {
-		t.Fatalf("got (%v, %v), want (first, true)", v, ok)
-	}
-	s := c.Stats()
-	if s.ResultMisses != 1 || s.ResultHits != 1 {
-		t.Fatalf("result traffic: %d misses / %d hits, want 1 / 1", s.ResultMisses, s.ResultHits)
+	if v, info := rebuilt("k0", -1); info.Hit || v.(int) != -1 {
+		t.Fatalf("oldest entry k0 survived eviction (hit=%v v=%v)", info.Hit, v)
 	}
 }
 
@@ -256,10 +247,6 @@ func TestNilCache(t *testing.T) {
 	if _, err := c.Program(gccSpec(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetResult("x"); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	c.PutResult("x", 1, 1)
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", s)
 	}

@@ -111,7 +111,9 @@ func TestDispatchKeepsWorkersBusyUnderSkew(t *testing.T) {
 // list (3 benchmarks x 7 presets): each benchmark's first cell runs first
 // (cells 0, 7 and 14), then every other cell in cell order. One worker runs
 // the cells one at a time, so the order the cells run in is the dispatch
-// order.
+// order. Fig 8 planned alone is that list, cell for cell, so a single
+// experiment dispatches in that order, with the seven presets as its warm
+// roster.
 func TestRunCellsLeadersFirst(t *testing.T) {
 	fes := []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w, pfe.PR2x8w, pfe.PR4x4w}
 	var mu sync.Mutex
@@ -147,6 +149,30 @@ func TestRunCellsLeadersFirst(t *testing.T) {
 			t.Fatalf("cell %d ran twice", i)
 		}
 		seen[i] = true
+	}
+
+	o := Options{Benchmarks: []string{"gcc", "gzip", "crafty"}}
+	sims, _ := plan(o, []Experiment{mustByID(t, "fig8")})
+	if len(sims) != len(cells) {
+		t.Fatalf("fig8 planned %d cells, want %d", len(sims), len(cells))
+	}
+	for i := range sims {
+		if sims[i].bench != cells[i].bench || sims[i].key != cells[i].key ||
+			simHash(sims[i].bench, sims[i].machine, o.runOpts()) != simHash(cells[i].bench, cells[i].machine, o.runOpts()) {
+			t.Fatalf("fig8's cell %d is %s/%s, want %s/%s", i, sims[i].bench, sims[i].key, cells[i].bench, cells[i].key)
+		}
+	}
+	if order := leadersFirst(sims); !slices.Equal(order, want) {
+		t.Errorf("fig8 dispatches in order %v, want %v", order, want)
+	}
+	roster := warmRosterOf(sims)
+	if len(roster) != len(fes) {
+		t.Fatalf("fig8's warm roster has %d machines, want %d", len(roster), len(fes))
+	}
+	for i, fe := range fes {
+		if roster[i] != pfe.Preset(fe) {
+			t.Errorf("fig8's warm roster[%d] = %s, want %s", i, roster[i].Name(), fe)
+		}
 	}
 }
 

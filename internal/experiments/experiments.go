@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,28 +22,28 @@ import (
 	"github.com/parallel-frontend/pfe/internal/obs/span"
 )
 
-// Observer receives cell-level lifecycle callbacks from an experiment run:
-// Planned once per scheduled batch with the number of simulations it will
-// run, Completed for each finished simulation. Completed is called from
-// concurrent worker goroutines, so implementations must be safe for
-// concurrent use.
+// Observer receives cell-level lifecycle callbacks from a run: Planned once
+// with the number of distinct simulations its sweep will run, Completed once
+// for each finished simulation, with the bench and key of the experiment
+// that first requested it (see RunAll). Completed is called from concurrent
+// worker goroutines, so implementations must be safe for concurrent use.
 type Observer interface {
 	Planned(n int)
 	Completed(bench, key string, wall time.Duration, r *pfe.Result)
 }
 
 // ShardObserver is an optional extension of Observer: implementations also
-// receive each worker's statistics after a batch of cells completes, along
-// with the batch's wall time.
+// receive each worker's statistics after the sweep completes, along with
+// the sweep's wall time.
 type ShardObserver interface {
 	Observer
 	Sharded(wall time.Duration, stats []ShardStat)
 }
 
 // FailureObserver is an optional extension of Observer: implementations are
-// also told of each cell that failed, so that a batch's completions plus its
-// failures add up to what Planned announced. Like Completed, Failed is
-// called from concurrent worker goroutines.
+// also told of each simulation that failed, so that the sweep's completions
+// plus its failures add up to what Planned announced. Like Completed, Failed
+// is called from concurrent worker goroutines.
 type FailureObserver interface {
 	Observer
 	Failed(bench, key string)
@@ -63,7 +64,7 @@ type Options struct {
 	Observer Observer
 
 	// Spans, if non-nil, receives hierarchical sweep spans: one sweep span
-	// per batch of cells, a cell span per simulation (worker-attributed),
+	// per run, a cell span per simulation (worker-attributed),
 	// and run-phase spans under it (program/tape builds, sim, sampled
 	// windows, journal appends). Nil disables tracing at ~zero cost.
 	Spans *span.Tracer
@@ -87,18 +88,19 @@ type Options struct {
 	Failures *FailureLog
 
 	// Journal, if non-nil, receives a crash-safe record of every completed
-	// cell (config hash + full scalar result) so an interrupted sweep can be
-	// resumed with Resume. Appends are fsynced before the cell is reported
-	// complete.
+	// simulation (content hash + full scalar result) so an interrupted sweep
+	// can be resumed with Resume. Appends are fsynced before the simulation
+	// is reported complete.
 	Journal *journal.Writer
 
-	// Resume, if non-nil, replays previously journaled cells instead of
-	// re-running them, after cross-checking the journaled config hash
-	// against the cell about to run (a mismatch re-runs the cell).
+	// Resume, if non-nil, replays previously journaled simulations instead
+	// of re-running them: a cell replays the record whose content hash is
+	// its own (see simHash), and runs when there is none.
 	Resume *Resume
 
-	// ExperimentID namespaces journal and failure records; cmd/pfe-bench
-	// sets it per experiment.
+	// ExperimentID is ignored: journal and failure records name the
+	// experiment that first requested each simulation (see RunAll). The
+	// field remains only for callers that still set it.
 	ExperimentID string
 
 	// DumpDir is where watchdog stall diagnostics are written (flight
@@ -123,12 +125,11 @@ type Options struct {
 	Sample *pfe.SampleSpec
 
 	// Artifacts, if non-nil, is the cross-cell workload reuse cache:
-	// program images and oracle tapes are shared across every cell of the
-	// same benchmark (see pfe.RunOptions.Artifacts), and completed cell
-	// results are memoized under their config hash so an identical cell in
-	// a later experiment of the same run (Fig 4/5/8 share most of their
-	// grid) is served without re-simulating. Results are bit-identical
-	// with or without it.
+	// program images, oracle tapes and union warm packs are shared across
+	// every cell of the same benchmark (see pfe.RunOptions.Artifacts).
+	// Results are bit-identical with or without it. It holds no results: a
+	// run simulates each distinct cell once (RunAll), so no cell repeats
+	// another.
 	Artifacts *artifact.Cache
 }
 
@@ -210,6 +211,12 @@ type cell struct {
 	machine pfe.Machine
 	key     string // caller-defined config key
 	run     func() (*pfe.Result, error)
+
+	// exp is the experiment that first requested the cell, and aliases are
+	// the other keys later requesters name the same simulation by (see
+	// RunAll); journal and failure records and -inject read them.
+	exp     string
+	aliases []string
 }
 
 // ShardStat describes one worker's share of a dispatched batch.
@@ -306,7 +313,7 @@ func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
 	ro.WarmRoster = warmRosterOf(cells)
 	outs := make([]cellOutcome, len(cells))
 	order := leadersFirst(cells)
-	batch := o.Spans.StartBatch(o.ExperimentID, len(cells))
+	batch := o.Spans.StartBatch("sweep", len(cells))
 	start := time.Now()
 	stats := dispatch(ctx, len(cells), o.workers(), func(w, pos int) {
 		i := order[pos]
@@ -345,29 +352,179 @@ func runCells(o Options, cells []cell) (map[[2]string]*pfe.Result, error) {
 	return results, nil
 }
 
-// Experiment is one regenerable paper artifact.
+// Experiment is one regenerable paper artifact. A swept experiment runs
+// each of its configs on every benchmark and renders its table from the
+// results; one that runs on its own (Table 1, Table 2, Fig 7) sets run
+// instead.
 type Experiment struct {
 	ID    string // "table1", "table2", "fig4" ... "fig10", "construction"
 	Title string
-	Run   func(Options) (fmt.Stringer, error)
+
+	configs []config
+	render  func(o Options, res map[[2]string]*pfe.Result) fmt.Stringer
+	run     func(Options) (fmt.Stringer, error)
+}
+
+// config is one machine of a swept experiment and the key its table names
+// it by.
+type config struct {
+	key     string
+	machine pfe.Machine
+}
+
+// Swept reports whether e reads simulations, which RunAll plans into its
+// run's one sweep, rather than running on its own.
+func (e Experiment) Swept() bool { return e.run == nil }
+
+// Run runs e alone: for a swept experiment, RunAll over e.
+func (e Experiment) Run(o Options) (fmt.Stringer, error) {
+	if !e.Swept() {
+		return e.run(o)
+	}
+	outs, err := RunAll(o, []Experiment{e})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0].Table, nil
+}
+
+// cells lists e's simulations, benchmark by benchmark.
+func (e Experiment) cells(o Options) []cell {
+	var cells []cell
+	for _, b := range o.benches() {
+		for _, c := range e.configs {
+			cells = append(cells, cell{bench: b, machine: c.machine, key: c.key, exp: e.ID})
+		}
+	}
+	return cells
+}
+
+// Output is one experiment's part of a run.
+type Output struct {
+	// Table is the experiment's rendered table; nil when the run's sweep
+	// did not finish.
+	Table fmt.Stringer
+	// Results maps every (bench, key) a swept experiment reads to its
+	// simulation's result (a failed simulation's is marked Failed); a
+	// simulation the sweep did not reach is absent. Nil for an experiment
+	// that runs on its own.
+	Results map[[2]string]*pfe.Result
+}
+
+// RunAll runs exps as one run and returns their outputs in exps order. The
+// cells of every swept experiment are planned together, and each distinct
+// simulation runs once: the same benchmark, budgets, machine and sampling
+// (simHash) is one simulation whatever key each experiment names it by. The
+// first experiment to request a simulation names it with its key; the keys
+// of later requesters are its aliases. The simulations go out benchmark by
+// benchmark in one runCells dispatch (leaders first, one warm roster for the
+// run), and every swept experiment renders from that one result set. The
+// experiments that run on their own run after the sweep. Over one
+// experiment the plan is that experiment's cells in its own order.
+//
+// An interrupted sweep returns the results it has, no tables, and the
+// context error.
+func RunAll(o Options, exps []Experiment) ([]Output, error) {
+	sims, reads := plan(o, exps)
+	var results map[[2]string]*pfe.Result
+	var err error
+	if len(sims) > 0 {
+		results, err = runCells(o, sims)
+	}
+	outs := make([]Output, len(exps))
+	for i := range exps {
+		if reads[i] == nil {
+			continue
+		}
+		outs[i].Results = map[[2]string]*pfe.Result{}
+		for name, sim := range reads[i] {
+			if r := results[sim]; r != nil {
+				outs[i].Results[name] = r
+			}
+		}
+	}
+	if err != nil {
+		return outs, err
+	}
+	for i, e := range exps {
+		if e.Swept() {
+			outs[i].Table = e.render(o, outs[i].Results)
+		} else if outs[i].Table, err = e.run(o); err != nil {
+			return outs, fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return outs, nil
+}
+
+// plan lists the distinct simulations of exps' swept experiments, benchmark
+// by benchmark, and for each swept experiment maps every (bench, key) it
+// reads to the (bench, key) its simulation is named by.
+func plan(o Options, exps []Experiment) ([]cell, []map[[2]string][2]string) {
+	ro := o.runOpts()
+	var sims []cell                 // in request order
+	at := map[string]int{}          // simHash -> position in sims
+	named := map[[2]string]string{} // (bench, key) -> simHash
+	reads := make([]map[[2]string][2]string, len(exps))
+	for i, e := range exps {
+		if !e.Swept() {
+			continue
+		}
+		reads[i] = map[[2]string][2]string{}
+		for _, c := range e.cells(o) {
+			h := simHash(c.bench, c.machine, ro)
+			name := [2]string{c.bench, c.key}
+			if prev, ok := named[name]; ok && prev != h {
+				panic(fmt.Sprintf("experiments: %s/%s names two different simulations", c.bench, c.key))
+			}
+			named[name] = h
+			j, ok := at[h]
+			if !ok {
+				j = len(sims)
+				at[h] = j
+				sims = append(sims, c)
+			} else if s := &sims[j]; s.key != c.key && !slices.Contains(s.aliases, c.key) {
+				s.aliases = append(s.aliases, c.key)
+			}
+			reads[i][name] = [2]string{sims[j].bench, sims[j].key}
+		}
+	}
+	return byBenchmark(sims), reads
+}
+
+// byBenchmark orders cells benchmark by benchmark: each benchmark at its
+// first cell's place, and its cells in their own order.
+func byBenchmark(cells []cell) []cell {
+	var benches []string
+	of := map[string][]cell{}
+	for _, c := range cells {
+		if of[c.bench] == nil {
+			benches = append(benches, c.bench)
+		}
+		of[c.bench] = append(of[c.bench], c)
+	}
+	out := make([]cell, 0, len(cells))
+	for _, b := range benches {
+		out = append(out, of[b]...)
+	}
+	return out
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "Table 1: Simulation Parameters", Run: runTable1},
-		{ID: "table2", Title: "Table 2: Benchmark Characteristics", Run: runTable2},
-		{ID: "fig4", Title: "Figure 4: Fetch Slot Utilization", Run: runFig4},
-		{ID: "fig5", Title: "Figure 5: Fetch and Rename Rates", Run: runFig5},
-		{ID: "fig6", Title: "Figure 6: Parallel Rename with a Trace Cache", Run: runFig6},
-		{ID: "fig7", Title: "Figure 7: Live-Out Predictor Accuracy", Run: runFig7},
-		{ID: "fig8", Title: "Figure 8: Performance", Run: runFig8},
-		{ID: "fig9", Title: "Figure 9: Sensitivity to Cache Size", Run: runFig9},
-		{ID: "fig10", Title: "Figure 10: Sensitivity to Fragment Predictor Size", Run: runFig10},
-		{ID: "construction", Title: "§3.2/§3.3: Fragment Buffers and Construction", Run: runConstruction},
-		{ID: "delayed", Title: "Ablation: Delayed vs Live-Out Parallel Rename (§4)", Run: runDelayed},
-		{ID: "switchonmiss", Title: "Ablation: Switch-on-Miss Sequencers (§2.2)", Run: runSwitchOnMiss},
-		{ID: "fragsel", Title: "Ablation: Fragment Selection Heuristics (§6)", Run: runFragSel},
+		{ID: "table1", Title: "Table 1: Simulation Parameters", run: runTable1},
+		{ID: "table2", Title: "Table 2: Benchmark Characteristics", run: runTable2},
+		{ID: "fig4", Title: "Figure 4: Fetch Slot Utilization", configs: presets(fig4FrontEnds...), render: renderFig4},
+		{ID: "fig5", Title: "Figure 5: Fetch and Rename Rates", configs: presets(fig8FrontEnds...), render: renderFig5},
+		{ID: "fig6", Title: "Figure 6: Parallel Rename with a Trace Cache", configs: presets(pfe.TC, pfe.TCPR2x8w, pfe.TCPR4x4w), render: renderFig6},
+		{ID: "fig7", Title: "Figure 7: Live-Out Predictor Accuracy", run: runFig7},
+		{ID: "fig8", Title: "Figure 8: Performance", configs: presets(fig8FrontEnds...), render: renderFig8},
+		{ID: "fig9", Title: "Figure 9: Sensitivity to Cache Size", configs: fig9Configs(), render: renderFig9},
+		{ID: "fig10", Title: "Figure 10: Sensitivity to Fragment Predictor Size", configs: fig10Configs(), render: renderFig10},
+		{ID: "construction", Title: "§3.2/§3.3: Fragment Buffers and Construction", configs: presets(pfe.PF2x8w, pfe.TC), render: renderConstruction},
+		{ID: "delayed", Title: "Ablation: Delayed vs Live-Out Parallel Rename (§4)", configs: presets(delayedFrontEnds...), render: renderDelayed},
+		{ID: "switchonmiss", Title: "Ablation: Switch-on-Miss Sequencers (§2.2)", configs: switchOnMissConfigs(), render: renderSwitchOnMiss},
+		{ID: "fragsel", Title: "Ablation: Fragment Selection Heuristics (§6)", configs: fragSelConfigs(), render: renderFragSel},
 	}
 }
 

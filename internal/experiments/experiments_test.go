@@ -68,7 +68,7 @@ func TestFig4ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := runFig4(fastOpts())
+	res, err := mustByID(t, "fig4").Run(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFig9SlopesHold(t *testing.T) {
 		t.Skip("heavy sweep")
 	}
 	o := Options{Warmup: 10_000, Measure: 30_000, Benchmarks: []string{"gcc"}}
-	res, err := runFig9(o)
+	res, err := mustByID(t, "fig9").Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestConstructionClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := runConstruction(fastOpts())
+	res, err := mustByID(t, "construction").Run(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,4 +155,13 @@ func TestAblationsRun(t *testing.T) {
 			t.Errorf("%s: empty output", id)
 		}
 	}
+}
+
+func mustByID(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }

@@ -71,23 +71,16 @@ func failedResult(bench, config string) *pfe.Result {
 	}
 }
 
-// memoResultBytes is the accounted footprint of one memoized *pfe.Result
-// in the artifact cache: the scalar fields plus the three pipeline
-// histograms it references (a conservative flat estimate — results are tiny
-// next to tapes, the cap exists for tapes and program images).
-const memoResultBytes = 4096
-
-// cellHash fingerprints everything that determines a cell's result: bench,
-// config key, instruction budgets, and the full machine configuration
-// (simulation is deterministic in these). Resume uses it to cross-check
-// that a journaled result was produced by the same configuration before
-// replaying it.
-func cellHash(c *cell, ro pfe.RunOptions) string {
+// simHash is the content address of one simulation: the benchmark, the
+// instruction budgets, the full machine configuration and the sampling spec
+// — everything its result is a function of, since simulation is
+// deterministic. A cell's key is only a label and is not hashed, so two
+// experiments that name one machine differently share one simulation
+// (RunAll), and a journaled result replays for every experiment that asks
+// for it (Resume).
+func simHash(bench string, m pfe.Machine, ro pfe.RunOptions) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%+v", c.bench, c.key, ro.WarmupInsts, ro.MeasureInsts, c.machine)
-	// Sampling changes the result, so it extends the fingerprint — but
-	// only when in use, keeping every exact-mode hash (and therefore
-	// existing journals) stable.
+	fmt.Fprintf(h, "%s|%d|%d|%+v", bench, ro.WarmupInsts, ro.MeasureInsts, m)
 	if ro.Sample != nil {
 		fmt.Fprintf(h, "|sample:%d/%d/%d", ro.Sample.Unit, ro.Sample.Period, ro.Sample.Warmup)
 	}
@@ -95,24 +88,23 @@ func cellHash(c *cell, ro pfe.RunOptions) string {
 }
 
 // runCell drives one cell to a terminal outcome: resume replay if the
-// journal already has it, otherwise one run behind a recover barrier. A cell
-// is a pure function of its config hash, so it runs once: a second run would
-// fail the same way. Success is journaled (fsynced) before it is observable;
+// journal already has it, otherwise one run behind a recover barrier. A
+// simulation is a pure function of its content hash, so it runs once: a
+// second run would fail the same way. Success is journaled (fsynced) before it is observable;
 // a failure becomes a structured record, with the watchdog diagnostic bundle
 // written to DumpDir when the error carries one.
 //
 // batch, worker, and idx scope the cell's span (batch may come from a nil
 // tracer, in which case every span call is a free no-op): the cell span
-// carries the memo/resume short-circuits, a failure's cause and error, and
-// watchdog dump paths as typed annotations, with the run's phase spans under
-// it.
+// carries a resume replay, a failure's cause and error, and watchdog dump
+// paths as typed annotations, with the run's phase spans under it.
 func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch span.Batch, worker, idx int) cellOutcome {
-	hash := cellHash(c, ro)
+	hash := simHash(c.bench, c.machine, ro)
 	cs := batch.StartCell(idx, c.bench, c.key, worker)
 	defer cs.End()
 	cs.Str("cell_hash", hash)
 	if o.Resume != nil {
-		if r, ok := o.Resume.lookup(o.ExperimentID, c.bench, c.key, hash); ok {
+		if r, ok := o.Resume.lookup(c, hash); ok {
 			cs.Str("source", "resume-replay")
 			if o.Observer != nil {
 				o.Observer.Completed(c.bench, c.key, 0, r)
@@ -120,23 +112,11 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 			return cellOutcome{r: r}
 		}
 	}
+	// A fault injected under any name of the simulation hits it.
 	inject := o.Inject[c.bench+"/"+c.key]
-	// Result memoization: the simulation is a pure function of everything
-	// cellHash covers, so an identical cell completed earlier in this run
-	// (e.g. by a previous experiment sharing the config grid) is served
-	// as-is. Skipped for injected faults and test-hook cells, whose outcome
-	// is not a function of the hash. Memoized completions are journaled like
-	// fresh ones so a resumed run replays them under this experiment too.
-	memoize := o.Artifacts != nil && c.run == nil && inject == ""
-	if memoize {
-		if v, ok := o.Artifacts.GetResult(hash); ok {
-			r := v.(*pfe.Result)
-			cs.Str("source", "memo-hit")
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, r))
-			if o.Observer != nil {
-				o.Observer.Completed(c.bench, c.key, 0, r)
-			}
-			return cellOutcome{r: r}
+	for _, k := range c.aliases {
+		if inject == "" {
+			inject = o.Inject[c.bench+"/"+k]
 		}
 	}
 	if inject == "stall" {
@@ -157,19 +137,16 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 	ro.SpanParent = cs.ID()
 	r, err, panicked, stack := safeRun(c, ro, inject)
 	if err == nil {
-		if memoize {
-			o.Artifacts.PutResult(hash, r, memoResultBytes)
-		}
 		// Journal before reporting: a record exists for every cell an
 		// observer (and thus a report) has seen complete.
-		o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, r))
+		o.journalCell(cs, newCellRecord(c, hash, r))
 		if o.Observer != nil {
 			o.Observer.Completed(c.bench, c.key, time.Since(cellStart), r)
 		}
 		return cellOutcome{r: r}
 	}
 	f := &obs.CellFailure{
-		Experiment: o.ExperimentID,
+		Experiment: c.exp,
 		Bench:      c.bench,
 		Key:        c.key,
 		Error:      err.Error(),
@@ -308,6 +285,6 @@ func (o Options) dumpPath(c *cell) string {
 			}
 		}, s)
 	}
-	name := fmt.Sprintf("pfe-stall-%s-%s-%s.txt", clean(o.ExperimentID), clean(c.bench), clean(c.key))
+	name := fmt.Sprintf("pfe-stall-%s-%s-%s.txt", clean(c.exp), clean(c.bench), clean(c.key))
 	return filepath.Join(dir, name)
 }

@@ -51,20 +51,11 @@ func (r *SweepResult) String() string {
 	return b.String()
 }
 
-// sweep runs benches × machines and projects a metric.
-func sweep(o Options, title, metric string, machines []pfe.Machine, keys []string,
-	project func(*pfe.Result) float64, mean func([]float64) float64) (*SweepResult, error) {
+// sweepResult tabulates v(bench, key) for every benchmark of o under each
+// of keys, with mean over each key's column as its summary.
+func sweepResult(o Options, title, metric string, keys []string,
+	v func(bench, key string) float64, mean func([]float64) float64) *SweepResult {
 
-	var cells []cell
-	for _, b := range o.benches() {
-		for i, m := range machines {
-			cells = append(cells, cell{bench: b, machine: m, key: keys[i]})
-		}
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
 	r := &SweepResult{
 		Title:   title,
 		Metric:  metric,
@@ -76,34 +67,48 @@ func sweep(o Options, title, metric string, machines []pfe.Machine, keys []strin
 	for _, k := range keys {
 		var xs []float64
 		for _, b := range r.Benches {
-			v := project(results[[2]string{b, k}])
-			r.Values[[2]string{b, k}] = v
-			xs = append(xs, v)
+			x := v(b, k)
+			r.Values[[2]string{b, k}] = x
+			xs = append(xs, x)
 		}
 		r.Summary[k] = mean(xs)
 	}
-	return r, nil
+	return r
 }
 
-// runFig4 reproduces Figure 4: fetch slot utilization per mechanism
-// (harmonic mean across benchmarks, as in the paper).
-func runFig4(o Options) (fmt.Stringer, error) {
-	fes := []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w}
-	machines := make([]pfe.Machine, len(fes))
+// presets configures each front-end's preset under its own name.
+func presets(fes ...pfe.FrontEnd) []config {
+	cs := make([]config, len(fes))
+	for i, fe := range fes {
+		cs[i] = config{key: string(fe), machine: pfe.Preset(fe)}
+	}
+	return cs
+}
+
+// names returns the front-ends' names, which presets keys them by.
+func names(fes []pfe.FrontEnd) []string {
 	keys := make([]string, len(fes))
 	for i, fe := range fes {
-		machines[i] = pfe.Preset(fe)
 		keys[i] = string(fe)
 	}
-	r, err := sweep(o, "Figure 4: Fetch Slot Utilization", "slot utilization",
-		machines, keys,
-		func(res *pfe.Result) float64 { return res.FetchSlotUtilization },
+	return keys
+}
+
+var (
+	fig4FrontEnds    = []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w}
+	fig8FrontEnds    = []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w, pfe.PR2x8w, pfe.PR4x4w}
+	delayedFrontEnds = []pfe.FrontEnd{pfe.PF2x8w, pfe.PR2x8w, pfe.PRD2x8w, pfe.PF4x4w, pfe.PR4x4w, pfe.PRD4x4w}
+)
+
+// renderFig4 reproduces Figure 4: fetch slot utilization per mechanism
+// (harmonic mean across benchmarks, as in the paper).
+func renderFig4(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
+	r := sweepResult(o, "Figure 4: Fetch Slot Utilization", "slot utilization",
+		names(fig4FrontEnds),
+		func(b, k string) float64 { return res[[2]string{b, k}].FetchSlotUtilization },
 		stats.HarmonicMean)
-	if err != nil {
-		return nil, err
-	}
 	r.Note = "paper (harmonic means): W16 ~0.40, TC/TC2x ~0.60, PF-2x8w ~0.70, PF-4x4w ~0.80"
-	return r, nil
+	return r
 }
 
 // Fig5Result holds Figure 5: per-mechanism fetch and rename rates.
@@ -113,32 +118,21 @@ type Fig5Result struct {
 	Rename map[string]float64
 }
 
-func runFig5(o Options) (fmt.Stringer, error) {
-	fes := []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w, pfe.PR2x8w, pfe.PR4x4w}
-	var cells []cell
-	for _, b := range o.benches() {
-		for _, fe := range fes {
-			cells = append(cells, cell{bench: b, machine: pfe.Preset(fe), key: string(fe)})
-		}
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
+func renderFig5(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
 	r := &Fig5Result{Fetch: map[string]float64{}, Rename: map[string]float64{}}
-	for _, fe := range fes {
+	for _, fe := range fig8FrontEnds {
 		k := string(fe)
 		r.Keys = append(r.Keys, k)
 		var f, rn []float64
 		for _, b := range o.benches() {
-			res := results[[2]string{b, k}]
-			f = append(f, res.FetchRate)
-			rn = append(rn, res.RenameRate)
+			x := res[[2]string{b, k}]
+			f = append(f, x.FetchRate)
+			rn = append(rn, x.RenameRate)
 		}
 		r.Fetch[k] = stats.ArithmeticMean(f)
 		r.Rename[k] = stats.ArithmeticMean(rn)
 	}
-	return r, nil
+	return r
 }
 
 // String renders fetch and rename instructions/cycle per mechanism.
@@ -152,124 +146,69 @@ func (r *Fig5Result) String() string {
 		"paper: PF fetch ~7/cyc (+20% vs TC, +49% vs W16); PR rename ~= PF rename +13%\n"
 }
 
-// runFig6 reproduces Figure 6: the performance penalty of replacing a
+// renderFig6 reproduces Figure 6: the performance penalty of replacing a
 // monolithic renamer with a parallel renamer under a trace-cache fetch unit
 // (percent slowdown vs TC; positive = slower).
-func runFig6(o Options) (fmt.Stringer, error) {
-	machines := []pfe.Machine{pfe.Preset(pfe.TC), pfe.Preset(pfe.TCPR2x8w), pfe.Preset(pfe.TCPR4x4w)}
-	keys := []string{"TC", "TC+PR-2x8w", "TC+PR-4x4w"}
-	var cells []cell
-	for _, b := range o.benches() {
-		for i, m := range machines {
-			cells = append(cells, cell{bench: b, machine: m, key: keys[i]})
-		}
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
-	r := &SweepResult{
-		Title:   "Figure 6: Slowdown of Parallel Renaming under Trace-Cache Fetch (% vs TC)",
-		Metric:  "% slowdown",
-		Benches: o.benches(),
-		Keys:    keys[1:],
-		Values:  map[[2]string]float64{},
-		Summary: map[string]float64{},
-	}
-	for _, k := range r.Keys {
-		var xs []float64
-		for _, b := range r.Benches {
-			base := results[[2]string{b, "TC"}].IPC
-			v := -stats.Speedup(base, results[[2]string{b, k}].IPC)
-			r.Values[[2]string{b, k}] = v
-			xs = append(xs, v)
-		}
-		r.Summary[k] = stats.ArithmeticMean(xs)
-	}
+func renderFig6(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
+	r := sweepResult(o, "Figure 6: Slowdown of Parallel Renaming under Trace-Cache Fetch (% vs TC)", "% slowdown",
+		[]string{string(pfe.TCPR2x8w), string(pfe.TCPR4x4w)},
+		func(b, k string) float64 {
+			return -stats.Speedup(res[[2]string{b, "TC"}].IPC, res[[2]string{b, k}].IPC)
+		},
+		stats.ArithmeticMean)
 	r.Note = "paper: 2x8w ~1% average slowdown, 4x4w ~3.5%"
-	return r, nil
+	return r
 }
 
-// runFig8 reproduces Figure 8: percent speedup over W16 for TC, TC2x,
+// renderFig8 reproduces Figure 8: percent speedup over W16 for TC, TC2x,
 // PF/PR-2x8w and PF/PR-4x4w (the PR bars' lower sections are the PF
 // configurations).
-func runFig8(o Options) (fmt.Stringer, error) {
-	fes := []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w, pfe.PR2x8w, pfe.PR4x4w}
-	var cells []cell
-	for _, b := range o.benches() {
-		for _, fe := range fes {
-			cells = append(cells, cell{bench: b, machine: pfe.Preset(fe), key: string(fe)})
-		}
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
-	keys := []string{"TC", "TC2x", "PF-2x8w", "PR-2x8w", "PF-4x4w", "PR-4x4w"}
-	r := &SweepResult{
-		Title:   "Figure 8: Performance (% speedup over W16)",
-		Metric:  "% speedup vs W16",
-		Benches: o.benches(),
-		Keys:    keys,
-		Values:  map[[2]string]float64{},
-		Summary: map[string]float64{},
-	}
-	for _, k := range keys {
-		var xs []float64
-		for _, b := range r.Benches {
-			base := results[[2]string{b, "W16"}].IPC
-			v := stats.Speedup(base, results[[2]string{b, k}].IPC)
-			r.Values[[2]string{b, k}] = v
-			xs = append(xs, v)
-		}
-		r.Summary[k] = stats.ArithmeticMean(xs)
-	}
+func renderFig8(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
+	r := sweepResult(o, "Figure 8: Performance (% speedup over W16)", "% speedup vs W16",
+		[]string{"TC", "TC2x", "PF-2x8w", "PR-2x8w", "PF-4x4w", "PR-4x4w"},
+		func(b, k string) float64 {
+			return stats.Speedup(res[[2]string{b, "W16"}].IPC, res[[2]string{b, k}].IPC)
+		},
+		stats.ArithmeticMean)
 	r.Note = "paper: PR-2x8w ~= TC2x with half the storage, ~TC+5%, ~W16+10-13%;\n" +
 		"PR-4x4w ~TC+3%; on large-footprint benchmarks (crafty/gcc/perl/vortex) PR-2x8w beats TC by 10-20%"
-	return r, nil
+	return r
 }
 
-// runFig9 reproduces Figure 9: speedup over W16@64KB as total L1
-// instruction storage varies from 8 to 128 KB.
-func runFig9(o Options) (fmt.Stringer, error) {
-	sizes := []int{8, 16, 32, 64, 128}
-	fes := []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.PR2x8w, pfe.PR4x4w}
-	var cells []cell
-	var keys []string
-	var machines []pfe.Machine
-	for _, fe := range fes {
-		for _, kb := range sizes {
-			keys = append(keys, fmt.Sprintf("%s@%dKB", fe, kb))
-			machines = append(machines, pfe.Preset(fe).WithTotalL1I(kb))
-		}
-	}
-	for _, b := range o.benches() {
-		for i := range machines {
-			cells = append(cells, cell{bench: b, machine: machines[i], key: keys[i]})
-		}
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
+var (
+	fig9Sizes     = []int{8, 16, 32, 64, 128}
+	fig9FrontEnds = []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.PR2x8w, pfe.PR4x4w}
+)
 
-	r := &Fig9Result{Sizes: sizes}
-	for _, fe := range fes {
-		r.FrontEnds = append(r.FrontEnds, string(fe))
+// fig9Configs varies each front-end's total L1 instruction storage from 8
+// to 128 KB.
+func fig9Configs() []config {
+	var cs []config
+	for _, fe := range fig9FrontEnds {
+		for _, kb := range fig9Sizes {
+			cs = append(cs, config{fmt.Sprintf("%s@%dKB", fe, kb), pfe.Preset(fe).WithTotalL1I(kb)})
+		}
 	}
-	r.Speedup = map[[2]string]float64{}
-	for _, fe := range fes {
-		for _, kb := range sizes {
+	return cs
+}
+
+// renderFig9 reproduces Figure 9: speedup over W16@64KB as total L1
+// instruction storage varies from 8 to 128 KB.
+func renderFig9(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
+	r := &Fig9Result{Sizes: fig9Sizes, Speedup: map[[2]string]float64{}}
+	for _, fe := range fig9FrontEnds {
+		r.FrontEnds = append(r.FrontEnds, string(fe))
+		for _, kb := range fig9Sizes {
 			k := fmt.Sprintf("%s@%dKB", fe, kb)
 			var xs []float64
 			for _, b := range o.benches() {
-				base := results[[2]string{b, "W16@64KB"}].IPC
-				xs = append(xs, results[[2]string{b, k}].IPC/base)
+				base := res[[2]string{b, "W16@64KB"}].IPC
+				xs = append(xs, res[[2]string{b, k}].IPC/base)
 			}
 			r.Speedup[[2]string{string(fe), fmt.Sprintf("%d", kb)}] = stats.GeometricMean(xs)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Fig9Result holds the cache-size sensitivity curves.
@@ -313,45 +252,40 @@ func (r *Fig9Result) String() string {
 		"paper: PR loses only ~6% from 128KB to 8KB; sequential fetch is 50-62% slower than PR at small sizes;\nTC has the steepest slope\n"
 }
 
-// runFig10 reproduces Figure 10: speedup over W16 (with the default 64K
-// predictor) as the fragment predictor's primary table varies.
-func runFig10(o Options) (fmt.Stringer, error) {
-	entries := []int{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
-	fes := []pfe.FrontEnd{pfe.TC, pfe.PR2x8w, pfe.PR4x4w}
-	var cells []cell
-	for _, b := range o.benches() {
-		cells = append(cells, cell{bench: b, machine: pfe.Preset(pfe.W16), key: "W16"})
-		for _, fe := range fes {
-			for _, e := range entries {
-				cells = append(cells, cell{
-					bench:   b,
-					machine: pfe.Preset(fe).WithPredictorEntries(e),
-					key:     fmt.Sprintf("%s@%dK", fe, e>>10),
-				})
-			}
+var (
+	fig10Entries   = []int{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
+	fig10FrontEnds = []pfe.FrontEnd{pfe.TC, pfe.PR2x8w, pfe.PR4x4w}
+)
+
+// fig10Configs is W16 at the default predictor plus each front-end at
+// every primary-table size.
+func fig10Configs() []config {
+	cs := presets(pfe.W16)
+	for _, fe := range fig10FrontEnds {
+		for _, e := range fig10Entries {
+			cs = append(cs, config{fmt.Sprintf("%s@%dK", fe, e>>10), pfe.Preset(fe).WithPredictorEntries(e)})
 		}
 	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
-	r := &Fig10Result{Entries: entries}
-	for _, fe := range fes {
+	return cs
+}
+
+// renderFig10 reproduces Figure 10: speedup over W16 (with the default 64K
+// predictor) as the fragment predictor's primary table varies.
+func renderFig10(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
+	r := &Fig10Result{Entries: fig10Entries, Speedup: map[[2]string]float64{}}
+	for _, fe := range fig10FrontEnds {
 		r.FrontEnds = append(r.FrontEnds, string(fe))
-	}
-	r.Speedup = map[[2]string]float64{}
-	for _, fe := range fes {
-		for _, e := range entries {
+		for _, e := range fig10Entries {
 			k := fmt.Sprintf("%s@%dK", fe, e>>10)
 			var xs []float64
 			for _, b := range o.benches() {
-				base := results[[2]string{b, "W16"}].IPC
-				xs = append(xs, results[[2]string{b, k}].IPC/base)
+				base := res[[2]string{b, "W16"}].IPC
+				xs = append(xs, res[[2]string{b, k}].IPC/base)
 			}
 			r.Speedup[[2]string{string(fe), fmt.Sprintf("%d", e>>10)}] = stats.GeometricMean(xs)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Fig10Result holds the predictor-size sensitivity curves.
@@ -394,25 +328,16 @@ func (r *Fig10Result) String() string {
 	return t.String() + plot.String() + "paper: ~1.25% gain per predictor doubling for all mechanisms\n"
 }
 
-// runConstruction reproduces the §3.2/§3.3 claims: fragment-buffer reuse
-// (20-70% with 16 buffers) and fragments fully constructed before rename
-// reads them (~84%, vs the trace cache's ~87% hit rate).
-func runConstruction(o Options) (fmt.Stringer, error) {
-	var cells []cell
-	for _, b := range o.benches() {
-		cells = append(cells, cell{bench: b, machine: pfe.Preset(pfe.PF2x8w), key: "PF-2x8w"})
-		cells = append(cells, cell{bench: b, machine: pfe.Preset(pfe.TC), key: "TC"})
-	}
-	results, err := runCells(o, cells)
-	if err != nil {
-		return nil, err
-	}
+// renderConstruction reproduces the §3.2/§3.3 claims: fragment-buffer
+// reuse (20-70% with 16 buffers) and fragments fully constructed before
+// rename reads them (~84%, vs the trace cache's ~87% hit rate).
+func renderConstruction(o Options, res map[[2]string]*pfe.Result) fmt.Stringer {
 	t := stats.NewTable("§3.2/§3.3: Fragment Buffer Reuse and Just-in-Time Construction",
 		"Benchmark", "Buffer reuse", "Constructed before rename", "TC hit rate")
 	var reuse, early, tchit []float64
 	for _, b := range o.benches() {
-		pf := results[[2]string{b, "PF-2x8w"}]
-		tc := results[[2]string{b, "TC"}]
+		pf := res[[2]string{b, "PF-2x8w"}]
+		tc := res[[2]string{b, "TC"}]
 		t.AddRow(b,
 			stats.Num("%.2f", pf.BufferReuseRate),
 			stats.Num("%.2f", pf.FragsConstructedEarly),
@@ -426,7 +351,7 @@ func runConstruction(o Options) (fmt.Stringer, error) {
 		stats.Num("%.2f", stats.ArithmeticMean(early)),
 		stats.Num("%.2f", stats.ArithmeticMean(tchit)))
 	return stringerString(t.String() +
-		"paper: reuse 20-70%; 84% of fragments complete before rename; TC hit rate ~87%\n"), nil
+		"paper: reuse 20-70%; 84% of fragments complete before rename; TC hit rate ~87%\n")
 }
 
 type stringerString string

@@ -9,9 +9,10 @@ import (
 	"github.com/parallel-frontend/pfe/internal/journal"
 )
 
-// cellRecord is the journal's wire record for one completed cell: identity,
-// the config hash the result was produced under, and the full scalar mirror
-// of the result. Go's JSON encoder emits the shortest representation that
+// cellRecord is the journal's wire record for one completed simulation: the
+// experiment, benchmark and key of its first requester, the content hash
+// (simHash) it was produced under, and the full scalar mirror of the
+// result. Go's JSON encoder emits the shortest representation that
 // round-trips each float64 exactly, so a replayed result is bit-identical
 // to the one that was journaled — that is what makes `-resume` produce the
 // same report as an uninterrupted run.
@@ -61,9 +62,9 @@ type cellResult struct {
 	Sampling   *pfe.SamplingInfo `json:"sampling,omitempty"`
 }
 
-func newCellRecord(exp string, c *cell, hash string, r *pfe.Result) cellRecord {
+func newCellRecord(c *cell, hash string, r *pfe.Result) cellRecord {
 	return cellRecord{
-		Exp:    exp,
+		Exp:    c.exp,
 		Bench:  c.bench,
 		Key:    c.key,
 		Hash:   hash,
@@ -123,12 +124,13 @@ func (cr *cellResult) toResult() *pfe.Result {
 	}
 }
 
-// Resume is the replay index built from a journal: completed cells keyed by
-// (experiment, bench, key), each guarded by the config hash it was produced
-// under. Lookups are read-only after load and safe for concurrent workers.
+// Resume is the replay index built from a journal: completed simulations
+// keyed by their content hash, so a journaled result replays for every
+// experiment that asks for the same simulation, whatever key it names it
+// by. Lookups are read-only after load and safe for concurrent workers.
 type Resume struct {
-	results map[[3]string]*pfe.Result
-	hashes  map[[3]string]string
+	results map[string]*pfe.Result // simHash -> result
+	names   map[[3]string]bool     // (exp, bench, key) of every record
 
 	// Records and Torn report what LoadResume found: valid journal records
 	// and trailing torn lines dropped (at most one, from a crash
@@ -137,28 +139,28 @@ type Resume struct {
 	Torn    int
 
 	// Replayed counts cells served from the journal; Mismatched counts
-	// journaled cells whose config hash no longer matched the cell about to
-	// run (stale journal — the cell is re-run instead of replayed).
+	// cells the journal names (experiment, bench and key) under another
+	// hash — a stale journal, or one written before keys left the hash —
+	// which are re-run instead of replayed.
 	Replayed   atomic.Int64
 	Mismatched atomic.Int64
 }
 
 // LoadResume reads a journal written by a previous (possibly killed) run
-// and builds the replay index. A duplicate (exp, bench, key) keeps the last
-// record — the one whose append was acknowledged most recently.
+// and builds the replay index. A duplicate hash keeps the last record — the
+// one whose append was acknowledged most recently.
 func LoadResume(path string) (*Resume, error) {
 	r := &Resume{
-		results: map[[3]string]*pfe.Result{},
-		hashes:  map[[3]string]string{},
+		results: map[string]*pfe.Result{},
+		names:   map[[3]string]bool{},
 	}
 	records, torn, err := journal.Scan(path, func(payload []byte) error {
 		var rec cellRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("experiments: resume record: %w", err)
 		}
-		k := [3]string{rec.Exp, rec.Bench, rec.Key}
-		r.results[k] = rec.Result.toResult()
-		r.hashes[k] = rec.Hash
+		r.results[rec.Hash] = rec.Result.toResult()
+		r.names[[3]string{rec.Exp, rec.Bench, rec.Key}] = true
 		return nil
 	})
 	if err != nil {
@@ -168,22 +170,19 @@ func LoadResume(path string) (*Resume, error) {
 	return r, nil
 }
 
-// Cells reports how many distinct cells the index can replay.
+// Cells reports how many distinct simulations the index can replay.
 func (r *Resume) Cells() int { return len(r.results) }
 
-// lookup returns the journaled result for a cell if one exists and its
-// config hash matches; a hash mismatch (the determinism cross-check)
-// returns ok=false so the caller re-runs the cell.
-func (r *Resume) lookup(exp, bench, key, hash string) (*pfe.Result, bool) {
-	k := [3]string{exp, bench, key}
-	res := r.results[k]
-	if res == nil {
-		return nil, false
+// lookup returns the journaled result of the simulation with content hash
+// hash. A miss on a cell the journal names under another hash counts as a
+// mismatch; the caller re-runs the cell either way.
+func (r *Resume) lookup(c *cell, hash string) (*pfe.Result, bool) {
+	if res := r.results[hash]; res != nil {
+		r.Replayed.Add(1)
+		return res, true
 	}
-	if r.hashes[k] != hash {
+	if r.names[[3]string{c.exp, c.bench, c.key}] {
 		r.Mismatched.Add(1)
-		return nil, false
 	}
-	r.Replayed.Add(1)
-	return res, true
+	return nil, false
 }

@@ -48,7 +48,7 @@ func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 	var calls atomic.Int32
 	mk := func() []cell {
 		return []cell{
-			{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "doomed",
+			{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "doomed", exp: "exp1",
 				run: func() (*pfe.Result, error) { calls.Add(1); panic("hard fault") }},
 			{bench: "gzip", machine: pfe.Preset(pfe.W16), key: "ok",
 				run: func() (*pfe.Result, error) { return fakeResult("gzip", "W16", 2.0), nil }},
@@ -57,7 +57,7 @@ func TestRunCellsFailedCellRunsOnceAsGap(t *testing.T) {
 
 	log := &FailureLog{}
 	ob := &countingObserver{}
-	o := Options{Workers: 1, Failures: log, Observer: ob, ExperimentID: "exp1"}
+	o := Options{Workers: 1, Failures: log, Observer: ob}
 	got, err := runCells(o, mk())
 	if err != nil {
 		t.Fatalf("a failed cell with a Failures log aborted the batch: %v", err)
@@ -228,7 +228,9 @@ func TestRunCellsDrainsOnCancel(t *testing.T) {
 // TestJournalResumeRoundTrip pins the resume contract end to end within the
 // package: journal a sweep, reload it, and a resumed sweep must serve every
 // cell from the journal (the run hook proves no re-execution) with
-// bit-identical float results — then re-run when the config hash changes.
+// bit-identical float results — then re-run when the content hash changes.
+// The cells differ in machine, since the hash covers the machine and not
+// the key.
 func TestJournalResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "cells.journal")
@@ -238,7 +240,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			i := i
 			cells = append(cells, cell{
-				bench: "gzip", machine: pfe.Preset(pfe.W16), key: fmt.Sprintf("k%d", i),
+				bench: "gzip", machine: pfe.Preset(pfe.W16).WithTotalL1I(8 << i), key: fmt.Sprintf("k%d", i), exp: "rt",
 				run: func() (*pfe.Result, error) {
 					if reran != nil {
 						reran.Add(1)
@@ -255,7 +257,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Workers: 2, Journal: w, ExperimentID: "rt"}
+	o := Options{Workers: 2, Journal: w}
 	first, err := runCells(o, mkCells(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +276,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	}
 
 	var reran atomic.Int32
-	o2 := Options{Workers: 2, Resume: res, ExperimentID: "rt"}
+	o2 := Options{Workers: 2, Resume: res}
 	second, err := runCells(o2, mkCells(&reran))
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +300,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	// Determinism cross-check: a different instruction budget changes the
 	// config hash, so the journal must NOT be replayed.
 	reran.Store(0)
-	o3 := Options{Workers: 2, Resume: res, ExperimentID: "rt", Warmup: 1, Measure: 2}
+	o3 := Options{Workers: 2, Resume: res, Warmup: 1, Measure: 2}
 	if _, err := runCells(o3, mkCells(&reran)); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestInjectStallProducesDiagnosticDump(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1_000, Measure: 2_000, Workers: 1,
-		Failures: log, DumpDir: dir, ExperimentID: "inj",
+		Failures: log, DumpDir: dir,
 		Inject: map[string]string{"gzip/W16": "stall"},
 	}
 	cells := []cell{{bench: "gzip", machine: pfe.Preset(pfe.W16), key: "W16"}}
@@ -360,7 +362,7 @@ func TestInjectPanicAndErrorModes(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1_000, Measure: 2_000, Workers: 2,
-		Failures: log, ExperimentID: "inj2",
+		Failures: log,
 		Inject: map[string]string{
 			"gzip/a": "panic",
 			"mcf/b":  "error",
@@ -393,7 +395,7 @@ func TestInProcessInjectRejectsUnknownAndKill(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1000, Measure: 2000, Workers: 1,
-		Failures: log, ExperimentID: "inj3",
+		Failures: log,
 		Inject: map[string]string{
 			"gzip/a": "kill",
 			"mcf/b":  "frobnicate",
@@ -457,8 +459,8 @@ func TestParseInject(t *testing.T) {
 }
 
 // TestResumeDuplicateKeepsLastRecord pins LoadResume's duplicate rule: when
-// a cell was journaled twice, the later append — the one acknowledged most
-// recently — is the one replayed.
+// a simulation was journaled twice, the later append — the one acknowledged
+// most recently — is the one replayed.
 func TestResumeDuplicateKeepsLastRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dups.wal")
 	w, err := journal.Create(path)
@@ -481,7 +483,7 @@ func TestResumeDuplicateKeepsLastRecord(t *testing.T) {
 	if res.Cells() != 1 || res.Records != 2 {
 		t.Fatalf("resume index: %d cells from %d records, want 1 from 2", res.Cells(), res.Records)
 	}
-	if r, ok := res.lookup("e", "gzip", "k", "h"); !ok || r.IPC != 3.5 {
+	if r, ok := res.lookup(&cell{exp: "e", bench: "gzip", key: "k"}, "h"); !ok || r.IPC != 3.5 {
 		t.Fatalf("lookup = %+v (ok=%v), want the last record (IPC 3.5)", r, ok)
 	}
 }
@@ -495,7 +497,7 @@ func TestResumeLegacyEpochJournalBitIdentical(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	dir := t.TempDir()
-	o := Options{Warmup: 1000, Measure: 2000, Benchmarks: []string{"gzip"}, ExperimentID: "fig4"}
+	o := Options{Warmup: 1000, Measure: 2000, Benchmarks: []string{"gzip"}}
 	e, err := ByID("fig4")
 	if err != nil {
 		t.Fatal(err)

@@ -96,9 +96,11 @@ type Row struct {
 	Cycles    uint64 `json:"cycles"`
 	Committed int64  `json:"committed"`
 
-	// Timing is the cell's wall-time breakdown from the sweep span trace
-	// (present only when the run traced spans): where this cell's wall time
-	// went between waiting for a worker, building the workload, and simulating.
+	// Timing is the wall-time breakdown of the row's simulation from the
+	// sweep span trace (present only when the run traced spans, and only on
+	// rows that name the simulation by the key of its first requester):
+	// where its wall time went between waiting for a worker, building the
+	// workload, and simulating.
 	Timing *RowTiming `json:"timing,omitempty"`
 }
 
@@ -106,8 +108,7 @@ type Row struct {
 // queue-wait is the delay between sweep start and the cell being claimed by a
 // worker; build covers program-build and tape-build/replay phases; sim covers
 // the detailed simulation (including sampled windows and gap warming);
-// overhead is the remainder (scheduling, journaling,
-// memo lookups).
+// overhead is the remainder (scheduling, journaling).
 type RowTiming struct {
 	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
 	BuildSeconds     float64 `json:"build_seconds"`
@@ -132,17 +133,15 @@ type CellFailure struct {
 
 // ArtifactsReport summarizes the run's cross-cell workload reuse: traffic
 // and footprint of the content-addressed artifact cache (shared program
-// images, oracle tapes, memoized cell results). Hits are work the run did
-// not repeat; tape_fallback_steps counts instructions a tape reader served
-// by live emulation after outrunning a truncated recording (0 in healthy
+// images, oracle tapes, union warm packs). Hits are work the run did not
+// repeat; tape_fallback_steps counts instructions a tape reader served by
+// live emulation after outrunning a truncated recording (0 in healthy
 // runs).
 type ArtifactsReport struct {
 	ProgramHits       int64 `json:"program_hits"`
 	ProgramMisses     int64 `json:"program_misses"`
 	TapeHits          int64 `json:"tape_hits"`
 	TapeMisses        int64 `json:"tape_misses"`
-	ResultHits        int64 `json:"result_hits"`
-	ResultMisses      int64 `json:"result_misses"`
 	WarmHits          int64 `json:"warm_hits,omitempty"`
 	WarmMisses        int64 `json:"warm_misses,omitempty"`
 	Evictions         int64 `json:"evictions,omitempty"`
@@ -152,9 +151,9 @@ type ArtifactsReport struct {
 	TapeFallbackSteps int64 `json:"tape_fallback_steps,omitempty"`
 }
 
-// SchedulerReport summarizes how an experiment's simulations were
-// dispatched: pool size, and how much of the workers' combined wall time was
-// spent running simulations (utilization).
+// SchedulerReport summarizes how the run's sweep dispatched its
+// simulations: pool size, and how much of the workers' combined wall time
+// over the sweep was spent running simulations (utilization).
 type SchedulerReport struct {
 	Workers     int     `json:"workers"`
 	Tasks       int     `json:"tasks"`
@@ -162,15 +161,16 @@ type SchedulerReport struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// ExperimentReport is one experiment's slice of a report.
+// ExperimentReport is one experiment's slice of a report: a row for every
+// cell it reads, in its own keys. A run has one sweep, so experiments carry
+// no wall time of their own (reports written before this still decode; the
+// decoder ignores their per-experiment wall_seconds, sims_per_sec and
+// scheduler).
 type ExperimentReport struct {
-	ID          string           `json:"id"`
-	Title       string           `json:"title"`
-	WallSeconds float64          `json:"wall_seconds"`
-	Sims        int              `json:"sims"`
-	SimsPerSec  float64          `json:"sims_per_sec,omitempty"`
-	Scheduler   *SchedulerReport `json:"scheduler,omitempty"`
-	Rows        []Row            `json:"rows,omitempty"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	Sims  int    `json:"sims"`
+	Rows  []Row  `json:"rows,omitempty"`
 }
 
 // Report is the versioned machine-readable record of one pfe-bench run —
@@ -204,6 +204,10 @@ type Report struct {
 	// used the artifact cache). Additive and omitted when absent, so the
 	// schema version is unchanged.
 	Artifacts *ArtifactsReport `json:"artifacts,omitempty"`
+
+	// Scheduler describes the run's one sweep (absent when the run had no
+	// swept experiment).
+	Scheduler *SchedulerReport `json:"scheduler,omitempty"`
 
 	Experiments []ExperimentReport `json:"experiments"`
 }
@@ -299,22 +303,22 @@ func (b *ReportBuilder) AddRow(id string, row Row) {
 	}
 }
 
-// SetRowTiming attaches a span-derived wall-time breakdown to the matching
-// row of an experiment (the first row for that bench/config still missing
-// one). Call before Finalize; rows without trace coverage keep Timing nil.
-func (b *ReportBuilder) SetRowTiming(id, bench, config string, t RowTiming) {
+// SetRowTiming attaches a span-derived wall-time breakdown to every row,
+// in any experiment, for bench/config that has none yet: a simulation's
+// span names it by its first requester's key, and a row under that key in
+// any experiment reads that simulation. Call before Finalize; rows without
+// trace coverage keep Timing nil.
+func (b *ReportBuilder) SetRowTiming(bench, config string, t RowTiming) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e := b.byID[id]
-	if e == nil {
-		return
-	}
-	for i := range e.Rows {
-		r := &e.Rows[i]
-		if r.Bench == bench && r.Config == config && r.Timing == nil {
-			tc := t
-			r.Timing = &tc
-			return
+	for _, id := range b.order {
+		rows := b.byID[id].Rows
+		for i := range rows {
+			if r := &rows[i]; r.Bench == bench && r.Config == config && r.Timing == nil {
+				tc := t
+				r.Timing = &tc
+				break
+			}
 		}
 	}
 }
@@ -326,24 +330,16 @@ func (b *ReportBuilder) SetStageSeconds(sec map[string]float64) {
 	b.rep.StageSeconds = sec
 }
 
-// AddScheduler merges one batch's dispatch statistics into an experiment's
-// report (an experiment may run cells in several batches: worker counts take
-// the max, the rest accumulate).
-func (b *ReportBuilder) AddScheduler(id string, workers, tasks int, busySeconds float64) {
+// SetScheduler records the run's sweep: its worker count, the simulations
+// the workers ran, their busy time and the sweep's wall time.
+func (b *ReportBuilder) SetScheduler(workers, tasks int, busySeconds, wallSeconds float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e := b.byID[id]
-	if e == nil {
-		return
+	s := &SchedulerReport{Workers: workers, Tasks: tasks, BusySeconds: busySeconds}
+	if workers > 0 && wallSeconds > 0 {
+		s.Utilization = busySeconds / (float64(workers) * wallSeconds)
 	}
-	if e.Scheduler == nil {
-		e.Scheduler = &SchedulerReport{}
-	}
-	if workers > e.Scheduler.Workers {
-		e.Scheduler.Workers = workers
-	}
-	e.Scheduler.Tasks += tasks
-	e.Scheduler.BusySeconds += busySeconds
+	b.rep.Scheduler = s
 }
 
 // AddFailure records one failed cell in the report's failures block.
@@ -367,21 +363,6 @@ func (b *ReportBuilder) SetPartial() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.rep.Partial = true
-}
-
-// FinishExperiment records an experiment's wall time.
-func (b *ReportBuilder) FinishExperiment(id string, wall time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.byID[id]; e != nil {
-		e.WallSeconds = wall.Seconds()
-		if e.WallSeconds > 0 {
-			e.SimsPerSec = float64(e.Sims) / e.WallSeconds
-		}
-		if s := e.Scheduler; s != nil && s.Workers > 0 && e.WallSeconds > 0 {
-			s.Utilization = s.BusySeconds / (float64(s.Workers) * e.WallSeconds)
-		}
-	}
 }
 
 // Finalize sorts rows deterministically, fills the totals and returns the

@@ -16,7 +16,6 @@ func fixtureReport(ipc map[string]float64, simsPerSec float64) *Report {
 	for bench, v := range ipc {
 		b.AddRow("fig8", Row{Bench: bench, Config: "PR-2x8w", IPC: v, Cycles: 100, Committed: int64(100 * v)})
 	}
-	b.FinishExperiment("fig8", 2*time.Second)
 	rep := b.Finalize(2 * time.Second)
 	rep.SimsPerSec = simsPerSec
 	return rep

@@ -1,6 +1,6 @@
 // Package obs is the harness's report-after-the-run observability layer:
 // sampled per-stage wall-time self-profiling of the simulator (StageProf),
-// the per-experiment progress lines with ETA that pfe-bench prints on stderr
+// the sweep's progress lines with ETA that pfe-bench prints on stderr
 // (Tracker), and the machine-readable benchmark provenance schema plus
 // regression comparator behind `pfe-bench -json` / `pfe-bench -compare`.
 // Sweep-level span tracing lives in the span subpackage.

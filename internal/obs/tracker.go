@@ -7,50 +7,41 @@ import (
 	"time"
 )
 
-// Tracker follows experiment progress: how many simulations each experiment
-// will run, how many have completed, throughput and ETA, printed as the
-// pfe-bench stderr progress lines. All methods are safe for concurrent use.
+// Tracker follows a run's one sweep: how many simulations it will run, how
+// many have completed, throughput and ETA, printed as pfe-bench's "[sweep]"
+// progress lines on stderr. All methods are safe for concurrent use.
 type Tracker struct {
-	mu      sync.Mutex
-	exps    map[string]*expState
-	workers int // configured worker-pool size (SetWorkers), for ETA scaling
-
-	logW     io.Writer
-	logEvery time.Duration
-	lastLog  time.Time
-}
-
-type expState struct {
-	id        string
+	mu        sync.Mutex
+	workers   int // worker-pool size, for ETA scaling and utilization
 	planned   int
 	completed int // failed cells included: a failed cell is done
 	failed    int
 	startedAt time.Time
 	running   bool
 
-	// ETA inputs. Memoized (or resume-replayed) cells complete in
-	// microseconds and are reported with wall == 0 — the documented
-	// convention for "this cell did not simulate" — so averaging them into a
-	// throughput makes the ETA for the remaining cold cells wildly
-	// optimistic. coldEMA tracks only real simulations.
-	memoized int     // completions reported with wall == 0
-	coldEMA  float64 // EMA of non-memoized cell wall seconds
-	coldSeen int     // non-memoized completions
+	// ETA inputs. Resume-replayed cells complete in microseconds and are
+	// reported with wall == 0 — the documented convention for "this cell
+	// did not simulate" — so averaging them into a throughput makes the ETA
+	// for the remaining cold cells wildly optimistic. coldEMA tracks only
+	// real simulations.
+	replayed int     // completions reported with wall == 0
+	coldEMA  float64 // EMA of simulated cell wall seconds
+	coldSeen int     // simulated completions
 
-	// Dispatch stats, accumulated across batches (reported after each
-	// batch completes, so they cover finished batches only).
-	workers   int
+	// Dispatch stats, reported once the sweep completes.
 	busySec   float64
 	shardWall float64
+
+	logW     io.Writer
+	logEvery time.Duration
+	lastLog  time.Time
 }
 
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{exps: map[string]*expState{}}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // SetWorkers records the configured worker-pool size, which scales the
-// cold-cell ETA before the first batch's scheduler stats arrive.
+// cold-cell ETA before the sweep's scheduler stats arrive.
 func (t *Tracker) SetWorkers(n int) {
 	t.mu.Lock()
 	if n > 0 {
@@ -60,8 +51,8 @@ func (t *Tracker) SetWorkers(n int) {
 }
 
 // SetLog makes the tracker print one-line progress updates to w on
-// simulation completions, at most once per minInterval (the final
-// completion of an experiment always prints).
+// simulation completions, at most once per minInterval (the sweep's final
+// completion always prints).
 func (t *Tracker) SetLog(w io.Writer, minInterval time.Duration) {
 	t.mu.Lock()
 	t.logW = w
@@ -69,72 +60,58 @@ func (t *Tracker) SetLog(w io.Writer, minInterval time.Duration) {
 	t.mu.Unlock()
 }
 
-// StartExperiment begins tracking an experiment.
-func (t *Tracker) StartExperiment(id string) {
+// Start begins tracking the sweep.
+func (t *Tracker) Start() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.exps[id]
-	if e == nil {
-		e = &expState{id: id}
-		t.exps[id] = e
-	}
-	e.startedAt = time.Now()
-	e.running = true
+	t.startedAt = time.Now()
+	t.running = true
+	t.mu.Unlock()
 }
 
-// AddPlanned adds n simulations to an experiment's expected total (an
-// experiment may plan cells in several batches).
-func (t *Tracker) AddPlanned(id string, n int) {
+// AddPlanned adds n simulations to the sweep's expected total.
+func (t *Tracker) AddPlanned(n int) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.exps[id]; e != nil {
-		e.planned += n
-	}
+	t.planned += n
+	t.mu.Unlock()
 }
 
 // SimDone records one completed simulation (with its wall time) and emits a
 // throttled progress line when a log writer is attached.
-func (t *Tracker) SimDone(id string, wall time.Duration) {
-	t.cellDone(id, func(e *expState) {
+func (t *Tracker) SimDone(wall time.Duration) {
+	t.cellDone(func() {
 		if wall == 0 {
-			// The harness reports exactly 0 for memoized and
-			// resume-replayed cells (no simulation happened); real runs
-			// always measure > 0.
-			e.memoized++
+			// The harness reports exactly 0 for resume-replayed cells (no
+			// simulation happened); real runs always measure > 0.
+			t.replayed++
 			return
 		}
 		s := wall.Seconds()
-		if e.coldSeen == 0 {
-			e.coldEMA = s
+		if t.coldSeen == 0 {
+			t.coldEMA = s
 		} else {
-			e.coldEMA = 0.7*e.coldEMA + 0.3*s
+			t.coldEMA = 0.7*t.coldEMA + 0.3*s
 		}
-		e.coldSeen++
+		t.coldSeen++
 	})
 }
 
-// CellFailed records one failed cell: it counts as done, so an experiment's
+// CellFailed records one failed cell: it counts as done, so the sweep's
 // progress still reaches its planned total, and the progress line names the
 // failures.
-func (t *Tracker) CellFailed(id string) {
-	t.cellDone(id, func(e *expState) { e.failed++ })
+func (t *Tracker) CellFailed() {
+	t.cellDone(func() { t.failed++ })
 }
 
-// cellDone counts one finished cell of experiment id, lets note update the
-// experiment's state, and prints a progress line unless one was printed less
-// than the log interval ago (an experiment's final cell always prints).
-func (t *Tracker) cellDone(id string, note func(*expState)) {
+// cellDone counts one finished cell, lets note update the tracker's state,
+// and prints a progress line unless one was printed less than the log
+// interval ago (the sweep's final cell always prints).
+func (t *Tracker) cellDone(note func()) {
 	t.mu.Lock()
-	e := t.exps[id]
-	if e == nil {
-		t.mu.Unlock()
-		return
-	}
-	e.completed++
-	note(e)
+	t.completed++
+	note()
 	line := ""
-	if t.logW != nil && (e.completed == e.planned || time.Since(t.lastLog) >= t.logEvery) {
-		line = t.progressLine(e)
+	if t.logW != nil && (t.completed == t.planned || time.Since(t.lastLog) >= t.logEvery) {
+		line = t.progressLine()
 		t.lastLog = time.Now()
 	}
 	w := t.logW
@@ -144,27 +121,14 @@ func (t *Tracker) cellDone(id string, note func(*expState)) {
 	}
 }
 
-// ShardingDone records one batch's dispatch statistics for an experiment:
-// worker-pool utilization surfaces in progress lines. Worker counts take the
-// max across batches; the other fields accumulate.
-func (t *Tracker) ShardingDone(id string, workers int, busySeconds, wallSeconds float64) {
+// ShardingDone records the sweep's dispatch statistics and prints a closing
+// progress line carrying its worker-pool utilization.
+func (t *Tracker) ShardingDone(workers int, busySeconds, wallSeconds float64) {
 	t.mu.Lock()
-	e := t.exps[id]
-	if e == nil {
-		t.mu.Unlock()
-		return
-	}
-	if workers > e.workers {
-		e.workers = workers
-	}
-	e.busySec += busySeconds
-	e.shardWall += wallSeconds
-	// A batch completes at most once per runCells sweep, so an
-	// unthrottled closing line (the first to carry the batch's
-	// utilization) cannot flood the log.
+	t.workers, t.busySec, t.shardWall = workers, busySeconds, wallSeconds
 	line := ""
 	if t.logW != nil {
-		line = t.progressLine(e)
+		line = t.progressLine()
 	}
 	w := t.logW
 	t.mu.Unlock()
@@ -173,70 +137,59 @@ func (t *Tracker) ShardingDone(id string, workers int, busySeconds, wallSeconds 
 	}
 }
 
-// FinishExperiment marks an experiment done.
-func (t *Tracker) FinishExperiment(id string) {
+// Finish marks the sweep done.
+func (t *Tracker) Finish() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.exps[id]; e != nil {
-		e.running = false
-	}
+	t.running = false
+	t.mu.Unlock()
 }
 
-// eta returns an experiment's remaining-time estimate in seconds (0 =
-// unknown). Once a real simulation has finished it scales the EMA of real
-// simulation durations by the cells left and the worker pool executing them:
-// near-instant memoized cells would skew a plain completion rate wildly
+// eta returns the sweep's remaining-time estimate in seconds (0 = unknown).
+// Once a real simulation has finished it scales the EMA of real simulation
+// durations by the cells left and the worker pool executing them:
+// near-instant replayed cells would skew a plain completion rate wildly
 // optimistic. Before that it extrapolates the overall completion rate.
 // Callers hold t.mu.
-func (t *Tracker) eta(e *expState) float64 {
-	remaining := e.planned - e.completed
-	if !e.running || remaining <= 0 {
+func (t *Tracker) eta() float64 {
+	remaining := t.planned - t.completed
+	if !t.running || remaining <= 0 {
 		return 0
 	}
-	if e.coldSeen > 0 {
-		workers := e.workers
-		if workers <= 0 {
-			workers = t.workers
-		}
-		if workers <= 0 {
-			workers = 1
-		}
-		if workers > remaining {
-			workers = remaining
-		}
-		return e.coldEMA * float64(remaining) / float64(workers)
+	if t.coldSeen > 0 {
+		workers := min(max(t.workers, 1), remaining)
+		return t.coldEMA * float64(remaining) / float64(workers)
 	}
-	if elapsed := time.Since(e.startedAt).Seconds(); elapsed > 0 && e.completed > 0 {
-		return float64(remaining) * elapsed / float64(e.completed)
+	if elapsed := time.Since(t.startedAt).Seconds(); elapsed > 0 && t.completed > 0 {
+		return float64(remaining) * elapsed / float64(t.completed)
 	}
 	return 0
 }
 
-func (t *Tracker) progressLine(e *expState) string {
-	elapsed := time.Since(e.startedAt)
+func (t *Tracker) progressLine() string {
+	elapsed := time.Since(t.startedAt)
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {
-		rate = float64(e.completed) / s
+		rate = float64(t.completed) / s
 	}
 	pct := 0.0
 	eta := "?"
-	if e.planned > 0 {
-		pct = 100 * float64(e.completed) / float64(e.planned)
-		if sec := t.eta(e); sec > 0 {
+	if t.planned > 0 {
+		pct = 100 * float64(t.completed) / float64(t.planned)
+		if sec := t.eta(); sec > 0 {
 			eta = time.Duration(sec * float64(time.Second)).Round(time.Second).String()
 		}
 	}
-	line := fmt.Sprintf("[%s] %d/%d sims (%.0f%%)  elapsed %s  %.1f sims/s  eta %s",
-		e.id, e.completed, e.planned, pct, elapsed.Round(100*time.Millisecond), rate, eta)
-	if e.memoized > 0 {
-		line += fmt.Sprintf("  (%d memoized)", e.memoized)
+	line := fmt.Sprintf("[sweep] %d/%d sims (%.0f%%)  elapsed %s  %.1f sims/s  eta %s",
+		t.completed, t.planned, pct, elapsed.Round(100*time.Millisecond), rate, eta)
+	if t.replayed > 0 {
+		line += fmt.Sprintf("  (%d replayed)", t.replayed)
 	}
-	if e.failed > 0 {
-		line += fmt.Sprintf("  (%d failed)", e.failed)
+	if t.failed > 0 {
+		line += fmt.Sprintf("  (%d failed)", t.failed)
 	}
-	if e.workers > 0 && e.shardWall > 0 {
+	if t.workers > 0 && t.shardWall > 0 {
 		line += fmt.Sprintf("  util %.0f%%/%dw",
-			100*e.busySec/(float64(e.workers)*e.shardWall), e.workers)
+			100*t.busySec/(float64(t.workers)*t.shardWall), t.workers)
 	}
 	return line
 }
